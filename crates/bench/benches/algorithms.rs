@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_bench::grid_scenario;
 use rap_core::{
-    CompositeGreedy, GreedyCoverage, LazyGreedy, LazyParallelGreedy, MarginalGreedy, MaxCustomers,
-    ParallelGreedy, PlacementAlgorithm, Random, UtilityKind,
+    CompositeGreedy, GreedyCoverage, LazyGreedy, MarginalGreedy, MaxCustomers, PlacementAlgorithm,
+    Random, UtilityKind,
 };
 use rap_manhattan::gen::{boundary_flows, BoundaryFlowParams};
 use rap_manhattan::{
@@ -60,16 +60,6 @@ fn bench_k_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("lazy_celf", k), &k, |b, &k| {
             let mut r = rng();
             b.iter(|| black_box(LazyGreedy.place(&scenario, k, &mut r)))
-        });
-        g.bench_with_input(BenchmarkId::new("parallel", k), &k, |b, &k| {
-            let mut r = rng();
-            let alg = ParallelGreedy::default();
-            b.iter(|| black_box(alg.place(&scenario, k, &mut r)))
-        });
-        g.bench_with_input(BenchmarkId::new("lazy_parallel", k), &k, |b, &k| {
-            let mut r = rng();
-            let alg = LazyParallelGreedy::default();
-            b.iter(|| black_box(alg.place(&scenario, k, &mut r)))
         });
     }
     g.finish();

@@ -196,9 +196,9 @@ mod tests {
 
     #[test]
     fn writes_graph_and_flows() {
-        let dir = std::env::temp_dir();
-        let g = dir.join("rap_cli_test_graph.txt");
-        let f = dir.join("rap_cli_test_flows.csv");
+        let dir = crate::TestDir::new("generate_writes_graph_and_flows");
+        let g = dir.path("graph.txt");
+        let f = dir.path("flows.csv");
         let args = Args::parse([
             "--city",
             "seattle",
@@ -216,14 +216,12 @@ mod tests {
         assert_eq!(graph.node_count(), 121);
         let flows = std::fs::read_to_string(&f).unwrap();
         assert!(flows.starts_with("origin,destination,volume,alpha"));
-        std::fs::remove_file(g).ok();
-        std::fs::remove_file(f).ok();
     }
 
     #[test]
     fn in_trace_strict_rejects_and_lenient_quarantines() {
-        let dir = std::env::temp_dir();
-        let tp = dir.join("rap_cli_in_trace.csv");
+        let dir = crate::TestDir::new("generate_in_trace");
+        let tp = dir.path("in_trace.csv");
         // Seattle schema with one good row, one truncated row, one NaN row.
         std::fs::write(
             &tp,
@@ -253,13 +251,12 @@ mod tests {
             report.contains("recovered from the ingested trace"),
             "{report}"
         );
-        std::fs::remove_file(tp).ok();
     }
 
     #[test]
     fn generates_metro_summary_and_flows() {
-        let dir = std::env::temp_dir();
-        let f = dir.join("rap_cli_metro_flows.csv");
+        let dir = crate::TestDir::new("generate_metro");
+        let f = dir.path("metro_flows.csv");
         let args = Args::parse([
             "--city",
             "metro",
@@ -275,7 +272,6 @@ mod tests {
         let flows = std::fs::read_to_string(&f).unwrap();
         assert!(flows.starts_with("origin,destination,volume,alpha"));
         assert_eq!(flows.lines().count(), 51);
-        std::fs::remove_file(f).ok();
     }
 
     #[test]

@@ -1,14 +1,10 @@
 //! `rap simulate` — Manhattan-grid scenario with driver microsimulation.
 
-use super::fault;
 use crate::args::Args;
 use crate::CliError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rap_core::{
-    FaultPlan, LazyParallelGreedy, MarginalGreedy, ParallelGreedy, PlacementAlgorithm, Scenario,
-    UtilityKind,
-};
+use rap_core::UtilityKind;
 use rap_graph::{Distance, GridGraph};
 use rap_manhattan::gen::{boundary_flows, class_histogram, BoundaryFlowParams};
 use rap_manhattan::simulate::{flexibility_gain, simulate_rap_seeking};
@@ -20,16 +16,10 @@ use rap_manhattan::{
 pub const USAGE: &str = "\
 rap simulate [--side N] [--spacing FEET] [--d FEET] [--flows N] [--k N]
              [--utility threshold|linear|sqrt] [--seed N] [--samples N]
-             [--fault-profile none|panic|stall|drop|poison|seed:N]
-             [--route-threads N]
 
 Builds a Manhattan-grid city, runs Algorithms 3/4 and the adaptive grid
 greedy, and reports per-class coverage plus the Monte-Carlo path-flexibility
-gain (RAP-seeking vs random-shortest-path drivers).
-
-With --fault-profile, additionally runs the pooled greedy engines on the
-same city under injected worker faults and reports whether they recovered
-to the exact sequential placement (the self-healing check).";
+gain (RAP-seeking vs random-shortest-path drivers).";
 
 /// Runs the command; returns the human-readable report.
 ///
@@ -57,10 +47,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     if side < 2 {
         return Err(CliError::Usage("side must be at least 2".into()));
     }
-    let fault_plan = match args.get("fault-profile") {
-        Some(spec) => Some(fault::parse_profile(spec)?),
-        None => None,
-    };
 
     let grid = GridGraph::new(side, side, Distance::from_feet(spacing));
     let specs = boundary_flows(
@@ -80,12 +66,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     for (class, count) in class_histogram(&grid, &specs) {
         report.push_str(&format!("  {class:<20} {count}\n"));
     }
-
-    // Capture what the self-healing check needs before the grid and specs
-    // move into the Manhattan scenario.
-    let pool_check = fault_plan
-        .as_ref()
-        .map(|_| (grid.graph().clone(), grid.center(), specs.clone()));
 
     let scenario = ManhattanScenario::with_region(
         grid,
@@ -118,55 +98,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         report.push('\n');
     }
 
-    if let (Some(plan), Some((graph, shop, specs))) = (&fault_plan, pool_check) {
-        let threads = super::place::route_threads(args)?;
-        report.push_str(&self_healing_check(
-            graph, shop, specs, utility, d, k, plan, threads,
-        )?);
-    }
-    Ok(report)
-}
-
-/// Runs the pooled greedy engines on the simulated city under `plan` and
-/// reports recovery plus bit-identity with the sequential greedy.
-#[allow(clippy::too_many_arguments)]
-fn self_healing_check(
-    graph: rap_graph::RoadGraph,
-    shop: rap_graph::NodeId,
-    specs: Vec<rap_traffic::FlowSpec>,
-    utility: UtilityKind,
-    d: u64,
-    k: usize,
-    plan: &FaultPlan,
-    threads: usize,
-) -> Result<String, CliError> {
-    let flows = rap_traffic::FlowSet::route_parallel(&graph, specs, threads)?;
-    let s = Scenario::new_with_threads(
-        graph,
-        flows,
-        vec![shop],
-        utility.instantiate(Distance::from_feet(d)),
-        threads,
-    )?;
-    let sequential = MarginalGreedy.place(&s, k, &mut StdRng::seed_from_u64(0));
-    let mut report = format!("self-healing check under injected faults (k = {k}):\n");
-    report.push_str(&format!("  sequential marginal greedy   {sequential}\n"));
-    let (pp, prep) = ParallelGreedy::default().place_with_faults(&s, k, plan)?;
-    let (lp, lrep) = LazyParallelGreedy::default().place_with_faults(&s, k, plan)?;
-    for (name, placement, engine) in [
-        ("parallel marginal greedy", &pp, prep),
-        ("CELF + pool", &lp, lrep),
-    ] {
-        report.push_str(&format!(
-            "  {name:<28} {placement}\n    {}; bit-identical to sequential: {}\n",
-            fault::describe(&engine),
-            if *placement == sequential {
-                "yes"
-            } else {
-                "NO"
-            },
-        ));
-    }
     Ok(report)
 }
 
@@ -195,37 +126,6 @@ mod tests {
         assert!(report.contains("Algorithm 3"));
         assert!(report.contains("flexibility"));
         assert!(report.contains("turned"));
-    }
-
-    #[test]
-    fn fault_profile_runs_self_healing_check() {
-        let args = Args::parse([
-            "--side",
-            "7",
-            "--spacing",
-            "250",
-            "--d",
-            "1000",
-            "--flows",
-            "20",
-            "--k",
-            "4",
-            "--samples",
-            "10",
-            "--fault-profile",
-            "panic",
-        ])
-        .unwrap();
-        let report = run(&args).unwrap();
-        assert!(report.contains("self-healing check"), "{report}");
-        assert!(
-            report.contains("bit-identical to sequential: yes"),
-            "{report}"
-        );
-        assert!(
-            !report.contains("bit-identical to sequential: NO"),
-            "{report}"
-        );
     }
 
     #[test]

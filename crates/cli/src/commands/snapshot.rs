@@ -207,10 +207,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir();
-        let gp = dir.join("rap_cli_snapshot_graph.txt");
-        let fp = dir.join("rap_cli_snapshot_flows.csv");
+    /// Writes a 5×5 grid graph + two-flow CSV into the test's scratch dir.
+    fn fixture(dir: &crate::TestDir) -> (std::path::PathBuf, std::path::PathBuf) {
+        let gp = dir.path("graph.txt");
+        let fp = dir.path("flows.csv");
         let grid = rap_graph::GridGraph::new(5, 5, Distance::from_feet(200));
         let mut f = std::fs::File::create(&gp).unwrap();
         rap_graph::io::write_text(grid.graph(), &mut f).unwrap();
@@ -224,8 +224,10 @@ mod tests {
 
     #[test]
     fn save_verify_load_roundtrip_and_corruption_is_typed() {
-        let (gp, fp) = fixture();
-        let snap = std::env::temp_dir().join("rap_cli_snapshot_test.snap");
+        let dir =
+            crate::TestDir::new("snapshot_save_verify_load_roundtrip_and_corruption_is_typed");
+        let (gp, fp) = fixture(&dir);
+        let snap = dir.path("roundtrip.snap");
         let argv = [
             "save",
             "--file",
@@ -266,16 +268,13 @@ mod tests {
             run(&Args::parse(load_argv).unwrap()),
             Err(CliError::Snapshot(_))
         ));
-
-        std::fs::remove_file(&snap).ok();
-        std::fs::remove_file(gp).ok();
-        std::fs::remove_file(fp).ok();
     }
 
     #[test]
     fn info_prints_header_and_section_directory() {
-        let (gp, fp) = fixture();
-        let snap = std::env::temp_dir().join("rap_cli_snapshot_info_test.snap");
+        let dir = crate::TestDir::new("snapshot_info_prints_header_and_section_directory");
+        let (gp, fp) = fixture(&dir);
+        let snap = dir.path("info.snap");
         let argv = [
             "save",
             "--file",
@@ -317,10 +316,6 @@ mod tests {
             run(&Args::parse(info_argv).unwrap()),
             Err(CliError::Snapshot(_))
         ));
-
-        std::fs::remove_file(&snap).ok();
-        std::fs::remove_file(gp).ok();
-        std::fs::remove_file(fp).ok();
     }
 
     #[test]

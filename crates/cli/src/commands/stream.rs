@@ -52,11 +52,14 @@ rap stream --k N [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
                    --shop defaults to the first city-center candidate
 --threshold        certified staleness that triggers a repair (default 0.05)
 --check-interval   applied deltas between staleness checks (default 32)
+--threads          worker threads for the inverted-index build behind the
+                   initial solve and each escalation (default 4); the greedy
+                   runs on one thread. Placements are identical at any value
 --metrics-interval applied deltas between metrics events (default 1000)
 --strict           stop at the first rejected delta instead of skipping it
 --out              write NDJSON events here instead of inlining them
 --route-threads    worker threads for flow routing and detour-table
-                   preprocessing; 0 (the default) auto-detects
+                   preprocessing; 0 (the default) falls back to --threads
 --wal              write-ahead-log every source item here (crash safety)
 --snapshot         rotate checksummed scenario snapshots here (needs --wal)
 --snapshot-every   journaled items between snapshot rotations (default 1024)
@@ -555,11 +558,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    /// Writes a 5×5 grid graph + two-flow CSV to temp files.
-    fn fixture() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir();
-        let gp = dir.join("rap_cli_stream_graph.txt");
-        let fp = dir.join("rap_cli_stream_flows.csv");
+    /// Writes a 5×5 grid graph + two-flow CSV into the test's scratch dir.
+    fn fixture(dir: &crate::TestDir) -> (std::path::PathBuf, std::path::PathBuf) {
+        let gp = dir.path("graph.txt");
+        let fp = dir.path("flows.csv");
         let grid = rap_graph::GridGraph::new(5, 5, Distance::from_feet(200));
         let mut f = std::fs::File::create(&gp).unwrap();
         rap_graph::io::write_text(grid.graph(), &mut f).unwrap();
@@ -597,7 +599,8 @@ mod tests {
 
     #[test]
     fn replays_the_bundled_smoke_deltas() {
-        let (gp, fp) = fixture();
+        let dir = crate::TestDir::new("stream_replays_the_bundled_smoke_deltas");
+        let (gp, fp) = fixture(&dir);
         let smoke = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../stream/testdata/smoke.ndjson"
@@ -612,8 +615,9 @@ mod tests {
 
     #[test]
     fn synthetic_source_streams_and_writes_out_file() {
-        let (gp, fp) = fixture();
-        let out = std::env::temp_dir().join("rap_cli_stream_events.ndjson");
+        let dir = crate::TestDir::new("stream_synthetic_source_streams_and_writes_out_file");
+        let (gp, fp) = fixture(&dir);
+        let out = dir.path("events.ndjson");
         let mut argv = base_args(&gp, &fp);
         argv.extend([
             "--synthetic".to_string(),
@@ -631,7 +635,6 @@ mod tests {
             let v: serde::Value = serde_json::from_str(line).expect("valid NDJSON");
             assert!(v.get("event").is_some());
         }
-        std::fs::remove_file(out).ok();
     }
 
     #[test]
@@ -659,7 +662,8 @@ mod tests {
 
     #[test]
     fn source_selection_is_validated() {
-        let (gp, fp) = fixture();
+        let dir = crate::TestDir::new("stream_source_selection_is_validated");
+        let (gp, fp) = fixture(&dir);
         // No source.
         let argv = base_args(&gp, &fp);
         assert!(matches!(
@@ -682,7 +686,8 @@ mod tests {
 
     #[test]
     fn durability_flags_require_a_wal() {
-        let (gp, fp) = fixture();
+        let dir = crate::TestDir::new("stream_durability_flags_require_a_wal");
+        let (gp, fp) = fixture(&dir);
         for extra in [
             ["--snapshot", "s.snap"],
             ["--resume", "true"],
@@ -712,10 +717,10 @@ mod tests {
 
     #[test]
     fn wal_run_resumes_to_the_identical_summary() {
-        let (gp, fp) = fixture();
-        let dir = std::env::temp_dir();
-        let wal = dir.join(format!("rap_cli_stream_{}.wal", std::process::id()));
-        let snap = dir.join(format!("rap_cli_stream_{}.snap", std::process::id()));
+        let dir = crate::TestDir::new("stream_wal_run_resumes_to_the_identical_summary");
+        let (gp, fp) = fixture(&dir);
+        let wal = dir.path("resume.wal");
+        let snap = dir.path("resume.snap");
         std::fs::remove_file(&wal).ok();
         std::fs::remove_file(&snap).ok();
 
@@ -771,16 +776,13 @@ mod tests {
             resumed.contains(&final_objective),
             "{resumed}\nvs {final_objective}"
         );
-
-        std::fs::remove_file(&wal).ok();
-        std::fs::remove_file(&snap).ok();
     }
 
     #[test]
     fn record_deltas_tees_a_replayable_log() {
-        let (gp, fp) = fixture();
-        let dir = std::env::temp_dir();
-        let rec = dir.join(format!("rap_cli_stream_{}.rec.ndjson", std::process::id()));
+        let dir = crate::TestDir::new("stream_record_deltas_tees_a_replayable_log");
+        let (gp, fp) = fixture(&dir);
+        let rec = dir.path("record.ndjson");
         let mut argv = base_args(&gp, &fp);
         argv.extend(
             [
@@ -810,13 +812,13 @@ mod tests {
                 .to_string()
         };
         assert_eq!(applied(&report), applied(&replayed));
-        std::fs::remove_file(rec).ok();
     }
 
     #[test]
     fn strict_mode_surfaces_rejects() {
-        let (gp, fp) = fixture();
-        let bad = std::env::temp_dir().join("rap_cli_stream_bad.ndjson");
+        let dir = crate::TestDir::new("stream_strict_mode_surfaces_rejects");
+        let (gp, fp) = fixture(&dir);
+        let bad = dir.path("bad.ndjson");
         std::fs::write(&bad, "{\"op\":\"remove\",\"flow\":999}\n").unwrap();
         let mut argv = base_args(&gp, &fp);
         argv.extend([
@@ -834,6 +836,5 @@ mod tests {
         argv.extend(["--deltas".to_string(), bad.to_str().unwrap().to_string()]);
         let report = run(&Args::parse(argv).unwrap()).unwrap();
         assert!(report.contains("\"deltas_rejected\": 1"), "{report}");
-        std::fs::remove_file(bad).ok();
     }
 }

@@ -178,6 +178,33 @@ where
     }
 }
 
+/// A test's scratch directory, `$TMPDIR/rap_cli_{pid}_{test}`, removed
+/// when the value drops. The test harness runs tests concurrently, so every
+/// test passes its own name and no two tests share a fixture file.
+#[cfg(test)]
+pub(crate) struct TestDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TestDir {
+    pub(crate) fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("rap_cli_{}_{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir is writable");
+        TestDir(dir)
+    }
+
+    /// `file` inside the directory.
+    pub(crate) fn path(&self, file: &str) -> std::path::PathBuf {
+        self.0.join(file)
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,9 +230,9 @@ mod tests {
 
     #[test]
     fn end_to_end_generate_then_place() {
-        let dir = std::env::temp_dir();
-        let gp = dir.join("rap_cli_e2e_graph.txt");
-        let fp = dir.join("rap_cli_e2e_flows.csv");
+        let dir = TestDir::new("e2e");
+        let gp = dir.path("graph.txt");
+        let fp = dir.path("flows.csv");
         dispatch([
             "generate",
             "--city",
@@ -235,7 +262,5 @@ mod tests {
         ])
         .unwrap();
         assert!(report.contains("customers/day"), "{report}");
-        std::fs::remove_file(gp).ok();
-        std::fs::remove_file(fp).ok();
     }
 }

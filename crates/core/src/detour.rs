@@ -253,13 +253,13 @@ impl DetourTable {
             let mass = |v: usize| flows.visits_at(NodeId::new(v as u32)).len();
             let shards = tiles
                 .and_then(|t| t.shard_ranges(workers, mass))
-                .unwrap_or_else(|| crate::parallel::mass_chunks(n, mass, workers));
-            crossbeam::thread::scope(|scope| {
+                .unwrap_or_else(|| parallel::mass_chunks(n, mass, workers));
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .iter()
                     .map(|&(lo, hi)| {
                         let fill = &fill;
-                        scope.spawn(move |_| fill(lo as usize, hi as usize))
+                        scope.spawn(move || fill(lo as usize, hi as usize))
                     })
                     .collect();
                 handles
@@ -267,7 +267,6 @@ impl DetourTable {
                     .map(|h| h.join().expect("detour fill worker panicked"))
                     .collect()
             })
-            .expect("detour fill scope never propagates worker panics")
         };
         let total: usize = runs.iter().map(|(_, e)| e.len()).sum();
         assert!(
@@ -417,23 +416,21 @@ pub(crate) fn shop_trees(
         return shops.iter().map(|&s| grow(&mut ws, s)).unzip();
     }
     let chunk = shops.len().div_ceil(workers);
-    let per_worker: Vec<Vec<(ShortestPathTree, ShortestPathTree)>> =
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = shops
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move |_| {
-                        let mut ws = SsspWorkspace::for_graph(graph);
-                        shard.iter().map(|&s| grow(&mut ws, s)).collect::<Vec<_>>()
-                    })
+    let per_worker: Vec<Vec<(ShortestPathTree, ShortestPathTree)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shops
+            .chunks(chunk)
+            .map(|shard| {
+                scope.spawn(move || {
+                    let mut ws = SsspWorkspace::for_graph(graph);
+                    shard.iter().map(|&s| grow(&mut ws, s)).collect::<Vec<_>>()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shop-tree worker panicked"))
-                .collect()
-        })
-        .expect("shop-tree scope never propagates worker panics");
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shop-tree worker panicked"))
+            .collect()
+    });
     // Contiguous chunks flattened in order reconstruct shop order exactly.
     per_worker.into_iter().flatten().unzip()
 }

@@ -27,14 +27,6 @@ pub enum PlacementError {
         /// The enumeration budget that would be exceeded.
         budget: u64,
     },
-    /// The parallel evaluation pool lost workers beyond its respawn budget
-    /// and the caller disallowed degrading to the sequential scan.
-    PoolFailed {
-        /// Worker respawns attempted before giving up.
-        respawns: u32,
-        /// Human-readable description of the terminal condition.
-        detail: String,
-    },
     /// An underlying graph error.
     Graph(GraphError),
     /// An underlying traffic error.
@@ -59,10 +51,6 @@ impl fmt::Display for PlacementError {
                 f,
                 "exhaustive search over {candidates} candidates choose {k} exceeds \
                  the budget of {budget} evaluations"
-            ),
-            PlacementError::PoolFailed { respawns, detail } => write!(
-                f,
-                "evaluation pool unrecoverable after {respawns} worker respawns: {detail}"
             ),
             PlacementError::Graph(e) => write!(f, "graph error: {e}"),
             PlacementError::Traffic(e) => write!(f, "traffic error: {e}"),
@@ -111,13 +99,7 @@ mod tests {
         };
         assert!(e.to_string().contains("100"));
         assert!(e.to_string().contains("1000000"));
-        let p = PlacementError::PoolFailed {
-            respawns: 3,
-            detail: "all shards poisoned".into(),
-        };
-        assert!(p.to_string().contains("3 worker respawns"));
-        assert!(p.to_string().contains("poisoned"));
-        assert!(p.source().is_none());
+        assert!(e.source().is_none());
     }
 
     #[test]

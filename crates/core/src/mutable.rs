@@ -33,8 +33,8 @@
 //!
 //! Every successful mutation advances an epoch counter. [`snapshot`]
 //! materializes the current state as a real, immutable [`Scenario`] (cached
-//! per epoch), so *every* existing evaluation engine — sequential, pooled,
-//! lazy-parallel — keeps scanning flat arrays with zero changes. Snapshots
+//! per epoch), so *every* existing evaluation engine — marginal, CELF,
+//! inverted — keeps scanning flat arrays with zero changes. Snapshots
 //! are **bit-identical** to a from-scratch rebuild of the live flows: same
 //! routed paths, same CSR entry order, same `f64` entry values (the
 //! equivalence is property-tested in `tests/mutable_equivalence.rs`).

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    FlowDelta, LazyGreedy, LazyParallelGreedy, MarginalGreedy, MutableScenario, ParallelGreedy,
+    FlowDelta, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MutableScenario,
     Placement, PlacementAlgorithm, Scenario, UtilityKind,
 };
 use rap_graph::{Distance, GridGraph, NodeId, RoadGraph};
@@ -300,21 +300,23 @@ proptest! {
             fresh.evaluate(&seq_fresh).to_bits(),
             "objective bits diverged"
         );
-        prop_assert_eq!(
-            LazyGreedy.place(&snap, k, &mut rng()),
-            seq_fresh.clone(),
-            "lazy diverged"
-        );
-        prop_assert_eq!(
-            ParallelGreedy::with_threads(2).place(&snap, k, &mut rng()),
-            seq_fresh.clone(),
-            "parallel diverged"
-        );
-        prop_assert_eq!(
-            LazyParallelGreedy::with_threads(2).place(&snap, k, &mut rng()),
-            seq_fresh.clone(),
-            "lazy-parallel diverged"
-        );
+        let bits = fresh.evaluate(&seq_fresh).to_bits();
+        let lazy = LazyGreedy.place(&snap, k, &mut rng());
+        prop_assert_eq!(&lazy, &seq_fresh, "lazy diverged");
+        prop_assert_eq!(snap.evaluate(&lazy).to_bits(), bits, "lazy objective diverged");
+        for (label, index) in [
+            ("sequential", InvertedIndex::build(&snap)),
+            ("parallel", InvertedIndex::build_parallel_uncut(&snap, 2)),
+        ] {
+            let (inv, _) = InvertedGainEngine.place_with_index(&snap, &index, k);
+            prop_assert_eq!(&inv, &seq_fresh, "inverted diverged ({} index)", label);
+            prop_assert_eq!(
+                snap.evaluate(&inv).to_bits(),
+                bits,
+                "inverted objective diverged ({} index)",
+                label
+            );
+        }
 
         // `evaluate_current` reads the maintained arrays directly and must
         // agree with the materialized snapshot, bit for bit.

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
     CompositeGreedy, ExhaustiveOptimal, FlowDelta, GreedyCoverage, InvertedGainEngine,
-    InvertedIndex, InvertedPooledGreedy, LazyGreedy, LazyParallelGreedy, MarginalGreedy,
-    MutableScenario, ParallelGreedy, Placement, PlacementAlgorithm, Scenario, UtilityKind,
+    InvertedIndex, LazyGreedy, MarginalGreedy, MutableScenario, Placement, PlacementAlgorithm,
+    Scenario, UtilityKind,
 };
 use rap_graph::{dijkstra, Distance, GridGraph, NodeId};
 use rap_traffic::{FlowId, FlowSet, FlowSpec};
@@ -113,6 +113,51 @@ fn build_mutable(inst: &Instance) -> Option<MutableScenario> {
     .ok()
 }
 
+/// The greedy identity contract on one scenario: CELF and the inverted
+/// engine reproduce `MarginalGreedy`'s placement and objective bits. The
+/// inverted engine runs against the sequential index build and against the
+/// parallel build at several worker counts (the test hook bypasses the size
+/// cutoff, so small instances still take the parallel path).
+fn assert_greedy_identity(s: &Scenario, k: usize, case: &str) -> Result<(), TestCaseError> {
+    let seq = MarginalGreedy.place(s, k, &mut rng());
+    let bits = s.evaluate(&seq).to_bits();
+    let celf = LazyGreedy.place(s, k, &mut rng());
+    prop_assert_eq!(
+        s.evaluate(&celf).to_bits(),
+        bits,
+        "celf objective diverged ({})",
+        case
+    );
+    prop_assert_eq!(&celf, &seq, "celf diverged ({})", case);
+    let inv = InvertedGainEngine.place(s, k, &mut rng());
+    prop_assert_eq!(
+        s.evaluate(&inv).to_bits(),
+        bits,
+        "inverted objective diverged ({})",
+        case
+    );
+    prop_assert_eq!(&inv, &seq, "inverted diverged ({})", case);
+    for workers in [2usize, 3, 8] {
+        let index = InvertedIndex::build_parallel_uncut(s, workers);
+        let (inv, _) = InvertedGainEngine.place_with_index(s, &index, k);
+        prop_assert_eq!(
+            s.evaluate(&inv).to_bits(),
+            bits,
+            "inverted objective diverged on a {}-worker index ({})",
+            workers,
+            case
+        );
+        prop_assert_eq!(
+            &inv,
+            &seq,
+            "inverted diverged on a {}-worker index ({})",
+            workers,
+            case
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -205,52 +250,21 @@ proptest! {
         );
     }
 
-    /// Every accelerated greedy variant — CELF, the pooled parallel scan,
-    /// and the lazy-parallel hybrid at several thread counts — produces a
-    /// placement *identical* to the sequential marginal greedy, for every
-    /// utility kind.
+    /// CELF and the inverted engine (over sequential and parallel index
+    /// builds) reproduce the sequential marginal greedy's placement and
+    /// objective bits, for every utility kind.
     #[test]
     fn greedy_variants_identical(inst in arb_instance(), k in 0usize..6) {
         for kind in UtilityKind::ALL {
             let mut inst = inst.clone();
             inst.utility = kind;
             let Some(s) = build(&inst) else { return Ok(()) };
-            let seq = MarginalGreedy.place(&s, k, &mut rng());
-            prop_assert_eq!(
-                LazyGreedy.place(&s, k, &mut rng()),
-                seq.clone(),
-                "lazy diverged ({kind}, k={k})"
-            );
-            let inv = InvertedGainEngine.place(&s, k, &mut rng());
-            prop_assert_eq!(
-                s.evaluate(&inv).to_bits(),
-                s.evaluate(&seq).to_bits(),
-                "inverted objective diverged ({kind}, k={k})"
-            );
-            prop_assert_eq!(inv, seq.clone(), "inverted diverged ({kind}, k={k})");
-            for threads in [1usize, 2, 3, 8] {
-                prop_assert_eq!(
-                    ParallelGreedy::with_threads(threads).place(&s, k, &mut rng()),
-                    seq.clone(),
-                    "parallel diverged ({kind}, k={k}, threads={threads})"
-                );
-                prop_assert_eq!(
-                    LazyParallelGreedy::with_threads(threads).place(&s, k, &mut rng()),
-                    seq.clone(),
-                    "lazy-parallel diverged ({kind}, k={k}, threads={threads})"
-                );
-                prop_assert_eq!(
-                    InvertedPooledGreedy::with_threads(threads).place(&s, k, &mut rng()),
-                    seq.clone(),
-                    "inverted-pooled diverged ({kind}, k={k}, threads={threads})"
-                );
-            }
+            assert_greedy_identity(&s, k, &format!("{kind}, k={k}"))?;
         }
     }
 
-    /// The inverted delta-propagation engine stays bit-identical to the
-    /// marginal greedy and CELF on multi-shop scenarios (two shops, every
-    /// utility kind), for both placements and objectives.
+    /// The same identity on multi-shop scenarios (two shops, every utility
+    /// kind).
     #[test]
     fn inverted_identical_multi_shop(inst in arb_instance(), k in 0usize..6, shop2 in 0u32..36) {
         for kind in UtilityKind::ALL {
@@ -265,22 +279,12 @@ proptest! {
                 kind.instantiate(Distance::from_feet(inst.threshold)),
             )
             .expect("multi-shop scenario valid");
-            let seq = MarginalGreedy.place(&s, k, &mut rng());
-            let celf = LazyGreedy.place(&s, k, &mut rng());
-            let inv = InvertedGainEngine.place(&s, k, &mut rng());
-            prop_assert_eq!(
-                s.evaluate(&inv).to_bits(),
-                s.evaluate(&seq).to_bits(),
-                "objective diverged ({kind}, k={k})"
-            );
-            prop_assert_eq!(&celf, &seq, "celf diverged ({kind}, k={k})");
-            prop_assert_eq!(&inv, &seq, "inverted diverged ({kind}, k={k})");
+            assert_greedy_identity(&s, k, &format!("two shops, {kind}, k={k}"))?;
         }
     }
 
-    /// After an arbitrary batch of `MutableScenario` flow deltas, the
-    /// inverted engine solved against the snapshot is still bit-identical
-    /// to the marginal greedy and CELF — placements and objectives alike.
+    /// The same identity on snapshots taken after an arbitrary batch of
+    /// `MutableScenario` flow deltas.
     #[test]
     fn inverted_identical_after_flow_deltas(
         inst in arb_instance(),
@@ -317,16 +321,7 @@ proptest! {
             let _ = ms.apply(&delta);
         }
         let snap = ms.snapshot();
-        let seq = MarginalGreedy.place(&snap, k, &mut rng());
-        let celf = LazyGreedy.place(&snap, k, &mut rng());
-        let inv = InvertedGainEngine.place(&snap, k, &mut rng());
-        prop_assert_eq!(
-            snap.evaluate(&inv).to_bits(),
-            snap.evaluate(&seq).to_bits(),
-            "objective diverged after deltas (k={})", k
-        );
-        prop_assert_eq!(&celf, &seq, "celf diverged after deltas (k={})", k);
-        prop_assert_eq!(&inv, &seq, "inverted diverged after deltas (k={})", k);
+        assert_greedy_identity(&snap, k, &format!("after deltas, k={k}"))?;
     }
 
     /// The parallel counting-sort index build is bitwise identical to the
@@ -618,25 +613,6 @@ proptest! {
                 "p={fp} regions={region_count}: correlated {corr} vs independent {indep}"
             );
         }
-    }
-
-    /// Injected worker faults never change the placement: under seeded
-    /// fault plans both pooled engines still match the sequential greedy
-    /// bit for bit (recovering, or degrading to the sequential scan).
-    #[test]
-    fn pooled_engines_survive_fault_plans(inst in arb_instance(), k in 0usize..5, seed in 0u64..200) {
-        use rap_core::FaultPlan;
-        let Some(s) = build(&inst) else { return Ok(()) };
-        let seq = MarginalGreedy.place(&s, k, &mut rng());
-        let plan = FaultPlan::from_seed(seed, 3);
-        let (par, _) = ParallelGreedy::with_threads(3)
-            .place_with_faults(&s, k, &plan)
-            .expect("Sequential fallback absorbs any plan");
-        prop_assert_eq!(par, seq.clone(), "parallel diverged under seed {}", seed);
-        let (hybrid, _) = LazyParallelGreedy::with_threads(3)
-            .place_with_faults(&s, k, &plan)
-            .expect("Sequential fallback absorbs any plan");
-        prop_assert_eq!(hybrid, seq, "lazy-parallel diverged under seed {}", seed);
     }
 
     /// Swap refinement never reduces the objective and keeps the size.

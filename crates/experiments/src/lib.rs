@@ -12,7 +12,7 @@
 //! | `fig13` | Fig. 13 — Seattle, Manhattan-grid scenario |
 //! | `ablation` | E7 — greedy-objective and two-stage structure ablations |
 //! | `sensitivity` | robustness sweeps: alpha, demand, gps noise, flexibility |
-//! | `robustness` | failure-model validation, correlated outages, engine self-healing |
+//! | `robustness` | failure-model validation and correlated outages |
 //! | `drift` | online maintenance vs oracle re-greedy under streamed traffic drift |
 //! | `all` | everything above, writing JSON into `results/` |
 //!

@@ -95,13 +95,13 @@ pub fn run_manhattan(
         .unwrap_or(4)
         .min(cfg.trials);
     let chunk = cfg.trials.div_ceil(threads);
-    let partials: Vec<Vec<Vec<f64>>> = crossbeam::thread::scope(|scope| {
+    let partials: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for worker in 0..threads {
             let ks = &cfg.ks;
             let lo = worker * chunk;
             let hi = ((worker + 1) * chunk).min(cfg.trials);
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut sums = vec![vec![0.0f64; ks.len()]; algorithms.len()];
                 for trial in lo..hi {
                     let scenario = cfg.scenario(trial);
@@ -133,8 +133,7 @@ pub fn run_manhattan(
             .into_iter()
             .map(|h| h.join().expect("trial worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     let mut series = Vec::with_capacity(algorithms.len());
     for (a, alg) in algorithms.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! * [`DistanceMatrix::dijkstra_all`] — `|V|` Dijkstra runs,
 //!   `O(|V|·(|V|+|E|)·log|V|)`, the practical choice on sparse road networks;
 //! * [`DistanceMatrix::dijkstra_all_parallel`] — the same fanned out over
-//!   crossbeam scoped threads;
+//!   `std` scoped threads;
 //! * [`DistanceMatrix::floyd_warshall`] — the classical `O(|V|³)` dynamic
 //!   program, kept as an independent reference implementation that the test
 //!   suite cross-checks the Dijkstra variants against.
@@ -73,7 +73,7 @@ impl DistanceMatrix {
     }
 
     /// Computes all pairs with one Dijkstra per node, fanned out over
-    /// `threads` crossbeam scoped threads (one reusable [`SsspWorkspace`]
+    /// `threads` scoped threads (one reusable [`SsspWorkspace`]
     /// per worker).
     ///
     /// Produces exactly the same matrix as [`DistanceMatrix::dijkstra_all`].
@@ -92,10 +92,10 @@ impl DistanceMatrix {
         }
         let mut data = vec![Distance::MAX; n * n];
         let rows_per_chunk = n.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (chunk_idx, chunk) in data.chunks_mut(rows_per_chunk * n).enumerate() {
                 let first_row = chunk_idx * rows_per_chunk;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut ws = SsspWorkspace::for_graph(graph);
                     for (i, row) in chunk.chunks_mut(n).enumerate() {
                         let u = NodeId::new((first_row + i) as u32);
@@ -104,8 +104,7 @@ impl DistanceMatrix {
                     }
                 });
             }
-        })
-        .expect("apsp worker thread panicked");
+        });
         DistanceMatrix { n, data }
     }
 

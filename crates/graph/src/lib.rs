@@ -21,7 +21,7 @@
 //!   bucket-vs-heap selection by edge-length spread, and early-exit runs for
 //!   routing workloads. Bit-identical results to [`dijkstra`].
 //! * [`apsp`] — all-pairs shortest paths, sequential or parallelized with
-//!   crossbeam scoped threads, plus a Floyd–Warshall reference used in tests.
+//!   `std` scoped threads, plus a Floyd–Warshall reference used in tests.
 //! * [`grid`] — Manhattan-grid generator used by the grid scenario of the
 //!   paper (Section IV).
 //! * [`generators`] — random city-like graph generators (geometric, radial

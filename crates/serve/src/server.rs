@@ -3,8 +3,7 @@
 //! N worker threads share one nonblocking listener and each run
 //! accept → serve-connection loops. A worker that panics while handling a
 //! connection is caught and its slot respawned against a bounded shared
-//! budget — the same self-healing posture as `rap_core::parallel`'s
-//! placement pool. Connections are kept alive for up to
+//! budget. Connections are kept alive for up to
 //! [`ServerConfig::max_keepalive_requests`] requests, then closed (with
 //! `Connection: close` announced) so workers rotate back to the accept
 //! loop and a full house of chatty clients cannot starve new connections.

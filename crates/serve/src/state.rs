@@ -10,14 +10,13 @@
 //! by the decoder's checksums and the old epoch keeps serving untouched.
 
 use crate::ServeError;
-use parking_lot::{Mutex, RwLock};
 use rap_core::{
     decode_snapshot_with_threads, read_snapshot_file, snapshot_crc32, FaultPlan, InvertedIndex,
     MutableScenario, Placement, Scenario,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One immutable serving generation. Everything a request needs lives
 /// here, so a request observes exactly one epoch end to end.
@@ -135,7 +134,7 @@ impl ServeState {
     /// The current epoch. Requests call this once and hold the `Arc` for
     /// their whole lifetime.
     pub fn current(&self) -> Arc<EpochState> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Path reloads re-read, if this state is file-backed.
@@ -170,7 +169,13 @@ impl ServeState {
             .snapshot_path
             .as_deref()
             .ok_or(ServeError::NoSnapshotPath)?;
-        let _gate = self.reload_gate.lock();
+        // A panic while holding either lock leaves its data intact (the
+        // gate guards nothing, the epoch slot is swapped in one store), so
+        // a poisoned guard is recovered rather than propagated.
+        let _gate = self
+            .reload_gate
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let outcome = (|| {
             let bytes = read_snapshot_file(path, &FaultPlan::none())?;
             let crc = snapshot_crc32(&bytes);
@@ -179,7 +184,7 @@ impl ServeState {
         })();
         match outcome {
             Ok((contents, crc)) => {
-                let previous = self.current.read().epoch;
+                let previous = self.current().epoch;
                 let next = EpochState::build(
                     contents.scenario,
                     contents.placement,
@@ -187,7 +192,7 @@ impl ServeState {
                     previous + 1,
                     self.threads,
                 );
-                *self.current.write() = Arc::new(next);
+                *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
                 self.reloads_ok.fetch_add(1, Ordering::Relaxed);
                 Ok((previous, previous + 1))
             }

@@ -17,13 +17,12 @@
 //! 1. **Repair** — swap local search (`rap_core::SwapSearch`) from the
 //!    current placement: cheap, usually recovers a few drifted RAPs.
 //! 2. **Resolve** — if the repaired placement is *still* stale, escalate to
-//!    a full re-greedy on the pooled inverted-index delta-propagation
-//!    engine (`rap_core::InvertedPooledGreedy`) and adopt its placement.
-//!    The flow→candidate inverted index is cached against the
-//!    [`MutableScenario`] epoch it was built from: deltas that produce a
-//!    new snapshot (including compactions) invalidate it and the next
-//!    escalation rebuilds it in one O(entries) pass, while repeated
-//!    escalations against an unchanged scenario reuse it outright.
+//!    a full re-greedy on the inverted-index delta-propagation engine
+//!    (`rap_core::InvertedGainEngine`), run on the caller's thread, and
+//!    adopt its placement when it is at least as good as the repair. The
+//!    flow→candidate index is built for that escalation's snapshot with
+//!    [`MaintainerConfig::threads`] workers; every applied delta moves the
+//!    snapshot on, so there is no index worth keeping between escalations.
 //!
 //! Initial solves and escalations reset the baseline to the fraction the
 //! greedy actually achieved (the attainable level); clean checks and repairs
@@ -39,8 +38,8 @@
 
 use crate::delta::StreamError;
 use rap_core::{
-    singleton_upper_bound, InvertedIndex, InvertedPooledGreedy, MutableScenario, Placement,
-    Scenario, SwapSearch,
+    singleton_upper_bound, InvertedGainEngine, InvertedIndex, MutableScenario, Placement, Scenario,
+    SwapSearch,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -56,7 +55,9 @@ pub struct MaintainerConfig {
     pub staleness_threshold: f64,
     /// Applied deltas between staleness checks.
     pub check_interval: u64,
-    /// Worker threads for the escalation re-greedy.
+    /// Worker threads for the inverted-index build behind the initial solve
+    /// and each escalation; the greedy itself runs on the caller's thread.
+    /// Placements are identical at every value.
     pub threads: usize,
     /// Swap-repair parameters.
     pub swap: SwapSearch,
@@ -98,8 +99,8 @@ pub enum MaintainAction {
         /// Repair wall-clock latency, microseconds (metrics only).
         latency_us: u64,
     },
-    /// Swap-repair stalled; the full pooled re-greedy ran and its placement
-    /// was adopted.
+    /// Swap-repair stalled; the full re-greedy ran and the better of its
+    /// placement and the repair was adopted.
     Resolved {
         /// Staleness that triggered the escalation.
         staleness: f64,
@@ -130,10 +131,7 @@ pub struct MaintainerStats {
 /// The maintainer's scalar state, extracted for persistence and restored
 /// on resume. Together with the serving [`Placement`] (persisted in the
 /// snapshot proper) this is everything a crashed stream needs to continue
-/// the exact maintenance trajectory: the inverted-index cache is *not*
-/// part of it, because index builds are deterministic — a resumed
-/// maintainer lazily rebuilds the index on its next escalation and gets a
-/// bit-identical structure.
+/// the exact maintenance trajectory.
 #[derive(Clone, Copy, Debug)]
 pub struct MaintainerState {
     /// Objective at the last measurement.
@@ -150,10 +148,6 @@ pub struct MaintainerState {
 #[derive(Debug)]
 pub struct Maintainer {
     cfg: MaintainerConfig,
-    engine: InvertedPooledGreedy,
-    /// Inverted index cached with the [`MutableScenario::epoch`] it was
-    /// built at; stale epochs trigger a rebuild on the next solve.
-    index_cache: Option<(u64, InvertedIndex)>,
     placement: Placement,
     /// Objective at the last measurement (check or adoption).
     objective: f64,
@@ -169,19 +163,14 @@ impl Maintainer {
     /// # Errors
     ///
     /// Propagates scenario evaluation failures (none today — the signature
-    /// leaves room for fallible pooled solves).
+    /// leaves room for fallible solves).
     pub fn new(cfg: MaintainerConfig, scenario: &mut MutableScenario) -> Result<Self, StreamError> {
-        let engine = InvertedPooledGreedy::with_threads(cfg.threads.max(1));
-        let epoch = scenario.epoch();
         let snap = scenario.snapshot();
-        let index = InvertedIndex::build_with_threads(&snap, cfg.threads.max(1));
-        let (placement, _) = engine.place_with_index(&snap, &index, cfg.k);
+        let placement = solve(&snap, cfg.k, cfg.threads);
         let objective = snap.evaluate(&placement);
         let baseline_certified = certified(objective, singleton_upper_bound(&snap, cfg.k));
         Ok(Maintainer {
             cfg,
-            engine,
-            index_cache: Some((epoch, index)),
             placement,
             objective,
             baseline_certified,
@@ -191,15 +180,10 @@ impl Maintainer {
     }
 
     /// Reconstructs a maintainer mid-trajectory from a persisted placement
-    /// and [`MaintainerState`] — no initial solve runs. The index cache
-    /// starts empty and is rebuilt deterministically on the next
-    /// escalation.
+    /// and [`MaintainerState`] — no initial solve runs.
     pub fn resume(cfg: MaintainerConfig, placement: Placement, state: MaintainerState) -> Self {
-        let engine = InvertedPooledGreedy::with_threads(cfg.threads.max(1));
         Maintainer {
             cfg,
-            engine,
-            index_cache: None,
             placement,
             objective: state.objective,
             baseline_certified: state.baseline_certified,
@@ -233,7 +217,6 @@ impl Maintainer {
     /// by callers that want a final measurement at end of stream).
     pub fn check(&mut self, scenario: &mut MutableScenario) -> MaintainAction {
         self.stats.checks += 1;
-        let epoch = scenario.epoch();
         let snap = scenario.snapshot();
         let ub = singleton_upper_bound(&snap, self.cfg.k);
         self.objective = snap.evaluate(&self.placement);
@@ -265,13 +248,8 @@ impl Maintainer {
             };
         }
 
-        // Resolve: swaps stalled — full re-greedy on the pooled inverted
-        // engine, against the (possibly rebuilt) cached index.
-        let engine = self.engine;
-        let k = self.cfg.k;
-        let resolved = engine
-            .place_with_index(&snap, self.index_for(epoch, &snap), k)
-            .0;
+        // Resolve: swaps stalled — full re-greedy on the inverted engine.
+        let resolved = solve(&snap, self.cfg.k, self.cfg.threads);
         let resolved_value = snap.evaluate(&resolved);
         let latency_us = start.elapsed().as_micros() as u64;
         // Keep whichever is better; re-greedy can only tie-or-beat swaps in
@@ -289,18 +267,6 @@ impl Maintainer {
             objective: self.objective,
             latency_us,
         }
-    }
-
-    /// The inverted index for the scenario's current epoch, rebuilding it
-    /// only when deltas have advanced the epoch since it was last built
-    /// (e.g. after a tombstone compaction produced a new snapshot).
-    fn index_for(&mut self, epoch: u64, snap: &Scenario) -> &InvertedIndex {
-        let cached = matches!(&self.index_cache, Some((e, _)) if *e == epoch);
-        if !cached {
-            let threads = self.cfg.threads.max(1);
-            self.index_cache = Some((epoch, InvertedIndex::build_with_threads(snap, threads)));
-        }
-        &self.index_cache.as_ref().expect("cache just populated").1
     }
 
     /// Full adoption (initial solve, escalation): the greedy just measured
@@ -348,6 +314,14 @@ impl Maintainer {
     pub fn stats(&self) -> MaintainerStats {
         self.stats
     }
+}
+
+/// The greedy behind the initial solve and every escalation: the inverted
+/// engine over an index built for `snap` with `threads` workers. Its
+/// placement is `MarginalGreedy`'s, bit for bit.
+fn solve(snap: &Scenario, k: usize, threads: usize) -> Placement {
+    let index = InvertedIndex::build_with_threads(snap, threads.max(1));
+    InvertedGainEngine.place_with_index(snap, &index, k).0
 }
 
 fn certified(value: f64, upper_bound: f64) -> f64 {
@@ -489,6 +463,62 @@ mod tests {
         assert!(
             maintained >= 0.95 * oracle,
             "maintained {maintained} below 95% of oracle {oracle}"
+        );
+    }
+
+    #[test]
+    fn escalation_serves_the_marginal_greedy_placement() {
+        // No swap rounds: the repair returns the serving placement, so every
+        // stale check escalates to the re-greedy.
+        let cfg = MaintainerConfig {
+            swap: SwapSearch {
+                max_rounds: 0,
+                ..SwapSearch::default()
+            },
+            ..config(1)
+        };
+        let mut m = scenario_with(vec![spec(0, 6, 900.0), spec(1, 5, 700.0)]);
+        let mut maintainer = Maintainer::new(cfg, &mut m).unwrap();
+        let far = FlowDelta::AddFlow {
+            origin: NodeId::new(24),
+            destination: NodeId::new(18),
+            volume: 800.0,
+            alpha: 0.3,
+        };
+        let deltas = [
+            far,
+            far,
+            far,
+            FlowDelta::RemoveFlow { flow: 0 },
+            FlowDelta::RemoveFlow { flow: 1 },
+        ];
+        let mut resolves = 0;
+        for delta in &deltas {
+            m.apply(delta).unwrap();
+            let MaintainAction::Resolved { objective, .. } = maintainer.note_delta(&mut m) else {
+                continue;
+            };
+            resolves += 1;
+            let snap = m.snapshot();
+            let greedy = MarginalGreedy.place(&snap, 2, &mut StdRng::seed_from_u64(0));
+            let greedy_value = snap.evaluate(&greedy);
+            let served = maintainer.placement();
+            assert_eq!(objective.to_bits(), maintainer.objective().to_bits());
+            assert_eq!(objective.to_bits(), snap.evaluate(served).to_bits());
+            if served == &greedy {
+                assert_eq!(objective.to_bits(), greedy_value.to_bits());
+            } else {
+                assert!(
+                    objective > greedy_value,
+                    "served {served} ({objective}) is neither the greedy {greedy} \
+                     ({greedy_value}) nor strictly better"
+                );
+            }
+        }
+        assert!(
+            resolves > 0,
+            "drift never escalated: {:?}",
+            maintainer.stats()
         );
     }
 

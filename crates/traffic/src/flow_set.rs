@@ -102,7 +102,7 @@ impl FlowSet {
     /// ids, same first-visit index, and on failure the same error the
     /// sequential routing would have reported first.
     ///
-    /// `threads` is clamped by the same policy as the evaluation pools
+    /// `threads` is clamped by the workspace-wide policy
     /// ([`parallel::effective_threads`]): never more workers than distinct
     /// origins, never fewer than one. When the clamp leaves a single worker
     /// (one thread requested, or at most one origin group) the sequential
@@ -216,11 +216,11 @@ impl FlowSet {
         // report is the minimal failing index of its slice and the merge
         // below surfaces exactly the error the sequential loop hits first.
         type WorkerOutput = Result<Vec<(usize, TrafficFlow)>, (usize, TrafficError)>;
-        let outputs: Vec<WorkerOutput> = crossbeam::thread::scope(|scope| {
+        let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let landmarks = opts.landmarks;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let start = (w * chunk).min(order_ref.len());
                         let end = ((w + 1) * chunk).min(order_ref.len());
                         let mut ws = SsspWorkspace::for_graph(graph);
@@ -256,8 +256,7 @@ impl FlowSet {
                 .into_iter()
                 .map(|h| h.join().expect("routing worker panicked"))
                 .collect()
-        })
-        .expect("routing scope never propagates worker panics");
+        });
 
         // First failing group (by original index) wins — identical to the
         // sequential reference, which stops at that exact group and spec.
