@@ -44,12 +44,17 @@ fn rap(args: &[&str]) -> (Option<i32>, String) {
 }
 
 /// Pulls a `"field": value` line out of the pretty-printed summary JSON.
+///
+/// The NDJSON events carry some of the same keys (a `metrics` event has
+/// `live_flows`, `checks`, `repairs`, …) but start with `{`, so only a line
+/// that starts with the key is a summary line.
 fn summary_field(report: &str, field: &str) -> String {
+    let key = format!("\"{field}\":");
     report
         .lines()
-        .find(|l| l.contains(&format!("\"{field}\"")))
+        .map(str::trim)
+        .find(|l| l.starts_with(&key))
         .unwrap_or_else(|| panic!("summary field {field} missing in:\n{report}"))
-        .trim()
         .trim_end_matches(',')
         .to_string()
 }
@@ -130,8 +135,8 @@ fn killed_stream_resumes_bit_identically() {
     assert!(resumed.contains("\"action\":\"resume\""), "{resumed}");
 
     // The resumed run's final accounting matches the never-crashed run
-    // exactly — epoch, objective (bit-for-bit in its printed form), and
-    // the delta counters.
+    // exactly — epoch, objective (bit-for-bit in its printed form), the
+    // delta counters and the maintenance counters.
     for field in [
         "final_epoch",
         "final_objective",
@@ -139,6 +144,9 @@ fn killed_stream_resumes_bit_identically() {
         "deltas_rejected",
         "live_flows",
         "forced_compactions",
+        "checks",
+        "repairs",
+        "resolves",
     ] {
         assert_eq!(
             summary_field(&clean, field),

@@ -21,13 +21,23 @@ use rand::SeedableRng;
 
 /// Sum of the `k` largest single-RAP objective values — a valid upper bound
 /// on `OPT(k)` by subadditivity of the coverage objective.
+///
+/// [`MutableScenario::singleton_upper_bound`](crate::MutableScenario::singleton_upper_bound)
+/// computes the same bound, to the bit, without materializing a snapshot.
 pub fn singleton_upper_bound(scenario: &Scenario, k: usize) -> f64 {
     let no_cover = vec![false; scenario.flows().len()];
-    let mut singles: Vec<f64> = scenario
+    let singles: Vec<f64> = scenario
         .candidates()
         .iter()
         .map(|&v| scenario.uncovered_gain(&no_cover, v))
         .collect();
+    top_k_sum(singles, k)
+}
+
+/// Sum of the `k` largest `singles`, largest first (`total_cmp` order; an
+/// empty selection sums to `-0.0`). Both singleton bounds fold through this
+/// one function so their bits agree.
+pub(crate) fn top_k_sum(mut singles: Vec<f64>, k: usize) -> f64 {
     singles.sort_by(|a, b| b.total_cmp(a));
     singles.into_iter().take(k).sum()
 }

@@ -32,6 +32,10 @@
 //! distance-path twins replicate the same lane schedule inline, which keeps
 //! the value path and the distance path bit-for-bit interchangeable (the
 //! `value_engine_matches_distance_engine` tests).
+//! [`MutableScenario::singleton_upper_bound`](crate::MutableScenario::singleton_upper_bound)
+//! replicates [`uncovered_sum`]'s schedule over the live entries of a
+//! maintained row, numbering them as the snapshot's row would: a tombstone
+//! takes no lane slot there, because the snapshot drops it.
 
 /// Independent accumulator lanes per kernel. Four chains cover the FMA/add
 /// latency of current x86/ARM cores without spilling accumulators.

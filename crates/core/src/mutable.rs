@@ -39,7 +39,16 @@
 //! routed paths, same CSR entry order, same `f64` entry values (the
 //! equivalence is property-tested in `tests/mutable_equivalence.rs`).
 //!
+//! Materializing costs a pass over every entry plus a copy of every live
+//! path, and any delta invalidates the cache. The two measurements a
+//! streaming staleness check takes need no snapshot:
+//! [`evaluate_current`] and [`singleton_upper_bound`] read the maintained
+//! arrays directly, in the snapshot's summation order, so their bits equal
+//! the snapshot's. A caller materializes only when it must run an engine.
+//!
 //! [`snapshot`]: MutableScenario::snapshot
+//! [`evaluate_current`]: MutableScenario::evaluate_current
+//! [`singleton_upper_bound`]: MutableScenario::singleton_upper_bound
 //!
 //! ```
 //! use rap_graph::{GridGraph, Distance, NodeId};
@@ -71,6 +80,7 @@
 
 use crate::detour::{DetourTable, FlowDetour};
 use crate::error::PlacementError;
+use crate::kernel;
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use crate::utility::UtilityFunction;
@@ -382,8 +392,8 @@ impl MutableScenario {
 
     /// Overrides the tombstone share that triggers auto-compaction
     /// (default [`DEFAULT_COMPACT_RATIO`]); clamped to `[0, 1]`. A ratio of
-    /// `1.0` effectively disables auto-compaction ([`MutableScenario::compact`]
-    /// still works).
+    /// `1.0` auto-compacts only once every entry is dead
+    /// ([`MutableScenario::compact`] still works).
     #[must_use]
     pub fn with_compact_ratio(mut self, ratio: f64) -> Self {
         self.compact_ratio = ratio.clamp(0.0, 1.0);
@@ -777,9 +787,55 @@ impl MutableScenario {
                 }
             }
         }
-        // Tombstoned slots hold +0.0, which is exact under f64 summation, so
-        // the sum matches the snapshot's live-only fold bit for bit.
+        if self.by_stable.is_empty() {
+            // The snapshot folds an empty array, whose sum is -0.0; summing
+            // tombstones here would give +0.0.
+            return std::iter::empty::<f64>().sum();
+        }
+        // Tombstoned slots hold +0.0, which is exact under f64 summation once
+        // a live slot has moved the fold off its -0.0 start, so the sum
+        // matches the snapshot's live-only fold bit for bit.
         best.iter().sum()
+    }
+
+    /// The singleton upper bound of the *current* state, straight off the
+    /// maintained arrays — no snapshot materialization. Bit-identical to
+    /// `singleton_upper_bound(&self.snapshot(), k)`.
+    ///
+    /// Per node it walks the base row, then the overlay row — the snapshot's
+    /// row order — and lays the i-th *live* entry into lane
+    /// `i % kernel::LANES`, as [`kernel::uncovered_sum`] does over the
+    /// snapshot's row. A node is a candidate iff it holds a live entry, even
+    /// one of value 0.
+    ///
+    /// [`kernel::uncovered_sum`]: crate::kernel::uncovered_sum
+    pub fn singleton_upper_bound(&self, k: usize) -> f64 {
+        // A tombstone's value is 0.0 like a live entry's past the threshold,
+        // so liveness needs its own lookup: a dense byte per flow, not a
+        // `FlowState` (path and location lists) dereferenced per entry.
+        let live: Vec<bool> = self.flows.iter().map(|st| st.live).collect();
+        let mut singles = Vec::new();
+        for (v, row) in self.overlay.iter().enumerate() {
+            let mut acc = [0.0f64; kernel::LANES];
+            let mut count = 0usize;
+            let mut add = |flow: usize, value: f64| {
+                if live[flow] {
+                    acc[count % kernel::LANES] += value;
+                    count += 1;
+                }
+            };
+            let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
+            for (e, &value) in self.entries[range.clone()].iter().zip(&self.values[range]) {
+                add(e.flow.index(), value);
+            }
+            for oe in row {
+                add(oe.flow as usize, oe.value);
+            }
+            if count > 0 {
+                singles.push(kernel::reduce(acc));
+            }
+        }
+        crate::bounds::top_k_sum(singles, k)
     }
 
     /// The epoch (number of state versions since construction).
@@ -1323,6 +1379,185 @@ mod tests {
                 "divergence at placement {p}"
             );
         }
+    }
+
+    /// The live singleton bound against the snapshot's, for every `k` up to
+    /// two past the candidate count.
+    fn assert_bound_matches_snapshot(m: &mut MutableScenario) {
+        let snap = m.snapshot();
+        for k in 0..=snap.candidates().len() + 2 {
+            assert_eq!(
+                m.singleton_upper_bound(k).to_bits(),
+                crate::bounds::singleton_upper_bound(&snap, k).to_bits(),
+                "live bound diverged at k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn tombstones_take_no_lane_slot() {
+        // Nine flows share the top row, so each row node holds nine entries
+        // and the lanes wrap. Tombstoning the first and fifth moves every
+        // later live entry to a new lane in the snapshot's row; the live
+        // bound must follow it, not lay entries out by raw position.
+        let specs = (0..9)
+            .map(|i| {
+                let i = f64::from(i);
+                spec(0, 3, 100.0 + 37.0 * i, 0.05 + 0.04 * i)
+            })
+            .collect();
+        let mut m = mutable_with(specs).with_compact_ratio(1.0);
+        assert_bound_matches_snapshot(&mut m);
+        for flow in [0, 4] {
+            m.apply(&FlowDelta::RemoveFlow { flow }).unwrap();
+            assert_bound_matches_snapshot(&mut m);
+        }
+        m.apply(&FlowDelta::AddFlow {
+            origin: NodeId::new(0),
+            destination: NodeId::new(3),
+            volume: 650.0,
+            alpha: 0.2,
+        })
+        .unwrap();
+        assert!(m.dead_entries() > 0);
+        assert_bound_matches_snapshot(&mut m);
+        m.compact();
+        assert_bound_matches_snapshot(&mut m);
+    }
+
+    #[test]
+    fn every_flow_removed_keeps_the_snapshot_zero() {
+        let empty_sum = std::iter::empty::<f64>().sum::<f64>().to_bits();
+        let p = Placement::new(vec![NodeId::new(0), NodeId::new(5)]);
+
+        // Removing the last flow that holds an entry leaves every entry dead,
+        // which compacts at any ratio: the flow table empties with it.
+        let mut m = mutable_with(vec![spec(0, 15, 800.0, 0.1), spec(12, 3, 400.0, 0.05)])
+            .with_compact_ratio(1.0);
+        m.apply(&FlowDelta::RemoveFlow { flow: 0 }).unwrap();
+        let out = m.apply(&FlowDelta::RemoveFlow { flow: 1 }).unwrap();
+        assert!(out.compacted);
+        assert_eq!(m.singleton_upper_bound(3).to_bits(), empty_sum);
+        assert_eq!(m.evaluate_current(&p).to_bits(), empty_sum);
+        assert_bound_matches_snapshot(&mut m);
+
+        // Flows that hold no entry leave no dead entry to trigger that
+        // compaction, so their tombstones outlive the last live flow. One-way
+        // road 0 → 1 → 2; the shop at 3 reaches node 0 but nothing reaches
+        // the shop.
+        let mut b = rap_graph::GraphBuilder::new();
+        for x in 0..4 {
+            b.add_node(rap_graph::Point::new(f64::from(x) * 100.0, 0.0));
+        }
+        let block = Distance::from_feet(100);
+        for (src, dst) in [(0, 1), (1, 2), (3, 0)] {
+            b.add_edge(NodeId::new(src), NodeId::new(dst), block)
+                .unwrap();
+        }
+        let graph = b.build();
+        let flows = FlowSet::route(
+            &graph,
+            vec![spec(0, 2, 800.0, 0.1), spec(1, 2, 400.0, 0.05)],
+        )
+        .unwrap();
+        let utility = UtilityKind::Linear.instantiate(Distance::from_feet(600));
+        let mut m = MutableScenario::new(graph, flows, vec![NodeId::new(3)], utility).unwrap();
+        assert_eq!(m.total_entries(), 0);
+        m.apply(&FlowDelta::RemoveFlow { flow: 0 }).unwrap();
+        m.apply(&FlowDelta::RemoveFlow { flow: 1 }).unwrap();
+        assert_eq!((m.live_flows(), m.compactions()), (0, 0));
+        for compacted in [false, true] {
+            if compacted {
+                m.compact();
+            }
+            // An empty fold is -0.0; summing tombstones must not make it +0.0.
+            let snap = m.snapshot();
+            assert_eq!(snap.evaluate(&p).to_bits(), empty_sum);
+            assert_eq!(
+                m.evaluate_current(&p).to_bits(),
+                empty_sum,
+                "compacted: {compacted}"
+            );
+            assert_eq!(m.singleton_upper_bound(3).to_bits(), empty_sum);
+            assert_bound_matches_snapshot(&mut m);
+        }
+    }
+
+    #[test]
+    fn zero_valued_live_entries_are_candidates() {
+        // Shop at node 5; every node of the bottom row sits exactly D = 400
+        // ft of detour away, so the linear utility values the flow's live
+        // entries at 0.
+        let grid = GridGraph::new(4, 4, Distance::from_feet(100));
+        let flows = FlowSet::route(grid.graph(), vec![spec(12, 15, 800.0, 0.1)]).unwrap();
+        let mut m = MutableScenario::new(
+            grid.graph().clone(),
+            flows,
+            vec![NodeId::new(5)],
+            UtilityKind::Linear.instantiate(Distance::from_feet(400)),
+        )
+        .unwrap()
+        .with_compact_ratio(1.0);
+        let snap = m.snapshot();
+        assert_eq!(snap.candidates().len(), 4);
+        assert!(m.values.iter().all(|&v| v == 0.0));
+        // Four zero-valued candidates sum to +0.0; no candidate would give
+        // the empty fold's -0.0.
+        assert_eq!(m.singleton_upper_bound(1).to_bits(), 0.0f64.to_bits());
+        assert_bound_matches_snapshot(&mut m);
+
+        // Zero-valued live entries, tombstones and positive values mixed in
+        // one row: each live entry still occupies its lane slot.
+        for delta in [
+            FlowDelta::AddFlow {
+                origin: NodeId::new(4),
+                destination: NodeId::new(7),
+                volume: 300.0,
+                alpha: 0.4,
+            },
+            FlowDelta::AddFlow {
+                origin: NodeId::new(13),
+                destination: NodeId::new(1),
+                volume: 500.0,
+                alpha: 0.3,
+            },
+            FlowDelta::AddFlow {
+                origin: NodeId::new(12),
+                destination: NodeId::new(14),
+                volume: 700.0,
+                alpha: 0.9,
+            },
+            FlowDelta::RemoveFlow { flow: 1 },
+        ] {
+            m.apply(&delta).unwrap();
+            assert_bound_matches_snapshot(&mut m);
+        }
+    }
+
+    #[test]
+    fn overlay_only_nodes_are_candidates() {
+        // The base CSR covers the top row only; the added flow's bottom-row
+        // nodes hold overlay entries and nothing else.
+        let mut m = mutable_with(vec![spec(0, 3, 800.0, 0.1)]).with_compact_ratio(1.0);
+        m.apply(&FlowDelta::AddFlow {
+            origin: NodeId::new(12),
+            destination: NodeId::new(15),
+            volume: 650.0,
+            alpha: 0.2,
+        })
+        .unwrap();
+        for v in 12..16 {
+            assert_eq!(m.offsets[v], m.offsets[v + 1], "node {v} has base entries");
+            assert!(!m.overlay[v].is_empty(), "node {v} has no overlay entries");
+        }
+        assert!(m
+            .snapshot()
+            .candidates()
+            .iter()
+            .any(|v| (12..16).contains(&v.index())));
+        assert_bound_matches_snapshot(&mut m);
+        m.apply(&FlowDelta::RemoveFlow { flow: 0 }).unwrap();
+        assert_bound_matches_snapshot(&mut m);
     }
 
     #[test]

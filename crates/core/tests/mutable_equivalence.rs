@@ -3,14 +3,17 @@
 //! forced compactions), a `MutableScenario` snapshot must be
 //! *bit-identical* to a from-scratch `Scenario` rebuild of the surviving
 //! flows — same CSR rows, same entry values, same objective, and identical
-//! placements from every registered greedy engine.
+//! placements from every registered greedy engine. The measurements the
+//! stream maintainer reads straight off the maintained arrays
+//! (`evaluate_current`, the live singleton bound) must match the snapshot's
+//! bits after every delta.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    FlowDelta, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MutableScenario,
-    Placement, PlacementAlgorithm, Scenario, UtilityKind,
+    singleton_upper_bound, FlowDelta, InvertedGainEngine, InvertedIndex, LazyGreedy,
+    MarginalGreedy, MutableScenario, Placement, PlacementAlgorithm, Scenario, UtilityKind,
 };
 use rap_graph::{Distance, GridGraph, NodeId, RoadGraph};
 use rap_traffic::{FlowSet, FlowSpec};
@@ -47,6 +50,9 @@ struct Script {
     shop: u32,
     utility: UtilityKind,
     threshold: u64,
+    /// Tombstone share that triggers auto-compaction; at `1.0` tombstones
+    /// stay until a scripted `Compact` or until every entry is dead.
+    compact_ratio: f64,
     ops: Vec<Op>,
 }
 
@@ -83,17 +89,19 @@ fn arb_script() -> impl Strategy<Value = Script> {
                 0..n,
                 utility,
                 50u64..2_000,
+                prop_oneof![Just(0.25), Just(1.0)],
                 ops,
             )
         })
         .prop_map(
-            |(rows, cols, initial, shop, utility, threshold, ops)| Script {
+            |(rows, cols, initial, shop, utility, threshold, compact_ratio, ops)| Script {
                 rows,
                 cols,
                 initial,
                 shop,
                 utility,
                 threshold,
+                compact_ratio,
                 ops,
             },
         )
@@ -156,6 +164,28 @@ fn rng() -> StdRng {
     StdRng::seed_from_u64(0)
 }
 
+/// The live measurements against the snapshot's: the singleton bound for
+/// every `k` up to two past the candidate count, and `evaluate_current` on
+/// the first three candidates.
+fn assert_live_measurements(live: &mut MutableScenario) -> Result<(), TestCaseError> {
+    let snap = live.snapshot();
+    for k in 0..=snap.candidates().len() + 2 {
+        prop_assert_eq!(
+            live.singleton_upper_bound(k).to_bits(),
+            singleton_upper_bound(&snap, k).to_bits(),
+            "live singleton bound diverged at k={}",
+            k
+        );
+    }
+    let probe: Placement = snap.candidates().iter().take(3).copied().collect();
+    prop_assert_eq!(
+        live.evaluate_current(&probe).to_bits(),
+        snap.evaluate(&probe).to_bits(),
+        "evaluate_current diverged"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -194,8 +224,10 @@ proptest! {
             vec![NodeId::new(script.shop)],
             Arc::clone(&utility),
         )
-        .expect("scenario valid");
+        .expect("scenario valid")
+        .with_compact_ratio(script.compact_ratio);
         prop_assert_eq!(live.next_stable_id(), next_stable);
+        assert_live_measurements(&mut live)?;
 
         for op in &script.ops {
             let compaction_just_ran = match *op {
@@ -272,6 +304,7 @@ proptest! {
                     true
                 }
             };
+            assert_live_measurements(&mut live)?;
             if compaction_just_ran {
                 // The acceptance criterion calls out this exact moment:
                 // equality must hold right after a compaction renumbers ids.
@@ -318,13 +351,21 @@ proptest! {
             );
         }
 
-        // `evaluate_current` reads the maintained arrays directly and must
-        // agree with the materialized snapshot, bit for bit.
+        // The live measurements read the maintained arrays directly and must
+        // agree with the from-scratch rebuild, bit for bit.
         let probe: Placement = snap.candidates().iter().take(3).copied().collect();
         prop_assert_eq!(
             live.evaluate_current(&probe).to_bits(),
             fresh.evaluate(&probe).to_bits(),
             "evaluate_current diverged"
         );
+        for k in 0..=fresh.candidates().len() + 2 {
+            prop_assert_eq!(
+                live.singleton_upper_bound(k).to_bits(),
+                singleton_upper_bound(&fresh, k).to_bits(),
+                "live singleton bound diverged from the rebuild at k={}",
+                k
+            );
+        }
     }
 }

@@ -10,9 +10,14 @@
 //! the fraction is a drift-robust quality certificate — rescaling all
 //! volumes leaves it unchanged).
 //!
-//! Every `check_interval` applied deltas it re-measures the fraction on a
-//! fresh snapshot. When it has decayed more than `staleness_threshold`
-//! relative to the baseline:
+//! Every `check_interval` applied deltas it re-measures the fraction
+//! straight off the scenario's live arrays
+//! ([`MutableScenario::singleton_upper_bound`] and
+//! [`MutableScenario::evaluate_current`], both bit-identical to measuring a
+//! snapshot), so a clean check materializes nothing. Only when the fraction
+//! has decayed more than `staleness_threshold` relative to the baseline does
+//! the check materialize a snapshot, off the intervention clock, and
+//! intervene:
 //!
 //! 1. **Repair** — swap local search (`rap_core::SwapSearch`) from the
 //!    current placement: cheap, usually recovers a few drifted RAPs.
@@ -217,9 +222,10 @@ impl Maintainer {
     /// by callers that want a final measurement at end of stream).
     pub fn check(&mut self, scenario: &mut MutableScenario) -> MaintainAction {
         self.stats.checks += 1;
-        let snap = scenario.snapshot();
-        let ub = singleton_upper_bound(&snap, self.cfg.k);
-        self.objective = snap.evaluate(&self.placement);
+        // Both measurements read the live arrays, bit-identical to the
+        // snapshot's: most checks find nothing stale and never materialize.
+        let ub = scenario.singleton_upper_bound(self.cfg.k);
+        self.objective = scenario.evaluate_current(&self.placement);
         let certified_now = certified(self.objective, ub);
         let staleness = self.staleness(certified_now);
         if staleness <= self.cfg.staleness_threshold {
@@ -231,7 +237,9 @@ impl Maintainer {
             return MaintainAction::Checked { staleness };
         }
 
-        // Repair: swap local search from the serving placement.
+        // Repair: swap local search from the serving placement, on a snapshot
+        // materialized off the intervention clock.
+        let snap = scenario.snapshot();
         let start = Instant::now();
         let (repaired, repaired_value) = self.cfg.swap.refine(&snap, self.placement.clone());
         let repaired_staleness = self.staleness(certified(repaired_value, ub));
