@@ -11,7 +11,7 @@
 //!   no-regression gate for the historical small-city slowdown, where
 //!   thread plumbing cost more than the whole sequential build.
 //! * **metro** — the 1M-intersection, 500k-flow synthetic metro
-//!   ([`rap_trace::metro`]), built end-to-end with every acceleration
+//!   ([`rap_trace::metro()`]), built end-to-end with every acceleration
 //!   forced on. Too large for a baseline replica, so its identity check is
 //!   subsampled: a slice of flows re-routed unpruned and a slice of nodes'
 //!   detour entries recomputed from full per-shop trees.

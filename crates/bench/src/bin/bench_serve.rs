@@ -10,8 +10,8 @@
 //! * **reload-under-load**: `/reload` latency while 4 clients hammer
 //!   `/evaluate`, asserting zero dropped or failed requests across the
 //!   epoch swaps;
-//! * the **`/topk` bit-identity** contract against the offline
-//!   inverted-index greedy, checked on every single response.
+//! * the **`/topk` bit-identity** contract against the offline CELF
+//!   greedy, checked on every single response.
 //!
 //! Scaling gates (4 workers must out-serve 1) are enforced only on hosts
 //! with at least four cores — a timesharing single-core host cannot
@@ -22,8 +22,7 @@
 //! instance and durations for CI).
 
 use rap_core::{
-    encode_snapshot, write_snapshot_atomic, FaultPlan, InvertedGainEngine, InvertedIndex,
-    MutableScenario, UtilityKind,
+    encode_snapshot, write_snapshot_atomic, FaultPlan, LazyGreedy, MutableScenario, UtilityKind,
 };
 use rap_graph::{Distance, GridGraph};
 use rap_serve::{serve, Client, ServeState, ServerConfig, ServerHandle};
@@ -374,8 +373,7 @@ fn main() {
 
     // Offline reference for the bit-identity contract and request bodies.
     let frozen = scenario.snapshot();
-    let index = InvertedIndex::build_with_threads(&frozen, THREADS);
-    let (reference, _) = InvertedGainEngine.place_with_index(&frozen, &index, config.k);
+    let (reference, _) = LazyGreedy.place_with_stats(&frozen, config.k);
     let topk_ids: Vec<u64> = reference
         .raps()
         .iter()

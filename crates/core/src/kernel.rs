@@ -2,8 +2,9 @@
 //!
 //! Every greedy engine's inner loop is some variant of
 //! `Σ_i max(0, value[i] − best[flow[i]])` over a candidate's contiguous
-//! entry lanes ([`Scenario::value_entries_at`]): a streaming read of two
-//! SoA `f64` lanes plus one gather into the per-flow best-value state.
+//! entry lanes ([`crate::Scenario::value_entries_at`]): a streaming read
+//! of two SoA `f64` lanes plus one gather into the per-flow best-value
+//! state.
 //! The naive formulation — one accumulator, a `if delta > 0.0` branch —
 //! serializes on the single addition chain and gives the autovectorizer
 //! nothing to prove. The kernels here restructure the loop into [`LANES`]

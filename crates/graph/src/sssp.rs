@@ -273,7 +273,8 @@ impl SsspWorkspace {
     /// (the bounding box's Manhattan extent) also fits
     /// `8 · (|V| + |E|)` feet; the binary heap otherwise. The diameter gate
     /// keeps small, geographically spread instances (few nodes, long trips)
-    /// off the foot-by-foot bucket scan — see [`SPREAD_FACTOR`].
+    /// off the foot-by-foot bucket scan (the factor 8 is this module's
+    /// private `SPREAD_FACTOR`).
     pub fn for_graph(graph: &RoadGraph) -> Self {
         let max_edge = graph.edges().map(|e| e.length.feet()).max().unwrap_or(0);
         let size = (graph.node_count() + graph.edge_count()) as u64;

@@ -300,22 +300,115 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
 
 /// Writes one JSON response with explicit framing headers.
 ///
+/// The status line, headers and body are formatted into `buf` first and
+/// handed to `out` in a single `write_all`, so an unbuffered socket sees
+/// one write per response rather than one per format piece (each its own
+/// segment under `TCP_NODELAY`). `buf` is cleared on entry; a caller that
+/// keeps it across the requests on a connection pays for its allocation
+/// once.
+///
 /// # Errors
 ///
 /// Propagates the underlying write failure (the caller drops the
 /// connection).
 pub fn write_response(
     out: &mut impl Write,
+    buf: &mut Vec<u8>,
     status: u16,
     reason: &str,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    buf.clear();
     write!(
-        out,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+        buf,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
     )?;
+    buf.extend_from_slice(body.as_bytes());
+    out.write_all(buf)?;
     out.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts every byte and counts the `write` calls it took.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn written(status: u16, reason: &str, body: &str, keep_alive: bool) -> CountingWriter {
+        let mut out = CountingWriter::default();
+        let mut buf = Vec::new();
+        write_response(&mut out, &mut buf, status, reason, body, keep_alive).unwrap();
+        out
+    }
+
+    #[test]
+    fn one_write_per_response_through_a_reused_buffer() {
+        let mut out = CountingWriter::default();
+        let mut buf = Vec::new();
+        let body =
+            r#"{"epoch":1,"raps":[14,21],"objective":1234.5,"covered_flows":3,"total_flows":4}"#;
+        write_response(&mut out, &mut buf, 200, "OK", body, true).unwrap();
+        assert_eq!(out.writes, 1);
+        let first = out.bytes.len();
+        write_response(&mut out, &mut buf, 404, "Not Found", "{}", false).unwrap();
+        assert_eq!(out.writes, 2);
+        assert_eq!(
+            &out.bytes[first..],
+            b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+              Content-Length: 2\r\nConnection: close\r\n\r\n{}"
+        );
+    }
+
+    #[test]
+    fn keep_alive_200_framing_is_unchanged() {
+        let out = written(200, "OK", r#"{"status":"ok","epoch":1}"#, true);
+        assert_eq!(
+            out.bytes,
+            b"HTTP/1.1 200 OK\r\n\
+              Content-Type: application/json\r\n\
+              Content-Length: 25\r\n\
+              Connection: keep-alive\r\n\
+              \r\n\
+              {\"status\":\"ok\",\"epoch\":1}"
+        );
+    }
+
+    #[test]
+    fn closing_4xx_framing_is_unchanged() {
+        let out = written(
+            431,
+            "Request Header Fields Too Large",
+            r#"{"error":"headers exceed 8192 bytes"}"#,
+            false,
+        );
+        assert_eq!(
+            out.bytes,
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n\
+              Content-Type: application/json\r\n\
+              Content-Length: 37\r\n\
+              Connection: close\r\n\
+              \r\n\
+              {\"error\":\"headers exceed 8192 bytes\"}"
+        );
+    }
 }

@@ -20,7 +20,7 @@
 //! | `/metrics` | GET | counters, p50/p99 latencies, epoch, snapshot CRC |
 //! | `/placement` | GET | placement recorded in the snapshot (if any) |
 //! | `/evaluate` | POST | score an arbitrary placement `{"raps": [..]}` |
-//! | `/topk` | POST | `{"k": n}` via the inverted-index greedy |
+//! | `/topk` | POST | `{"k": n}` via CELF lazy greedy |
 //! | `/reload` | POST | atomic snapshot re-read + epoch bump |
 //!
 //! ```no_run

@@ -10,7 +10,7 @@
 
 use crate::http::{self, HttpError, Method, Request};
 use crate::state::ServeState;
-use rap_core::{InvertedGainEngine, LatencyHistogram, Placement, PlacementReport};
+use rap_core::{LatencyHistogram, LazyGreedy, Placement, PlacementReport};
 use rap_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::io::BufReader;
@@ -66,7 +66,7 @@ pub struct ServerMetrics {
     pub evaluate: LatencyHistogram,
     /// `/topk` handler latency.
     pub topk: LatencyHistogram,
-    /// `/reload` handler latency (includes decode + index build).
+    /// `/reload` handler latency (includes the snapshot read and decode).
     pub reload: LatencyHistogram,
 }
 
@@ -216,6 +216,8 @@ fn handle_connection(
     }
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
+    // Response bytes are staged here so each one leaves in a single write.
+    let mut out = Vec::with_capacity(512);
     let mut served = 0u32;
     loop {
         match http::read_request(&mut reader) {
@@ -228,7 +230,8 @@ fn handle_connection(
                 let (status, reason, body) = dispatch(&request, state, metrics);
                 count_errors(metrics, status);
                 let ok =
-                    http::write_response(reader.get_mut(), status, reason, &body, keep).is_ok();
+                    http::write_response(reader.get_mut(), &mut out, status, reason, &body, keep)
+                        .is_ok();
                 if !ok || !keep {
                     break;
                 }
@@ -246,7 +249,14 @@ fn handle_connection(
                 if let Some((status, reason)) = e.status() {
                     count_errors(metrics, status);
                     let body = error_body(e.detail());
-                    let _ = http::write_response(reader.get_mut(), status, reason, &body, false);
+                    let _ = http::write_response(
+                        reader.get_mut(),
+                        &mut out,
+                        status,
+                        reason,
+                        &body,
+                        false,
+                    );
                 }
                 break;
             }
@@ -311,7 +321,6 @@ struct TopkResponse {
     raps: Vec<u32>,
     objective: f64,
     gain_evals: u64,
-    delta_pushes: u64,
 }
 
 #[derive(Serialize)]
@@ -487,16 +496,14 @@ fn topk(request: &Request, state: &Arc<ServeState>) -> Response {
             parsed.k
         ));
     }
-    let (placement, report) =
-        InvertedGainEngine.place_with_index(&epoch.scenario, &epoch.index, parsed.k);
+    let (placement, gain_evals) = LazyGreedy.place_with_stats(&epoch.scenario, parsed.k);
     let objective = epoch.scenario.evaluate(&placement);
     json(&TopkResponse {
         epoch: epoch.epoch,
         k: parsed.k,
         raps: placement.raps().iter().map(|r| r.raw()).collect(),
         objective,
-        gain_evals: report.gain_evals,
-        delta_pushes: report.delta_pushes,
+        gain_evals,
     })
 }
 

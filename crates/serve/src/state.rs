@@ -3,23 +3,24 @@
 //! The server holds one [`ServeState`]; every request clones an
 //! `Arc<EpochState>` out of it and works against that immutable view for
 //! the request's whole lifetime. `/reload` builds a complete replacement
-//! epoch *outside* the lock (file read, decode, index build — the
-//! expensive part), then swaps the `Arc` in one short write-lock critical
-//! section. In-flight requests keep their old epoch alive through their
-//! own `Arc` until they finish; a corrupt replacement snapshot is rejected
-//! by the decoder's checksums and the old epoch keeps serving untouched.
+//! epoch *outside* the lock (file read and decode — the expensive part),
+//! then swaps the `Arc` in one short write-lock critical section.
+//! In-flight requests keep their old epoch alive through their own `Arc`
+//! until they finish; a corrupt replacement snapshot is rejected by the
+//! decoder's checksums and the old epoch keeps serving untouched.
 
 use crate::ServeError;
 use rap_core::{
-    decode_snapshot_with_threads, read_snapshot_file, snapshot_crc32, FaultPlan, InvertedIndex,
-    MutableScenario, Placement, Scenario,
+    decode_snapshot_with_threads, read_snapshot_file, snapshot_crc32, FaultPlan, MutableScenario,
+    Placement, Scenario,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One immutable serving generation. Everything a request needs lives
-/// here, so a request observes exactly one epoch end to end.
+/// here, so a request observes exactly one epoch end to end. `/topk` runs
+/// CELF straight on `scenario`, so an epoch carries no derived index.
 #[derive(Debug)]
 pub struct EpochState {
     /// Serving generation, starting at 1 and bumped by every successful
@@ -27,9 +28,6 @@ pub struct EpochState {
     pub epoch: u64,
     /// The scenario this epoch serves.
     pub scenario: Arc<Scenario>,
-    /// Inverted index over `scenario`, prebuilt so `/topk` amortizes the
-    /// inversion across requests.
-    pub index: Arc<InvertedIndex>,
     /// Placement recorded in the snapshot, if any (`GET /placement`).
     pub placement: Option<Placement>,
     /// CRC32 of the snapshot bytes this epoch was loaded from (0 for
@@ -47,16 +45,12 @@ impl EpochState {
         placement: Option<Placement>,
         snapshot_crc: u32,
         epoch: u64,
-        threads: usize,
     ) -> Self {
         let scenario_epoch = scenario.epoch();
         let live_flows = scenario.live_flows() as u64;
-        let frozen = scenario.snapshot();
-        let index = Arc::new(InvertedIndex::build_with_threads(&frozen, threads));
         EpochState {
             epoch,
-            scenario: frozen,
-            index,
+            scenario: scenario.snapshot(),
             placement,
             snapshot_crc,
             scenario_epoch,
@@ -72,6 +66,7 @@ pub struct ServeState {
     /// read-decode-swap sequences (readers are never blocked by this).
     reload_gate: Mutex<()>,
     snapshot_path: Option<PathBuf>,
+    /// Threads a reload decodes the snapshot with.
     threads: usize,
     reloads_ok: AtomicU64,
     reloads_failed: AtomicU64,
@@ -88,7 +83,7 @@ impl std::fmt::Debug for ServeState {
 
 impl ServeState {
     /// Loads epoch 1 from a snapshot file; `/reload` re-reads the same
-    /// path.
+    /// path. `threads` decodes the snapshot, here and on every reload.
     ///
     /// # Errors
     ///
@@ -98,13 +93,7 @@ impl ServeState {
         let bytes = read_snapshot_file(path, &FaultPlan::none())?;
         let crc = snapshot_crc32(&bytes);
         let contents = decode_snapshot_with_threads(&bytes, threads.max(1))?;
-        let epoch = EpochState::build(
-            contents.scenario,
-            contents.placement,
-            crc,
-            1,
-            threads.max(1),
-        );
+        let epoch = EpochState::build(contents.scenario, contents.placement, crc, 1);
         Ok(ServeState {
             current: RwLock::new(Arc::new(epoch)),
             reload_gate: Mutex::new(()),
@@ -119,13 +108,12 @@ impl ServeState {
     /// maintainer hand-off, also the test/bench path). `/reload` on such a
     /// state fails with [`ServeError::NoSnapshotPath`].
     pub fn from_scenario(scenario: MutableScenario, placement: Option<Placement>) -> Self {
-        let threads = 1;
-        let epoch = EpochState::build(scenario, placement, 0, 1, threads);
+        let epoch = EpochState::build(scenario, placement, 0, 1);
         ServeState {
             current: RwLock::new(Arc::new(epoch)),
             reload_gate: Mutex::new(()),
             snapshot_path: None,
-            threads,
+            threads: 1,
             reloads_ok: AtomicU64::new(0),
             reloads_failed: AtomicU64::new(0),
         }
@@ -185,13 +173,8 @@ impl ServeState {
         match outcome {
             Ok((contents, crc)) => {
                 let previous = self.current().epoch;
-                let next = EpochState::build(
-                    contents.scenario,
-                    contents.placement,
-                    crc,
-                    previous + 1,
-                    self.threads,
-                );
+                let next =
+                    EpochState::build(contents.scenario, contents.placement, crc, previous + 1);
                 *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
                 self.reloads_ok.fetch_add(1, Ordering::Relaxed);
                 Ok((previous, previous + 1))

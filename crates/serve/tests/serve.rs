@@ -1,14 +1,17 @@
 //! End-to-end serving tests: endpoint contracts, `/topk` bit-identity
-//! with the offline inverted-index greedy, and epoch-swap semantics under
+//! with the offline marginal greedy, and epoch-swap semantics under
 //! snapshot rotation (including corrupt replacements and concurrent
 //! in-flight readers).
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rap_core::{
-    decode_snapshot, encode_snapshot, write_snapshot_atomic, FaultPlan, InvertedGainEngine,
-    InvertedIndex, MutableScenario, Placement, UtilityKind,
+    decode_snapshot, encode_snapshot, write_snapshot_atomic, FaultPlan, MarginalGreedy,
+    MutableScenario, Placement, PlacementAlgorithm, UtilityKind,
 };
 use rap_graph::{Distance, GridGraph, NodeId};
 use rap_serve::{serve, Client, ServeError, ServeState, ServerConfig};
+use rap_traffic::demand::{uniform_demand, DemandParams};
 use rap_traffic::{FlowSet, FlowSpec};
 use serde::Value;
 use std::path::PathBuf;
@@ -50,6 +53,28 @@ fn snapshot_bytes(volume_scale: f64, placement: Option<&Placement>) -> Vec<u8> {
     encode_snapshot(&scenario(volume_scale), placement, 0, &[]).unwrap()
 }
 
+/// A seeded 6x6 scenario with 40 flows, enough demand that the greedy
+/// keeps placing RAPs well past the first few.
+fn demand_snapshot_bytes() -> Vec<u8> {
+    let grid = GridGraph::new(6, 6, Distance::from_feet(400));
+    let params = DemandParams {
+        flows: 40,
+        min_volume: 100.0,
+        max_volume: 1_000.0,
+        attractiveness: 0.01,
+    };
+    let specs = uniform_demand(grid.graph(), params, 3).unwrap();
+    let flows = FlowSet::route(grid.graph(), specs).unwrap();
+    let scenario = MutableScenario::new(
+        grid.graph().clone(),
+        flows,
+        vec![grid.center()],
+        UtilityKind::Linear.instantiate(Distance::from_feet(2_500)),
+    )
+    .unwrap();
+    encode_snapshot(&scenario, None, 0, &[]).unwrap()
+}
+
 fn temp_snapshot(name: &str, bytes: &[u8]) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("rap_serve_test_{name}_{}.snap", std::process::id()));
@@ -76,6 +101,13 @@ fn as_u64(value: &Value) -> u64 {
     value.as_f64().expect("numeric field") as u64
 }
 
+fn raps_of(body: &Value) -> Vec<u64> {
+    match &body["raps"] {
+        Value::Seq(items) => items.iter().map(as_u64).collect(),
+        other => panic!("raps not an array: {other:?}"),
+    }
+}
+
 #[test]
 fn endpoint_contracts_end_to_end() {
     let placement = Placement::new(vec![NodeId::new(14), NodeId::new(21)]);
@@ -91,11 +123,7 @@ fn endpoint_contracts_end_to_end() {
 
     let recorded = client.get("/placement").unwrap();
     assert_eq!(recorded.status, 200);
-    let raps: Vec<u64> = match &recorded.body["raps"] {
-        Value::Seq(items) => items.iter().map(as_u64).collect(),
-        other => panic!("raps not an array: {other:?}"),
-    };
-    assert_eq!(raps, vec![14, 21]);
+    assert_eq!(raps_of(&recorded.body), vec![14, 21]);
     assert!(recorded.body["objective"].as_f64().unwrap() > 0.0);
 
     let evaluated = client
@@ -137,36 +165,73 @@ fn endpoint_contracts_end_to_end() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A body's fields other than `epoch`, in order.
+fn without_epoch(body: &Value) -> Vec<(String, Value)> {
+    match body {
+        Value::Map(fields) => fields
+            .iter()
+            .filter(|(k, _)| k != "epoch")
+            .cloned()
+            .collect(),
+        other => panic!("body not an object: {other:?}"),
+    }
+}
+
 #[test]
 fn topk_is_bit_identical_to_offline_engine() {
-    let bytes = snapshot_bytes(1.0, None);
+    let bytes = demand_snapshot_bytes();
     let path = temp_snapshot("topk", &bytes);
 
-    // Offline reference: same snapshot, same index, same engine.
+    // Offline reference: the same snapshot under the sequential marginal
+    // greedy, the engine every `/topk` placement must reproduce.
     let mut offline = decode_snapshot(&bytes).unwrap().scenario;
     let frozen = offline.snapshot();
-    let index = InvertedIndex::build(&frozen);
-    let (expected, _report) = InvertedGainEngine.place_with_index(&frozen, &index, 4);
-    let expected_ids: Vec<u64> = expected.raps().iter().map(|r| u64::from(r.raw())).collect();
-    let expected_objective = frozen.evaluate(&expected);
+    let candidates = frozen.candidates().len();
+    let longest = MarginalGreedy.place(&frozen, candidates, &mut StdRng::seed_from_u64(0));
+    assert!(longest.len() >= 8, "fixture must keep the greedy placing");
 
     let (handle, mut client) = start(&path, 2);
-    let response = client.post("/topk", r#"{"k": 4}"#).unwrap();
-    assert_eq!(response.status, 200);
-    let served: Vec<u64> = match &response.body["raps"] {
-        Value::Seq(items) => items.iter().map(as_u64).collect(),
-        other => panic!("raps not an array: {other:?}"),
-    };
-    assert_eq!(
-        served, expected_ids,
-        "placement must match offline greedy exactly"
-    );
-    assert_eq!(
-        response.body["objective"].as_f64().unwrap().to_bits(),
-        expected_objective.to_bits(),
-        "objective must be bit-identical to the offline engine"
-    );
-    assert!(as_u64(&response.body["gain_evals"]) > 0);
+    let mut first_epoch = Vec::new();
+    for k in 0..=candidates {
+        let expected = MarginalGreedy.place(&frozen, k, &mut StdRng::seed_from_u64(0));
+        let expected_ids: Vec<u64> = expected.raps().iter().map(|r| u64::from(r.raw())).collect();
+        let response = client.post("/topk", &format!(r#"{{"k": {k}}}"#)).unwrap();
+        assert_eq!(response.status, 200, "k = {k}");
+        assert_eq!(as_u64(&response.body["epoch"]), 1);
+        assert_eq!(as_u64(&response.body["k"]), k as u64);
+        assert_eq!(
+            raps_of(&response.body),
+            expected_ids,
+            "placement must match the marginal greedy exactly at k = {k}"
+        );
+        assert_eq!(
+            response.body["objective"].as_f64().unwrap().to_bits(),
+            frozen.evaluate(&expected).to_bits(),
+            "objective must be bit-identical to the offline engine at k = {k}"
+        );
+        assert!(k == 0 || as_u64(&response.body["gain_evals"]) > 0);
+        assert!(response.body.get("delta_pushes").is_none());
+        first_epoch.push(response.body);
+    }
+
+    // The same file reloads as epoch 2 and answers every k with the same
+    // body, bar the epoch.
+    let reloaded = client.post("/reload", "").unwrap();
+    assert_eq!(reloaded.status, 200);
+    assert_eq!(as_u64(&reloaded.body["epoch"]), 2);
+    for (k, before) in first_epoch.iter().enumerate() {
+        let response = client.post("/topk", &format!(r#"{{"k": {k}}}"#)).unwrap();
+        assert_eq!(response.status, 200, "k = {k} after reload");
+        assert_eq!(
+            as_u64(&response.body["epoch"]),
+            as_u64(&before["epoch"]) + 1
+        );
+        assert_eq!(
+            without_epoch(&response.body),
+            without_epoch(before),
+            "k = {k} after reload"
+        );
+    }
 
     handle.shutdown();
     std::fs::remove_file(&path).ok();
