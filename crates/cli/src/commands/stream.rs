@@ -10,8 +10,9 @@
 //!   journeys into a sliding-window arrival/retirement stream.
 //!
 //! Events (placement updates, metrics, rejects) stream as NDJSON to
-//! `--out FILE` when given, otherwise they are inlined in the report,
-//! followed by a closing human summary and its JSON form.
+//! `--out FILE` when given, otherwise to stdout line by line as they
+//! happen; the returned report is the closing human summary and its JSON
+//! form.
 
 use super::place::read_flows;
 use crate::args::Args;
@@ -57,7 +58,7 @@ rap stream --k N [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
                    runs on one thread. Placements are identical at any value
 --metrics-interval applied deltas between metrics events (default 1000)
 --strict           stop at the first rejected delta instead of skipping it
---out              write NDJSON events here instead of inlining them
+--out              write NDJSON events here instead of to stdout
 --route-threads    worker threads for flow routing and detour-table
                    preprocessing; 0 (the default) falls back to --threads
 --wal              write-ahead-log every source item here (crash safety)
@@ -410,12 +411,19 @@ fn describe(summary: &StreamSummary) -> String {
     )
 }
 
-/// Runs the command; returns the report (inlined events unless `--out`).
+/// Runs the command. Events go to `--out` when given, otherwise to stdout
+/// as they happen; returns the closing summary.
 ///
 /// # Errors
 ///
-/// Propagates argument, scenario, source, and I/O failures.
+/// Propagates argument, scenario, source, and I/O failures, including a
+/// stdout that closed mid-stream.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    run_with_stdout(args, &mut std::io::stdout())
+}
+
+/// [`run`], with `stdout` standing in for the process's standard output.
+fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliError> {
     let k: usize = args.required_parsed("k", "integer")?;
     let d: u64 = args.get_or("d", "feet", 2_500)?;
     let seed: u64 = args.get_or("seed", "integer", 2015)?;
@@ -521,7 +529,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         None => source,
     };
 
-    let mut inline_events = Vec::new();
     let summary = match args.get("out") {
         Some(path) => {
             let mut sink = std::io::BufWriter::new(std::fs::File::create(path)?);
@@ -538,15 +545,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             &mut scenario,
             &cfg,
             source,
-            &mut inline_events,
+            stdout,
             &mut journal,
             resume_state,
         )?,
     };
 
-    let mut report = String::from_utf8(inline_events)
-        .map_err(|_| CliError::Usage("event stream was not valid UTF-8".into()))?;
-    report.push_str(&describe(&summary));
+    let mut report = describe(&summary);
     report.push_str(
         &serde_json::to_string_pretty(&summary)
             .map_err(|e| CliError::Usage(format!("json serialization failed: {e}")))?,
@@ -571,6 +576,11 @@ mod tests {
         )
         .unwrap();
         (gp, fp)
+    }
+
+    /// [`run`] with the events that would go to stdout thrown away.
+    fn run_quietly(args: &Args) -> Result<String, CliError> {
+        run_with_stdout(args, &mut std::io::sink())
     }
 
     fn base_args(gp: &std::path::Path, fp: &std::path::Path) -> Vec<String> {
@@ -605,12 +615,50 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../stream/testdata/smoke.ndjson"
         );
+        let out = dir.path("events.ndjson");
         let mut argv = base_args(&gp, &fp);
-        argv.extend(["--deltas".to_string(), smoke.to_string()]);
+        argv.extend([
+            "--deltas".to_string(),
+            smoke.to_string(),
+            "--out".to_string(),
+            out.to_str().unwrap().to_string(),
+        ]);
         let report = run(&Args::parse(argv).unwrap()).unwrap();
-        assert!(report.contains("\"event\":\"placement\""), "{report}");
+        let events = std::fs::read_to_string(&out).unwrap();
+        assert!(events.contains("\"event\":\"placement\""), "{events}");
         assert!(report.contains("stream done:"), "{report}");
         assert!(report.contains("\"forced_compactions\": 1"), "{report}");
+    }
+
+    #[test]
+    fn without_out_events_go_to_stdout_as_out_would_hold_them() {
+        let dir = crate::TestDir::new("stream_without_out_events_go_to_stdout");
+        let (gp, fp) = fixture(&dir);
+        let out = dir.path("events.ndjson");
+        let mut argv = base_args(&gp, &fp);
+        argv.extend(["--synthetic".to_string(), "120".to_string()]);
+        let mut stdout = Vec::new();
+        let report = run_with_stdout(&Args::parse(argv.clone()).unwrap(), &mut stdout).unwrap();
+        argv.extend(["--out".to_string(), out.to_str().unwrap().to_string()]);
+        let report_with_out = run(&Args::parse(argv).unwrap()).unwrap();
+
+        // stdout carries the NDJSON `--out` holds, bar measured latencies;
+        // the summary is the report either way, so a process prints the
+        // events as they happen, then the summary.
+        let timeless = |events: &str| -> Vec<String> {
+            events
+                .lines()
+                .map(|l| l.split(",\"latency_us\"").next().unwrap().to_string())
+                .collect()
+        };
+        let events = std::fs::read_to_string(&out).unwrap();
+        assert!(events.lines().count() >= 2, "{events}");
+        assert_eq!(
+            timeless(&String::from_utf8(stdout).unwrap()),
+            timeless(&events)
+        );
+        assert!(report.starts_with("stream done:"), "{report}");
+        assert_eq!(report.lines().next(), report_with_out.lines().next());
     }
 
     #[test]
@@ -655,7 +703,7 @@ mod tests {
             "--threads",
             "2",
         ];
-        let report = run(&Args::parse(argv).unwrap()).unwrap();
+        let report = run_quietly(&Args::parse(argv).unwrap()).unwrap();
         assert!(report.contains("stream done:"), "{report}");
         assert!(report.contains("\"deltas_rejected\": 0"), "{report}");
     }
@@ -745,7 +793,7 @@ mod tests {
             argv
         };
 
-        let clean = run(&Args::parse(durable_args(&gp, &fp)).unwrap()).unwrap();
+        let clean = run_quietly(&Args::parse(durable_args(&gp, &fp)).unwrap()).unwrap();
         assert!(clean.contains("\"deltas_applied\": 60"), "{clean}");
         // A clean finish rotates a final snapshot and truncates the WAL.
         assert!(snap.exists());
@@ -763,10 +811,16 @@ mod tests {
 
         // Resuming with the same arguments consumes no further deltas and
         // reproduces the crashed-run bookkeeping bit-for-bit.
+        let events = dir.path("resumed.ndjson");
         let mut argv = durable_args(&gp, &fp);
-        argv.extend(["--resume".to_string(), "true".to_string()]);
+        argv.extend(
+            ["--resume", "true", "--out", events.to_str().unwrap()]
+                .iter()
+                .map(ToString::to_string),
+        );
         let resumed = run(&Args::parse(argv).unwrap()).unwrap();
-        assert!(resumed.contains("\"action\":\"resume\""), "{resumed}");
+        let events = std::fs::read_to_string(&events).unwrap();
+        assert!(events.contains("\"action\":\"resume\""), "{events}");
         assert!(resumed.contains("\"deltas_applied\": 60"), "{resumed}");
         assert!(
             resumed.contains(&final_epoch),
@@ -794,7 +848,7 @@ mod tests {
             .iter()
             .map(ToString::to_string),
         );
-        let report = run(&Args::parse(argv).unwrap()).unwrap();
+        let report = run_quietly(&Args::parse(argv).unwrap()).unwrap();
         assert!(report.contains("stream done:"), "{report}");
 
         let log = std::fs::read_to_string(&rec).unwrap();
@@ -804,7 +858,7 @@ mod tests {
         // number of deltas.
         let mut argv = base_args(&gp, &fp);
         argv.extend(["--deltas".to_string(), rec.to_str().unwrap().to_string()]);
-        let replayed = run(&Args::parse(argv).unwrap()).unwrap();
+        let replayed = run_quietly(&Args::parse(argv).unwrap()).unwrap();
         let applied = |r: &str| {
             r.lines()
                 .find(|l| l.contains("\"deltas_applied\""))
@@ -828,13 +882,13 @@ mod tests {
             "true".to_string(),
         ]);
         assert!(matches!(
-            run(&Args::parse(argv).unwrap()),
+            run_quietly(&Args::parse(argv).unwrap()),
             Err(CliError::Stream(_))
         ));
         // Lenient keeps going and reports the reject.
         let mut argv = base_args(&gp, &fp);
         argv.extend(["--deltas".to_string(), bad.to_str().unwrap().to_string()]);
-        let report = run(&Args::parse(argv).unwrap()).unwrap();
+        let report = run_quietly(&Args::parse(argv).unwrap()).unwrap();
         assert!(report.contains("\"deltas_rejected\": 1"), "{report}");
     }
 }

@@ -8,6 +8,11 @@
 //! skipping most gain evaluations. Included as an engineering extension and
 //! ablated in the benchmark suite.
 //!
+//! The loop lives in [`CelfRun`], which can stop after any commit and
+//! resume later: the greedy is nested in its budget, so one run answers
+//! every k it has reached. [`LazyGreedy::place_with_stats`] is a fresh run
+//! advanced to k; the server keeps one run per serving epoch.
+//!
 //! [`MarginalGreedy`]: crate::composite::MarginalGreedy
 
 use crate::algorithms::PlacementAlgorithm;
@@ -15,6 +20,7 @@ use crate::placement::Placement;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rap_graph::NodeId;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -87,37 +93,127 @@ pub struct LazyGreedy;
 impl LazyGreedy {
     /// Like [`place`](PlacementAlgorithm::place), additionally returning the
     /// number of gain evaluations performed (the ablation metric reported in
-    /// `BENCH_greedy.json`).
+    /// `BENCH_greedy.json`). A fresh [`CelfRun`] advanced to `k`.
     pub fn place_with_stats(&self, scenario: &Scenario, k: usize) -> (Placement, u64) {
-        let mut best_value = vec![0.0f64; scenario.flows().len()];
-        let mut placement = Placement::empty();
-        let candidates = scenario.candidates();
-        let mut evals = candidates.len() as u64;
-        let mut heap: BinaryHeap<HeapEntry> = candidates
-            .iter()
-            .map(|&v| HeapEntry::new(scenario.marginal_gain_value(&best_value, v), v, 0))
-            .collect();
+        let mut run = CelfRun::new(scenario);
+        let (raps, evals) = run.advance_to(k);
+        (Placement::new(raps.to_vec()), evals)
+    }
+}
 
-        while placement.len() < k {
-            let Some(top) = heap.pop() else { break };
-            if top.gain <= 0.0 {
-                break; // the best possible gain is zero: stop early
-            }
-            if top.round == placement.len() {
-                // Fresh: by submodularity no other node can beat it.
-                placement.push(top.node);
-                scenario.commit_best_values(&mut best_value, top.node);
-            } else {
-                // Stale: re-evaluate and push back.
-                evals += 1;
-                heap.push(HeapEntry::new(
-                    scenario.marginal_gain_value(&best_value, top.node),
-                    top.node,
-                    placement.len(),
-                ));
-            }
+/// One CELF run that can be advanced a RAP at a time and asked for any
+/// budget it has reached.
+///
+/// The greedy is nested in its budget: the k-placement is the first k
+/// picks of any larger one, and CELF keeps that property, since the run
+/// toward k′ > k performs exactly the heap operations of the run toward k
+/// until its k-th commit. So a run advanced to k answers every k′ ≤ k — and,
+/// once no positive gain is left, every k′ — with exactly the RAPs and gain
+/// evaluations of a fresh [`LazyGreedy::place_with_stats`]`(k′)`. The
+/// evaluation count for k′ is the initial pass over every candidate plus the
+/// stale re-evaluations made before the k′-th commit (or before the run
+/// found nothing left to gain).
+///
+/// `S` is how the run holds its scenario: `&Scenario` for a one-shot
+/// placement, `Arc<Scenario>` for a run kept alongside the scenario it
+/// serves.
+pub struct CelfRun<S: Borrow<Scenario>> {
+    scenario: S,
+    best_value: Vec<f64>,
+    heap: BinaryHeap<HeapEntry>,
+    raps: Vec<NodeId>,
+    /// `evals_at[j]`: gain evaluations made when the prefix reached `j`
+    /// RAPs (`evals_at[0]` is the initial pass).
+    evals_at: Vec<u64>,
+    /// Gain evaluations made when the run found no positive gain left;
+    /// `None` while it can still grow.
+    exhausted_at: Option<u64>,
+}
+
+impl<S: Borrow<Scenario>> CelfRun<S> {
+    /// Starts a run: one gain evaluation per candidate, no RAP committed.
+    pub fn new(scenario: S) -> Self {
+        let s = scenario.borrow();
+        let best_value = vec![0.0f64; s.flows().len()];
+        let candidates = s.candidates();
+        let heap = candidates
+            .iter()
+            .map(|&v| HeapEntry::new(s.marginal_gain_value(&best_value, v), v, 0))
+            .collect();
+        let evals_at = vec![candidates.len() as u64];
+        CelfRun {
+            scenario,
+            best_value,
+            heap,
+            raps: Vec::new(),
+            evals_at,
+            exhausted_at: None,
         }
-        (placement, evals)
+    }
+
+    /// Whether the run has found no positive gain left (it then answers
+    /// every budget).
+    pub fn is_exhausted(&self) -> bool {
+        self.exhausted_at.is_some()
+    }
+
+    /// The first `k` RAPs and the gain evaluations a fresh run to `k`
+    /// makes, or `None` if the run must first be advanced.
+    pub fn answer(&self, k: usize) -> Option<(&[NodeId], u64)> {
+        if k <= self.raps.len() {
+            Some((&self.raps[..k], self.evals_at[k]))
+        } else {
+            self.exhausted_at.map(|evals| (&self.raps[..], evals))
+        }
+    }
+
+    /// Advances the run by one committed RAP, re-evaluating stale heap
+    /// entries until the top one is fresh. Returns `false`, committing
+    /// nothing, once the best remaining gain is not positive.
+    pub fn step(&mut self) -> bool {
+        if self.exhausted_at.is_some() {
+            return false;
+        }
+        let scenario = self.scenario.borrow();
+        let mut evals = self.evals_at[self.raps.len()];
+        loop {
+            let Some(top) = self.heap.pop().filter(|top| top.gain > 0.0) else {
+                // The best possible gain is zero (or nothing is left).
+                self.exhausted_at = Some(evals);
+                return false;
+            };
+            if top.round == self.raps.len() {
+                // Fresh: by submodularity no other node can beat it.
+                self.raps.push(top.node);
+                scenario.commit_best_values(&mut self.best_value, top.node);
+                self.evals_at.push(evals);
+                return true;
+            }
+            // Stale: re-evaluate and push back.
+            evals += 1;
+            self.heap.push(HeapEntry::new(
+                scenario.marginal_gain_value(&self.best_value, top.node),
+                top.node,
+                self.raps.len(),
+            ));
+        }
+    }
+
+    /// Steps until the run answers `k`, then answers it.
+    pub fn advance_to(&mut self, k: usize) -> (&[NodeId], u64) {
+        while self.answer(k).is_none() {
+            self.step();
+        }
+        self.answer(k).expect("the run reached k or is exhausted")
+    }
+}
+
+impl<S: Borrow<Scenario>> std::fmt::Debug for CelfRun<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CelfRun")
+            .field("reached", &self.raps.len())
+            .field("exhausted", &self.is_exhausted())
+            .finish_non_exhaustive()
     }
 }
 
@@ -175,6 +271,26 @@ mod tests {
         let w_all = s.evaluate(&p);
         let p2 = LazyGreedy.place(&s, 2, &mut rng());
         assert!((s.evaluate(&p2) - w_all).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_run_answers_every_budget_like_a_fresh_run() {
+        for kind in UtilityKind::ALL {
+            let s = small_grid_scenario(kind, rap_graph::Distance::from_feet(400));
+            let mut run = CelfRun::new(&s);
+            let all = s.candidates().len();
+            for k in [3, 0, 5, 1, 5, 2, all, 4, all + 3] {
+                let fresh = LazyGreedy.place_with_stats(&s, k);
+                let (raps, evals) = run.advance_to(k);
+                assert_eq!(
+                    (Placement::new(raps.to_vec()), evals),
+                    fresh,
+                    "{kind} k={k}"
+                );
+            }
+            assert!(run.is_exhausted());
+            assert!(!run.step(), "an exhausted run commits nothing");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | [`GreedyCoverage`] | Algorithm 1 | `1 − 1/e` (threshold utility) |
 //! | [`CompositeGreedy`] | Algorithm 2 | `1 − 1/√e` (any non-increasing utility) |
 //! | [`MarginalGreedy`] | Sec. III-C naive greedy | none (ablation) |
-//! | [`LazyGreedy`] | — (CELF extension) | identical output to `MarginalGreedy` |
+//! | [`LazyGreedy`] | — (CELF extension) | identical output to `MarginalGreedy`; its loop is the resumable [`CelfRun`] |
 //! | [`InvertedGainEngine`] | — (inverted-index delta propagation) | identical output to `MarginalGreedy` |
 //! | [`MaxCardinality`], [`MaxVehicles`], [`MaxCustomers`], [`Random`] | Sec. V-B baselines | none |
 //! | [`ExhaustiveOptimal`] | — | exact (small instances) |
@@ -94,7 +94,7 @@ pub use exhaustive::ExhaustiveOptimal;
 pub use faults::{DiskFault, DiskFaultEvent, FaultPlan};
 pub use greedy::GreedyCoverage;
 pub use inverted::{EngineReport, InvertedGainEngine, InvertedIndex};
-pub use lazy::LazyGreedy;
+pub use lazy::{CelfRun, LazyGreedy};
 pub use local_search::{GreedyWithSwaps, SwapSearch};
 pub use metrics::{LatencyHistogram, PlacementReport};
 pub use mutable::{DeltaError, DeltaOutcome, FlowDelta, MutableScenario};

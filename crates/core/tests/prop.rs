@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    CompositeGreedy, ExhaustiveOptimal, FlowDelta, GreedyCoverage, InvertedGainEngine,
+    CelfRun, CompositeGreedy, ExhaustiveOptimal, FlowDelta, GreedyCoverage, InvertedGainEngine,
     InvertedIndex, LazyGreedy, MarginalGreedy, MutableScenario, Placement, PlacementAlgorithm,
     Scenario, UtilityKind,
 };
@@ -158,6 +158,123 @@ fn assert_greedy_identity(s: &Scenario, k: usize, case: &str) -> Result<(), Test
     Ok(())
 }
 
+/// A CELF heap entry for [`celf_reference`]: max-heap by gain, ties toward
+/// the lower node id.
+struct RefEntry {
+    gain: f64,
+    node: NodeId,
+    round: usize,
+}
+
+impl PartialEq for RefEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for RefEntry {}
+
+impl PartialOrd for RefEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RefEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.gain
+            .total_cmp(&other.gain)
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+/// One CELF run to `k` written out as a single loop, independent of
+/// [`CelfRun`]: the placement and the gain evaluations it made.
+fn celf_reference(s: &Scenario, k: usize) -> (Placement, u64) {
+    let mut best_value = vec![0.0f64; s.flows().len()];
+    let mut raps = Vec::new();
+    let mut evals = s.candidates().len() as u64;
+    let mut heap: std::collections::BinaryHeap<RefEntry> = s
+        .candidates()
+        .iter()
+        .map(|&node| RefEntry {
+            gain: s.marginal_gain_value(&best_value, node),
+            node,
+            round: 0,
+        })
+        .collect();
+    while raps.len() < k {
+        let Some(top) = heap.pop() else { break };
+        if top.gain <= 0.0 {
+            break;
+        }
+        if top.round == raps.len() {
+            raps.push(top.node);
+            s.commit_best_values(&mut best_value, top.node);
+        } else {
+            evals += 1;
+            heap.push(RefEntry {
+                gain: s.marginal_gain_value(&best_value, top.node),
+                node: top.node,
+                round: raps.len(),
+            });
+        }
+    }
+    (Placement::new(raps), evals)
+}
+
+/// The resumable-run contract on one scenario: one [`CelfRun`], advanced
+/// through `ks` in order, answers every k with the RAPs, gain evaluations
+/// and objective bits of a fresh `LazyGreedy::place_with_stats(k)`, and
+/// both agree with [`celf_reference`].
+fn assert_resumable_identity(s: &Scenario, ks: &[usize], case: &str) -> Result<(), TestCaseError> {
+    let mut run = CelfRun::new(s);
+    for &k in ks {
+        let (fresh, fresh_evals) = LazyGreedy.place_with_stats(s, k);
+        let (reference, reference_evals) = celf_reference(s, k);
+        prop_assert_eq!(
+            (&fresh, fresh_evals),
+            (&reference, reference_evals),
+            "fresh run diverged from the reference loop at k={} ({})",
+            k,
+            case
+        );
+        let (raps, evals) = run.advance_to(k);
+        let resumed = Placement::new(raps.to_vec());
+        prop_assert_eq!(&resumed, &fresh, "placement diverged at k={} ({})", k, case);
+        prop_assert_eq!(
+            evals,
+            fresh_evals,
+            "gain_evals diverged at k={} ({})",
+            k,
+            case
+        );
+        prop_assert_eq!(
+            s.evaluate(&resumed).to_bits(),
+            s.evaluate(&fresh).to_bits(),
+            "objective diverged at k={} ({})",
+            k,
+            case
+        );
+    }
+    Ok(())
+}
+
+/// A k sequence for a scenario with `candidates` candidates: the random
+/// `picks` (up to two past the candidate count) sorted ascending,
+/// descending or left as drawn, then a repeat of the first, 0, the
+/// candidate count and a k past any exhaustion.
+fn k_sequence(picks: &[usize], order: u8, candidates: usize) -> Vec<usize> {
+    let mut ks: Vec<usize> = picks.iter().map(|p| p % (candidates + 3)).collect();
+    match order % 3 {
+        0 => ks.sort_unstable(),
+        1 => ks.sort_unstable_by(|a, b| b.cmp(a)),
+        _ => {}
+    }
+    ks.extend([ks[0], 0, candidates, candidates + 2]);
+    ks
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -261,6 +378,59 @@ proptest! {
             let Some(s) = build(&inst) else { return Ok(()) };
             assert_greedy_identity(&s, k, &format!("{kind}, k={k}"))?;
         }
+    }
+
+    /// One resumable CELF run, advanced through a random k sequence,
+    /// answers every k like a fresh run: on every utility kind with one
+    /// and two shops, on a tie-heavy grid (equal volumes, threshold
+    /// utility) and on a scenario whose flows were all removed.
+    #[test]
+    fn resumable_celf_run_matches_fresh_runs(
+        inst in arb_instance(),
+        shop2 in 0u32..36,
+        picks in proptest::collection::vec(0usize..64, 1..10),
+        order in 0u8..3,
+    ) {
+        let n = inst.rows * inst.cols;
+        for kind in UtilityKind::ALL {
+            let mut inst = inst.clone();
+            inst.utility = kind;
+            let Some(single) = build(&inst) else { return Ok(()) };
+            let ks = k_sequence(&picks, order, single.candidates().len());
+            assert_resumable_identity(&single, &ks, &format!("{kind}"))?;
+            let two = Scenario::new(
+                single.graph().clone(),
+                single.flows().clone(),
+                vec![NodeId::new(inst.shop), NodeId::new(shop2 % n)],
+                kind.instantiate(Distance::from_feet(inst.threshold)),
+            )
+            .expect("multi-shop scenario valid");
+            let ks = k_sequence(&picks, order, two.candidates().len());
+            assert_resumable_identity(&two, &ks, &format!("two shops, {kind}"))?;
+        }
+
+        let mut ties = inst.clone();
+        ties.utility = UtilityKind::Threshold;
+        for flow in &mut ties.flows {
+            flow.2 = 50;
+        }
+        let Some(tied) = build(&ties) else { return Ok(()) };
+        let ks = k_sequence(&picks, order, tied.candidates().len());
+        assert_resumable_identity(&tied, &ks, "tie-heavy")?;
+
+        let Some(mut ms) = build_mutable(&inst) else { return Ok(()) };
+        for flow in ms.live_stable_ids() {
+            ms.apply(&FlowDelta::RemoveFlow { flow }).expect("removal applies");
+        }
+        prop_assert_eq!(ms.live_flows(), 0);
+        let empty = ms.snapshot();
+        let ks = k_sequence(&picks, order, empty.candidates().len());
+        assert_resumable_identity(&empty, &ks, "no live flows")?;
+        // With no flow to sum over, the objective at k = 0 is the empty f64
+        // sum: -0.0.
+        let nothing = empty.evaluate(&LazyGreedy.place_with_stats(&empty, 0).0);
+        prop_assert_eq!(nothing.to_bits(), std::iter::empty::<f64>().sum::<f64>().to_bits());
+        prop_assert_eq!(nothing.to_bits(), (-0.0f64).to_bits());
     }
 
     /// The same identity on multi-shop scenarios (two shops, every utility

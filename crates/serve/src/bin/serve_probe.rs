@@ -1,5 +1,7 @@
 //! CI smoke probe: hits a running `rap serve` instance and asserts the
 //! JSON contract of every endpoint, exiting nonzero on the first failure.
+//! `/topk` is checked for the prefix property on the epoch it starts on and
+//! again on the epoch its own `/reload` swaps in.
 //!
 //! ```text
 //! serve_probe ADDR [--min-epoch N] [--skip-reload]
@@ -29,6 +31,58 @@ fn num(value: &Value, key: &str) -> f64 {
     value[key]
         .as_f64()
         .unwrap_or_else(|| fail(&format!("missing numeric field `{key}` in {value:?}")))
+}
+
+fn raps_of(body: &Value, what: &str) -> Vec<u64> {
+    match &body["raps"] {
+        Value::Seq(items) => items
+            .iter()
+            .map(|r| {
+                r.as_f64()
+                    .unwrap_or_else(|| fail(&format!("{what}: rap id"))) as u64
+            })
+            .collect(),
+        other => fail(&format!("{what}: raps not an array: {other:?}")),
+    }
+}
+
+/// `/topk` at `k`, whose objective must be bit-identical to `/evaluate` of
+/// its RAPs (same scenario epoch, same arithmetic). Returns the RAPs.
+fn topk(client: &mut Client, k: usize) -> Vec<u64> {
+    let what = format!("/topk k={k}");
+    let topk = client
+        .post("/topk", &format!(r#"{{"k": {k}}}"#))
+        .unwrap_or_else(|e| fail(&format!("{what}: {e}")));
+    check(topk.status == 200, &format!("{what} status"));
+    let raps = raps_of(&topk.body, &what);
+    check(
+        !raps.is_empty() && raps.len() <= k,
+        &format!("{what} raps length"),
+    );
+    let objective = num(&topk.body, "objective");
+    check(objective > 0.0, &format!("{what} objective > 0"));
+    let rap_list: Vec<String> = raps.iter().map(u64::to_string).collect();
+    let body = format!(r#"{{"raps": [{}]}}"#, rap_list.join(", "));
+    let evaluated = client.post("/evaluate", &body).expect("/evaluate");
+    check(evaluated.status == 200, "/evaluate status");
+    check(
+        num(&evaluated.body, "objective").to_bits() == objective.to_bits(),
+        &format!("/evaluate objective bit-identical to {what}"),
+    );
+    raps
+}
+
+/// `/topk` at k = 8, then k = 3: both answers come from the epoch's one
+/// greedy run, so the shorter must be a prefix of the longer. Returns the
+/// k = 3 RAP count.
+fn check_topk_prefix(client: &mut Client) -> usize {
+    let long = topk(client, 8);
+    let short = topk(client, 3);
+    check(
+        long.starts_with(&short),
+        &format!("/topk k=3 {short:?} is a prefix of k=8 {long:?}"),
+    );
+    short.len()
 }
 
 fn main() {
@@ -86,7 +140,13 @@ fn main() {
 
     let metrics = client.get("/metrics").expect("/metrics");
     check(metrics.status == 200, "/metrics status");
-    for key in ["epoch", "snapshot_crc", "requests", "live_flows"] {
+    for key in [
+        "epoch",
+        "snapshot_crc",
+        "requests",
+        "live_flows",
+        "topk_extended",
+    ] {
         let _ = num(&metrics.body, key);
     }
     check(
@@ -97,29 +157,7 @@ fn main() {
     let placement = client.get("/placement").expect("/placement");
     check(placement.status == 200, "/placement status");
 
-    let topk = client.post("/topk", r#"{"k": 3}"#).expect("/topk");
-    check(topk.status == 200, "/topk status");
-    let raps = match &topk.body["raps"] {
-        Value::Seq(items) => items.clone(),
-        other => fail(&format!("/topk raps not an array: {other:?}")),
-    };
-    check(!raps.is_empty() && raps.len() <= 3, "/topk raps length");
-    let topk_objective = num(&topk.body, "objective");
-    check(topk_objective > 0.0, "/topk objective > 0");
-
-    // Evaluating the exact topk placement must reproduce its objective bit
-    // for bit (same scenario epoch, same arithmetic).
-    let rap_list: Vec<String> = raps
-        .iter()
-        .map(|r| format!("{:.0}", r.as_f64().expect("rap id")))
-        .collect();
-    let body = format!(r#"{{"raps": [{}]}}"#, rap_list.join(", "));
-    let evaluated = client.post("/evaluate", &body).expect("/evaluate");
-    check(evaluated.status == 200, "/evaluate status");
-    check(
-        num(&evaluated.body, "objective").to_bits() == topk_objective.to_bits(),
-        "/evaluate objective bit-identical to /topk",
-    );
+    let raps = check_topk_prefix(&mut client);
 
     // Malformed input must be 4xx, never a dropped connection.
     let bad = client.post("/topk", "not json").expect("malformed /topk");
@@ -140,7 +178,8 @@ fn main() {
             num(&health.body, "epoch") as u64 == new_epoch,
             "/healthz reflects reloaded epoch",
         );
+        check_topk_prefix(&mut client);
     }
 
-    println!("serve_probe: OK (epoch {epoch}, {} raps)", raps.len());
+    println!("serve_probe: OK (epoch {epoch}, {raps} raps)");
 }

@@ -20,7 +20,7 @@
 //! | `/metrics` | GET | counters, p50/p99 latencies, epoch, snapshot CRC |
 //! | `/placement` | GET | placement recorded in the snapshot (if any) |
 //! | `/evaluate` | POST | score an arbitrary placement `{"raps": [..]}` |
-//! | `/topk` | POST | `{"k": n}` via CELF lazy greedy |
+//! | `/topk` | POST | `{"k": n}`: a prefix of the epoch's one resumable CELF run |
 //! | `/reload` | POST | atomic snapshot re-read + epoch bump |
 //!
 //! ```no_run
@@ -47,7 +47,7 @@ pub mod state;
 pub use client::{Client, ClientError, ClientResponse};
 pub use http::{HttpError, Method, Request, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 pub use server::{serve, ServerConfig, ServerHandle, ServerMetrics};
-pub use state::{EpochState, ServeState};
+pub use state::{EpochState, ServeState, TopkAnswer};
 
 use std::fmt;
 

@@ -10,7 +10,7 @@
 
 use crate::http::{self, HttpError, Method, Request};
 use crate::state::ServeState;
-use rap_core::{LatencyHistogram, LazyGreedy, Placement, PlacementReport};
+use rap_core::{LatencyHistogram, Placement, PlacementReport};
 use rap_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::io::BufReader;
@@ -62,6 +62,9 @@ pub struct ServerMetrics {
     pub errors_5xx: AtomicU64,
     /// Worker slots respawned after a handler panic.
     pub worker_respawns: AtomicU32,
+    /// `/topk` requests that committed at least one RAP to their epoch's
+    /// CELF run; every other `/topk` was answered from an existing prefix.
+    pub topk_extended: AtomicU64,
     /// `/evaluate` handler latency.
     pub evaluate: LatencyHistogram,
     /// `/topk` handler latency.
@@ -365,6 +368,7 @@ struct MetricsResponse {
     worker_respawns: u32,
     reloads_ok: u64,
     reloads_failed: u64,
+    topk_extended: u64,
     evaluate: EndpointStats,
     topk: EndpointStats,
     reload: EndpointStats,
@@ -413,6 +417,7 @@ fn dispatch(request: &Request, state: &Arc<ServeState>, metrics: &ServerMetrics)
                 worker_respawns: metrics.worker_respawns.load(Ordering::Relaxed),
                 reloads_ok: state.reloads_ok(),
                 reloads_failed: state.reloads_failed(),
+                topk_extended: metrics.topk_extended.load(Ordering::Relaxed),
                 evaluate: EndpointStats::of(&metrics.evaluate),
                 topk: EndpointStats::of(&metrics.topk),
                 reload: EndpointStats::of(&metrics.reload),
@@ -434,7 +439,7 @@ fn dispatch(request: &Request, state: &Arc<ServeState>, metrics: &ServerMetrics)
             })
         }
         (Method::Post, "/evaluate") => timed(&metrics.evaluate, || evaluate(request, state)),
-        (Method::Post, "/topk") => timed(&metrics.topk, || topk(request, state)),
+        (Method::Post, "/topk") => timed(&metrics.topk, || topk(request, state, metrics)),
         (Method::Post, "/reload") => timed(&metrics.reload, || reload(state)),
         (_, "/healthz" | "/metrics" | "/placement" | "/evaluate" | "/topk" | "/reload") => (
             405,
@@ -483,7 +488,7 @@ fn evaluate(request: &Request, state: &Arc<ServeState>) -> Response {
     })
 }
 
-fn topk(request: &Request, state: &Arc<ServeState>) -> Response {
+fn topk(request: &Request, state: &Arc<ServeState>, metrics: &ServerMetrics) -> Response {
     let parsed: TopkRequest = match parse_body(request) {
         Ok(parsed) => parsed,
         Err(response) => return response,
@@ -496,14 +501,17 @@ fn topk(request: &Request, state: &Arc<ServeState>) -> Response {
             parsed.k
         ));
     }
-    let (placement, gain_evals) = LazyGreedy.place_with_stats(&epoch.scenario, parsed.k);
-    let objective = epoch.scenario.evaluate(&placement);
+    let answer = epoch.topk(parsed.k);
+    if answer.extended {
+        metrics.topk_extended.fetch_add(1, Ordering::Relaxed);
+    }
+    let objective = epoch.scenario.evaluate(&answer.placement);
     json(&TopkResponse {
         epoch: epoch.epoch,
         k: parsed.k,
-        raps: placement.raps().iter().map(|r| r.raw()).collect(),
+        raps: answer.placement.raps().iter().map(|r| r.raw()).collect(),
         objective,
-        gain_evals,
+        gain_evals: answer.gain_evals,
     })
 }
 

@@ -8,19 +8,25 @@
 //! In-flight requests keep their old epoch alive through their own `Arc`
 //! until they finish; a corrupt replacement snapshot is rejected by the
 //! decoder's checksums and the old epoch keeps serving untouched.
+//!
+//! `/topk` answers from one resumable CELF run per epoch
+//! ([`EpochState::topk`]): the greedy is nested in its budget, so every
+//! answer is a prefix of that run, and only a request for a longer prefix
+//! than any before it does greedy work.
 
 use crate::ServeError;
 use rap_core::{
-    decode_snapshot_with_threads, read_snapshot_file, snapshot_crc32, FaultPlan, MutableScenario,
-    Placement, Scenario,
+    decode_snapshot_with_threads, read_snapshot_file, snapshot_crc32, CelfRun, FaultPlan,
+    MutableScenario, Placement, Scenario,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-/// One immutable serving generation. Everything a request needs lives
-/// here, so a request observes exactly one epoch end to end. `/topk` runs
-/// CELF straight on `scenario`, so an epoch carries no derived index.
+/// One serving generation. Everything a request needs lives here, so a
+/// request observes exactly one epoch end to end. The scenario is
+/// immutable; the only state that grows is the epoch's CELF run, which
+/// `/topk` advances and every answer reads a prefix of.
 #[derive(Debug)]
 pub struct EpochState {
     /// Serving generation, starting at 1 and bumped by every successful
@@ -37,6 +43,22 @@ pub struct EpochState {
     pub scenario_epoch: u64,
     /// Live flow count (diagnostic).
     pub live_flows: u64,
+    /// The resumable CELF run `/topk` answers from, created by the epoch's
+    /// first `/topk` and dropped with the epoch.
+    topk_run: Mutex<Option<CelfRun<Arc<Scenario>>>>,
+}
+
+/// One `/topk` answer: a prefix of the epoch's CELF run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TopkAnswer {
+    /// The first `k` RAPs of the epoch's greedy order (fewer once no
+    /// positive gain is left).
+    pub placement: Placement,
+    /// Gain evaluations a fresh CELF run to `k` makes, which is what
+    /// reaching `k` cost the epoch's run.
+    pub gain_evals: u64,
+    /// Whether this request committed at least one RAP to the run.
+    pub extended: bool,
 }
 
 impl EpochState {
@@ -55,7 +77,43 @@ impl EpochState {
             snapshot_crc,
             scenario_epoch,
             live_flows,
+            topk_run: Mutex::new(None),
         }
+    }
+
+    /// The first `k` RAPs of this epoch's CELF run, advancing the run as
+    /// far as `k` needs: bit-identical to a fresh
+    /// [`LazyGreedy::place_with_stats`](rap_core::LazyGreedy::place_with_stats)`(k)`
+    /// on [`EpochState::scenario`].
+    ///
+    /// The lock is taken once per committed RAP, so a request whose prefix
+    /// already exists never waits behind another request's long extension.
+    pub fn topk(&self, k: usize) -> TopkAnswer {
+        let mut extended = false;
+        loop {
+            let mut slot = self.lock_topk_run();
+            let run = slot.get_or_insert_with(|| CelfRun::new(Arc::clone(&self.scenario)));
+            if let Some((raps, gain_evals)) = run.answer(k) {
+                return TopkAnswer {
+                    placement: Placement::new(raps.to_vec()),
+                    gain_evals,
+                    extended,
+                };
+            }
+            extended |= run.step();
+        }
+    }
+
+    /// Locks the CELF run. A panic mid-step can leave its heap and prefix
+    /// out of step, so a poisoned lock discards the run; the next access
+    /// starts a fresh one.
+    fn lock_topk_run(&self) -> MutexGuard<'_, Option<CelfRun<Arc<Scenario>>>> {
+        self.topk_run.lock().unwrap_or_else(|poisoned| {
+            self.topk_run.clear_poison();
+            let mut slot = poisoned.into_inner();
+            *slot = None;
+            slot
+        })
     }
 }
 
@@ -184,5 +242,67 @@ impl ServeState {
                 Err(e)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rap_core::fixtures::small_grid_scenario;
+    use rap_core::{LazyGreedy, UtilityKind};
+    use rap_graph::Distance;
+
+    fn epoch() -> EpochState {
+        let threshold = Distance::from_feet(400);
+        let s = small_grid_scenario(UtilityKind::Linear, threshold);
+        let scenario = MutableScenario::new(
+            s.graph().clone(),
+            s.flows().clone(),
+            s.shops().to_vec(),
+            UtilityKind::Linear.instantiate(threshold),
+        )
+        .unwrap();
+        EpochState::build(scenario, None, 0, 1)
+    }
+
+    fn fresh(epoch: &EpochState, k: usize) -> (Placement, u64) {
+        LazyGreedy.place_with_stats(&epoch.scenario, k)
+    }
+
+    #[test]
+    fn answers_are_prefixes_of_one_run() {
+        let epoch = epoch();
+        assert!(epoch.topk_run.lock().unwrap().is_none(), "built lazily");
+        let all = epoch.scenario.candidates().len();
+        for (k, extends) in [(4, true), (2, false), (4, false), (0, false), (5, true)] {
+            let answer = epoch.topk(k);
+            assert_eq!((answer.placement, answer.gain_evals), fresh(&epoch, k));
+            assert_eq!(answer.extended, extends, "k = {k}");
+        }
+        let exhausted = epoch.topk(all);
+        assert_eq!(
+            (exhausted.placement, exhausted.gain_evals),
+            fresh(&epoch, all)
+        );
+    }
+
+    #[test]
+    fn a_poisoned_run_is_discarded_and_rebuilt() {
+        let epoch = Arc::new(epoch());
+        assert!(epoch.topk(3).extended);
+        let holder = Arc::clone(&epoch);
+        let panicked = std::thread::spawn(move || {
+            let _run = holder.topk_run.lock().unwrap();
+            panic!("handler died holding the run");
+        })
+        .join();
+        assert!(panicked.is_err() && epoch.topk_run.is_poisoned());
+
+        // The prefix of length 2 existed, but the run went with the poison.
+        let answer = epoch.topk(2);
+        assert!(answer.extended, "a fresh run had to commit again");
+        assert!(!epoch.topk_run.is_poisoned());
+        assert_eq!((answer.placement, answer.gain_evals), fresh(&epoch, 2));
+        assert!(!epoch.topk(1).extended);
     }
 }

@@ -1,12 +1,12 @@
 //! End-to-end serving tests: endpoint contracts, `/topk` bit-identity
-//! with the offline marginal greedy, and epoch-swap semantics under
-//! snapshot rotation (including corrupt replacements and concurrent
-//! in-flight readers).
+//! with the offline greedy engines in any request order and under
+//! concurrent clients, and epoch-swap semantics under snapshot rotation
+//! (including corrupt replacements and concurrent in-flight readers).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rap_core::{
-    decode_snapshot, encode_snapshot, write_snapshot_atomic, FaultPlan, MarginalGreedy,
+    decode_snapshot, encode_snapshot, write_snapshot_atomic, FaultPlan, LazyGreedy, MarginalGreedy,
     MutableScenario, Placement, PlacementAlgorithm, UtilityKind,
 };
 use rap_graph::{Distance, GridGraph, NodeId};
@@ -56,6 +56,12 @@ fn snapshot_bytes(volume_scale: f64, placement: Option<&Placement>) -> Vec<u8> {
 /// A seeded 6x6 scenario with 40 flows, enough demand that the greedy
 /// keeps placing RAPs well past the first few.
 fn demand_snapshot_bytes() -> Vec<u8> {
+    scaled_demand_snapshot_bytes(1.0)
+}
+
+/// [`demand_snapshot_bytes`] with every flow volume multiplied by
+/// `volume_scale`.
+fn scaled_demand_snapshot_bytes(volume_scale: f64) -> Vec<u8> {
     let grid = GridGraph::new(6, 6, Distance::from_feet(400));
     let params = DemandParams {
         flows: 40,
@@ -63,7 +69,20 @@ fn demand_snapshot_bytes() -> Vec<u8> {
         max_volume: 1_000.0,
         attractiveness: 0.01,
     };
-    let specs = uniform_demand(grid.graph(), params, 3).unwrap();
+    let specs: Vec<FlowSpec> = uniform_demand(grid.graph(), params, 3)
+        .unwrap()
+        .iter()
+        .map(|spec| {
+            FlowSpec::new(
+                spec.origin(),
+                spec.destination(),
+                spec.volume() * volume_scale,
+            )
+            .unwrap()
+            .with_attractiveness(spec.attractiveness())
+            .unwrap()
+        })
+        .collect();
     let flows = FlowSet::route(grid.graph(), specs).unwrap();
     let scenario = MutableScenario::new(
         grid.graph().clone(),
@@ -177,18 +196,37 @@ fn without_epoch(body: &Value) -> Vec<(String, Value)> {
     }
 }
 
+/// `0..=n` plus `extra`, in a seeded Fisher–Yates order.
+fn shuffled(n: usize, extra: &[usize], seed: u64) -> Vec<usize> {
+    let mut ks: Vec<usize> = (0..=n).chain(extra.iter().copied()).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..ks.len()).rev() {
+        ks.swap(i, rng.random_range(0..=i));
+    }
+    ks
+}
+
+fn topk_extended(client: &mut Client) -> u64 {
+    as_u64(&client.get("/metrics").unwrap().body["topk_extended"])
+}
+
 #[test]
 fn topk_is_bit_identical_to_offline_engine() {
     let bytes = demand_snapshot_bytes();
     let path = temp_snapshot("topk", &bytes);
 
     // Offline reference: the same snapshot under the sequential marginal
-    // greedy, the engine every `/topk` placement must reproduce.
+    // greedy, the engine every `/topk` placement must reproduce, and a
+    // fresh CELF run for the evaluation count.
     let mut offline = decode_snapshot(&bytes).unwrap().scenario;
     let frozen = offline.snapshot();
     let candidates = frozen.candidates().len();
     let longest = MarginalGreedy.place(&frozen, candidates, &mut StdRng::seed_from_u64(0));
     assert!(longest.len() >= 8, "fixture must keep the greedy placing");
+    assert!(
+        longest.len() < candidates,
+        "fixture must exhaust the greedy"
+    );
 
     let (handle, mut client) = start(&path, 2);
     let mut first_epoch = Vec::new();
@@ -209,17 +247,35 @@ fn topk_is_bit_identical_to_offline_engine() {
             frozen.evaluate(&expected).to_bits(),
             "objective must be bit-identical to the offline engine at k = {k}"
         );
-        assert!(k == 0 || as_u64(&response.body["gain_evals"]) > 0);
+        assert_eq!(
+            as_u64(&response.body["gain_evals"]),
+            LazyGreedy.place_with_stats(&frozen, k).1,
+            "gain_evals must be a fresh CELF run's count at k = {k}"
+        );
         assert!(response.body.get("delta_pushes").is_none());
         first_epoch.push(response.body);
     }
+    // Each k up to the greedy's length committed exactly one RAP; k = 0
+    // and every k past exhaustion committed none.
+    let extended = topk_extended(&mut client);
+    assert_eq!(extended, longest.len() as u64);
 
-    // The same file reloads as epoch 2 and answers every k with the same
-    // body, bar the epoch.
+    // Descending, every answer is a prefix the epoch's run already holds:
+    // the same bytes, and nothing committed.
+    for k in (0..=candidates).rev() {
+        let response = client.post("/topk", &format!(r#"{{"k": {k}}}"#)).unwrap();
+        assert_eq!(response.status, 200, "k = {k} descending");
+        assert_eq!(response.body, first_epoch[k], "k = {k} descending");
+    }
+    assert_eq!(topk_extended(&mut client), extended);
+
+    // The same file reloads as epoch 2, whose fresh run answers every k in
+    // shuffled order with the same body, bar the epoch.
     let reloaded = client.post("/reload", "").unwrap();
     assert_eq!(reloaded.status, 200);
     assert_eq!(as_u64(&reloaded.body["epoch"]), 2);
-    for (k, before) in first_epoch.iter().enumerate() {
+    for k in shuffled(candidates, &[], 19) {
+        let before = &first_epoch[k];
         let response = client.post("/topk", &format!(r#"{{"k": {k}}}"#)).unwrap();
         assert_eq!(response.status, 200, "k = {k} after reload");
         assert_eq!(
@@ -232,6 +288,110 @@ fn topk_is_bit_identical_to_offline_engine() {
             "k = {k} after reload"
         );
     }
+
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// What a fresh CELF run to every k from 0 to the candidate count answers
+/// on `bytes`: `(raps, objective bits, gain_evals)` per k.
+fn fresh_celf_answers(bytes: &[u8]) -> Vec<(Vec<u64>, u64, u64)> {
+    let mut offline = decode_snapshot(bytes).unwrap().scenario;
+    let frozen = offline.snapshot();
+    (0..=frozen.candidates().len())
+        .map(|k| {
+            let (placement, evals) = LazyGreedy.place_with_stats(&frozen, k);
+            let raps = placement
+                .raps()
+                .iter()
+                .map(|r| u64::from(r.raw()))
+                .collect();
+            (raps, frozen.evaluate(&placement).to_bits(), evals)
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_topk_bodies_match_fresh_celf_across_a_reload() {
+    let bytes_v1 = demand_snapshot_bytes();
+    let bytes_v3 = scaled_demand_snapshot_bytes(3.0);
+    let path = temp_snapshot("topk_concurrent", &bytes_v1);
+    let answers_v1 = fresh_celf_answers(&bytes_v1);
+    let answers_v3 = fresh_celf_answers(&bytes_v3);
+    let candidates = answers_v1.len() - 1;
+    assert_eq!(answers_v3.len(), answers_v1.len());
+    assert_ne!(
+        answers_v1[5].1, answers_v3[5].1,
+        "the two generations must be told apart by their bodies"
+    );
+    let expected = Arc::new([answers_v1, answers_v3]);
+
+    let (handle, mut client) = start(&path, 4);
+    let addr = handle.addr();
+    // Four clients send mixed k values, each in its own shuffled order,
+    // to whichever epoch is current; every body must be fresh CELF on the
+    // epoch that served it. Each client returns the longest prefix it was
+    // served.
+    let burst = |round: u64| -> Vec<std::thread::JoinHandle<u64>> {
+        (0..4u64)
+            .map(|c| {
+                let expected = Arc::clone(&expected);
+                std::thread::spawn(move || {
+                    let mut client = Client::new(addr).with_timeout(Duration::from_secs(20));
+                    let mut longest = 0u64;
+                    for k in shuffled(candidates, &[3, 7, 7, 1], round * 10 + c) {
+                        let response = client.post("/topk", &format!(r#"{{"k": {k}}}"#)).unwrap();
+                        assert_eq!(response.status, 200, "k = {k}");
+                        let epoch = as_u64(&response.body["epoch"]);
+                        let (raps, bits, evals) = &expected[epoch as usize - 1][k];
+                        assert_eq!(as_u64(&response.body["k"]), k as u64);
+                        assert_eq!(&raps_of(&response.body), raps, "epoch {epoch}, k = {k}");
+                        assert_eq!(
+                            response.body["objective"].as_f64().unwrap().to_bits(),
+                            *bits,
+                            "epoch {epoch}, k = {k}"
+                        );
+                        assert_eq!(
+                            as_u64(&response.body["gain_evals"]),
+                            *evals,
+                            "epoch {epoch}, k = {k}"
+                        );
+                        longest = longest.max(raps.len() as u64);
+                    }
+                    longest
+                })
+            })
+            .collect()
+    };
+    let committed_v1: u64 = burst(1)
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .max()
+        .unwrap();
+
+    write_snapshot_atomic(&path, &bytes_v3, &FaultPlan::none()).unwrap();
+    let reloaded = client.post("/reload", "").unwrap();
+    assert_eq!(reloaded.status, 200);
+    assert_eq!(as_u64(&reloaded.body["epoch"]), 2);
+    let committed_v3: u64 = burst(2)
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .max()
+        .unwrap();
+
+    // Each epoch's run committed as many RAPs as the longest prefix it
+    // served. One request commits each RAP, and may commit several, so
+    // each epoch counts at least one extending request and at most one
+    // per RAP.
+    let extended = topk_extended(&mut client);
+    assert!(
+        (2..=committed_v1 + committed_v3).contains(&extended),
+        "{extended} extending requests for {committed_v1} + {committed_v3} committed RAPs"
+    );
+    assert_eq!(
+        as_u64(&client.get("/metrics").unwrap().body["errors_5xx"]),
+        0
+    );
 
     handle.shutdown();
     std::fs::remove_file(&path).ok();

@@ -297,8 +297,11 @@ impl FlowSet {
             ));
         }
         let mut node_index: Vec<Vec<FlowVisit>> = vec![Vec::new(); graph.node_count()];
+        // `stamp[v]` is the index of the last flow that visited `v`, so a
+        // node counts once per flow, at its first position, without a
+        // per-flow set.
+        let mut stamp = vec![u32::MAX; graph.node_count()];
         for flow in &reindexed {
-            let mut seen: HashMap<NodeId, ()> = HashMap::new();
             let mut prefix = Distance::ZERO;
             let nodes = flow.path().nodes();
             for (pos, &node) in nodes.iter().enumerate() {
@@ -309,7 +312,9 @@ impl FlowSet {
                         .expect("routed path edges exist in graph");
                     prefix = prefix.saturating_add(hop);
                 }
-                if seen.insert(node, ()).is_none() {
+                let seen = &mut stamp[node.index()];
+                if *seen != flow.id().raw() {
+                    *seen = flow.id().raw();
                     node_index[node.index()].push(FlowVisit {
                         flow: flow.id(),
                         position: pos as u32,
@@ -462,7 +467,7 @@ impl<'a> IntoIterator for &'a FlowSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rap_graph::{GraphBuilder, GridGraph, Point};
+    use rap_graph::{GraphBuilder, GridGraph, Path, Point};
 
     fn grid3() -> rap_graph::GridGraph {
         GridGraph::new(3, 3, Distance::from_feet(10))
@@ -481,6 +486,34 @@ mod tests {
             assert_eq!(f.path().length(), Distance::from_feet(40));
         }
         assert_eq!(fs.total_volume(), 15.0);
+    }
+
+    #[test]
+    fn from_routed_keeps_the_first_visit_of_a_revisiting_walk() {
+        let grid = grid3();
+        let walk = |nodes: &[u32]| {
+            let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId::new).collect();
+            let spec = FlowSpec::new(nodes[0], *nodes.last().unwrap(), 1.0).unwrap();
+            let path = Path::new(grid.graph(), nodes).unwrap();
+            TrafficFlow::new(FlowId::new(7), spec, path)
+        };
+        // Both walks pass node 1 twice; the second also revisits node 4.
+        let fs = FlowSet::from_routed(
+            grid.graph(),
+            vec![walk(&[0, 1, 4, 1, 2]), walk(&[4, 1, 4, 5])],
+        );
+        let visits = |v: u32| -> Vec<(u32, u32, u64)> {
+            fs.visits_at(NodeId::new(v))
+                .iter()
+                .map(|x| (x.flow.raw(), x.position, x.prefix.feet()))
+                .collect()
+        };
+        assert_eq!(visits(0), [(0, 0, 0)]);
+        assert_eq!(visits(1), [(0, 1, 10), (1, 1, 10)]);
+        assert_eq!(visits(4), [(0, 2, 20), (1, 0, 0)]);
+        assert_eq!(visits(2), [(0, 4, 40)]);
+        assert_eq!(visits(5), [(1, 3, 30)]);
+        assert!(visits(3).is_empty());
     }
 
     #[test]
