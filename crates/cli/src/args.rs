@@ -1,11 +1,11 @@
 //! A small dependency-free argument parser.
 //!
 //! Supports `--flag value` and `--flag=value` options plus positional
-//! arguments; unknown options are errors. Kept deliberately tiny — the CLI
-//! has a handful of commands and the workspace avoids pulling an argument
-//! parser for them.
+//! arguments; options a command's usage text does not name are errors.
+//! Kept deliberately tiny — the CLI has a handful of commands and the
+//! workspace avoids pulling an argument parser for them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A parsed command line: positionals plus `--key value` options.
@@ -34,6 +34,8 @@ pub enum ArgsError {
     },
     /// An option appeared twice.
     Duplicate(String),
+    /// An option the command's usage text does not name.
+    UnknownOption(String),
 }
 
 impl fmt::Display for ArgsError {
@@ -47,6 +49,9 @@ impl fmt::Display for ArgsError {
                 expected,
             } => write!(f, "option --{option}: `{value}` is not a valid {expected}"),
             ArgsError::Duplicate(o) => write!(f, "option --{o} given more than once"),
+            ArgsError::UnknownOption(o) => {
+                write!(f, "unknown option --{o} (see the command's --help)")
+            }
         }
     }
 }
@@ -89,6 +94,23 @@ impl Args {
             }
         }
         Ok(args)
+    }
+
+    /// Rejects the first option (in name order) whose `--name` the `usage`
+    /// text never mentions, so a misspelt option fails instead of silently
+    /// falling back to its default.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::UnknownOption`] naming the undocumented option.
+    pub(crate) fn reject_undocumented(&self, usage: &str) -> Result<(), ArgsError> {
+        let documented = documented_options(usage);
+        self.options
+            .keys()
+            .find(|k| !documented.contains(k.as_str()))
+            .map_or(Ok(()), |unknown| {
+                Err(ArgsError::UnknownOption(unknown.clone()))
+            })
     }
 
     /// Positional arguments in order.
@@ -165,6 +187,21 @@ impl Args {
     }
 }
 
+/// Every `--name` a usage text mentions: the name runs up to the first
+/// character that is neither alphanumeric nor `-`.
+pub(crate) fn documented_options(usage: &str) -> BTreeSet<&str> {
+    usage
+        .split("--")
+        .skip(1)
+        .filter_map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .unwrap_or(rest.len());
+            (end > 0).then(|| &rest[..end])
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +259,30 @@ mod tests {
     }
 
     #[test]
+    fn undocumented_options_are_rejected() {
+        let usage = "cmd --snapshot-every N [--k N] [--d=FEET]";
+        let ok = Args::parse(["--snapshot-every", "2", "--k", "1", "--d", "9"]).unwrap();
+        assert_eq!(ok.reject_undocumented(usage), Ok(()));
+        // A prefix of a documented name is not documented.
+        let prefix = Args::parse(["--snapshot", "x"]).unwrap();
+        assert_eq!(
+            prefix.reject_undocumented(usage),
+            Err(ArgsError::UnknownOption("snapshot".into()))
+        );
+        let typo = Args::parse(["--k", "1", "--kk", "2"]).unwrap();
+        assert_eq!(
+            typo.reject_undocumented(usage),
+            Err(ArgsError::UnknownOption("kk".into()))
+        );
+    }
+
+    #[test]
+    fn documented_options_read_every_name() {
+        let names = documented_options("a --x-y N [--z=1]\n--w, text --, -- v");
+        assert_eq!(names.into_iter().collect::<Vec<_>>(), ["w", "x-y", "z"]);
+    }
+
+    #[test]
     fn error_display() {
         assert!(ArgsError::MissingValue("x".into())
             .to_string()
@@ -236,5 +297,8 @@ mod tests {
         }
         .to_string()
         .contains("integer"));
+        assert!(ArgsError::UnknownOption("thread".into())
+            .to_string()
+            .contains("--thread"));
     }
 }

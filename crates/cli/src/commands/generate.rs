@@ -9,13 +9,15 @@ use rap_trace::{
 /// Options accepted by `rap generate`.
 pub const USAGE: &str = "\
 rap generate --city <dublin|seattle|metro> [--seed N] [--journeys N]
-             [--out-graph FILE] [--out-flows FILE]
+             [--out-graph FILE] [--out-flows FILE] [--out-trace FILE]
              [--in-trace FILE] [--lenient true] [--scale smoke|full]
 
 Generates a synthetic city (street network + simulated bus trace +
 recovered flows) and writes:
   --out-graph   street network in the rap-graph text format
   --out-flows   flow summary CSV (origin,destination,volume,alpha)
+  --out-trace   an empty trace CSV: the header of the city's schema, a
+                template for --in-trace
   --in-trace    additionally ingest an external GPS trace CSV (in the
                 city's schema), map-match it against the generated street
                 network, and report the recovered flows
@@ -88,7 +90,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         report.push_str(&format!("flows written to {path}\n"));
     }
     if let Some(path) = args.get("out-trace") {
-        // Re-simulate a small demonstration trace in the matching schema.
+        // Only the header of the city's schema: a template for --in-trace.
         let schema = if model.name() == "dublin" {
             TraceSchema::Dublin
         } else {

@@ -149,33 +149,45 @@ where
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "help" {
         return Ok(USAGE.to_string());
     }
-    let command = raw[0].clone();
+    let name = raw[0].as_str();
     let rest = &raw[1..];
+    let found = command(name);
     if rest.first().map(String::as_str) == Some("--help") {
-        return Ok(match command.as_str() {
-            "generate" => commands::generate::USAGE.to_string(),
-            "place" => commands::place::USAGE.to_string(),
-            "figures" => commands::figures::USAGE.to_string(),
-            "simulate" => commands::simulate::USAGE.to_string(),
-            "stream" => commands::stream::USAGE.to_string(),
-            "snapshot" => commands::snapshot::USAGE.to_string(),
-            "serve" => commands::serve::USAGE.to_string(),
-            _ => USAGE.to_string(),
-        });
+        return Ok(found.map_or(USAGE, |(usage, _)| usage).to_string());
     }
+    let Some((usage, run)) = found else {
+        return Err(CliError::Usage(format!(
+            "unknown command `{name}`\n\n{USAGE}"
+        )));
+    };
+    run(&parse_options(usage, rest)?)
+}
+
+/// A command's entry point.
+type Run = fn(&args::Args) -> Result<String, CliError>;
+
+/// The usage text and entry point of the command `name`, or `None` for an
+/// unknown command. The usage text is also the one list of the options the
+/// command accepts.
+fn command(name: &str) -> Option<(&'static str, Run)> {
+    Some(match name {
+        "generate" => (commands::generate::USAGE, commands::generate::run),
+        "place" => (commands::place::USAGE, commands::place::run),
+        "figures" => (commands::figures::USAGE, commands::figures::run),
+        "simulate" => (commands::simulate::USAGE, commands::simulate::run),
+        "stream" => (commands::stream::USAGE, commands::stream::run),
+        "snapshot" => (commands::snapshot::USAGE, commands::snapshot::run),
+        "serve" => (commands::serve::USAGE, commands::serve::run),
+        _ => return None,
+    })
+}
+
+/// Parses a command's arguments, rejecting any option its `usage` text
+/// does not name.
+fn parse_options(usage: &str, rest: &[String]) -> Result<args::Args, CliError> {
     let parsed = args::Args::parse(rest.iter().cloned())?;
-    match command.as_str() {
-        "generate" => commands::generate::run(&parsed),
-        "place" => commands::place::run(&parsed),
-        "figures" => commands::figures::run(&parsed),
-        "simulate" => commands::simulate::run(&parsed),
-        "stream" => commands::stream::run(&parsed),
-        "snapshot" => commands::snapshot::run(&parsed),
-        "serve" => commands::serve::run(&parsed),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{USAGE}"
-        ))),
-    }
+    parsed.reject_undocumented(usage)?;
+    Ok(parsed)
 }
 
 /// A test's scratch directory, `$TMPDIR/rap_cli_{pid}_{test}`, removed
@@ -226,6 +238,60 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(matches!(dispatch(["frobnicate"]), Err(CliError::Usage(_))));
+    }
+
+    const COMMANDS: [&str; 7] = [
+        "generate", "place", "figures", "simulate", "stream", "snapshot", "serve",
+    ];
+
+    #[test]
+    fn misspelt_options_are_rejected_before_anything_runs() {
+        // A misspelt option must stop the run, not fall back to its default.
+        let err = dispatch([
+            "place",
+            "--graph",
+            "g.txt",
+            "--flows",
+            "f.csv",
+            "--shop",
+            "60",
+            "--k",
+            "5",
+            "--algoritm",
+            "lazy",
+            "--thread",
+            "4",
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Args(args::ArgsError::UnknownOption(o)) if o == "algoritm"),
+            "{err}"
+        );
+        for name in COMMANDS {
+            let err = dispatch([name, "--no-such-option", "1"]).unwrap_err();
+            assert!(
+                matches!(err, CliError::Args(args::ArgsError::UnknownOption(_))),
+                "{name}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_documented_option_is_accepted() {
+        for name in COMMANDS {
+            let (usage, _) = command(name).unwrap();
+            let options = args::documented_options(usage);
+            assert!(options.len() >= 2, "{name} documents {options:?}");
+            let raw: Vec<String> = options
+                .iter()
+                .flat_map(|o| [format!("--{o}"), "1".to_string()])
+                .collect();
+            let parsed = parse_options(usage, &raw).unwrap();
+            for o in options {
+                assert_eq!(parsed.get(o), Some("1"), "{name} --{o}");
+            }
+        }
+        assert!(args::documented_options(commands::generate::USAGE).contains("out-trace"));
     }
 
     #[test]

@@ -86,8 +86,7 @@ pub struct MarginalGreedy;
 
 impl MarginalGreedy {
     /// Like [`place`](PlacementAlgorithm::place), additionally returning the
-    /// number of gain evaluations performed (the ablation metric reported in
-    /// `BENCH_greedy.json`).
+    /// number of gain evaluations performed (the engines' ablation metric).
     pub fn place_with_stats(&self, scenario: &Scenario, k: usize) -> (Placement, u64) {
         let candidates = scenario.candidates();
         let mut best_value = vec![0.0f64; scenario.flows().len()];

@@ -19,14 +19,13 @@
 //! accelerations only reorder independent work or skip provably useless
 //! node expansions — so callers pick a [`BuildMode`] by performance, never
 //! by semantics. The returned [`BuildReport`] records what was chosen and
-//! how long each phase took, which is what `bench_build` tabulates.
+//! how long each phase took.
 
 use crate::detour::DetourTable;
 use crate::error::PlacementError;
 use crate::scenario::Scenario;
 use crate::utility::UtilityFunction;
 use rap_graph::landmarks::Landmarks;
-use rap_graph::sssp::{SsspKernel, SsspWorkspace};
 use rap_graph::tiles::TileGrid;
 use rap_graph::{NodeId, RoadGraph};
 use rap_traffic::plan::RoutePlan;
@@ -41,11 +40,11 @@ pub enum BuildMode {
     /// choice everywhere outside benchmarks.
     #[default]
     Auto,
-    /// Force the unaccelerated sequential path — the baseline side of the
-    /// bench comparisons.
+    /// Force the unaccelerated sequential path — the reference side of the
+    /// identity checks.
     Plain,
-    /// Force every acceleration on regardless of instance size — lets the
-    /// benches exercise the accelerated path on downsized smoke instances.
+    /// Force every acceleration on regardless of instance size — lets tests
+    /// exercise the accelerated path on downsized instances.
     Accelerated,
 }
 
@@ -75,8 +74,6 @@ pub struct BuildReport {
     pub flows: usize,
     /// The acceleration plan the build executed.
     pub plan: RoutePlan,
-    /// Queue kernel the SSSP workspace selected for this graph.
-    pub kernel: SsspKernel,
     /// Tiles in the spatial partition (0 when tiling was off).
     pub tile_count: usize,
     /// Milliseconds selecting landmarks and building the tile grid.
@@ -120,7 +117,6 @@ pub fn build_scenario(
                 .unwrap_or_else(rap_traffic::parallel::default_threads),
         ),
     };
-    let kernel = SsspWorkspace::for_graph(&graph).kernel();
 
     // Phase 1 — acceleration structures: landmark distance tables and the
     // spatial tile partition.
@@ -164,7 +160,6 @@ pub fn build_scenario(
             nodes,
             flows: flow_count,
             plan,
-            kernel,
             tile_count,
             landmark_ms,
             routing_ms,

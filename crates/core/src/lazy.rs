@@ -92,8 +92,8 @@ pub struct LazyGreedy;
 
 impl LazyGreedy {
     /// Like [`place`](PlacementAlgorithm::place), additionally returning the
-    /// number of gain evaluations performed (the ablation metric reported in
-    /// `BENCH_greedy.json`). A fresh [`CelfRun`] advanced to `k`.
+    /// number of gain evaluations performed (the engines' ablation metric).
+    /// A fresh [`CelfRun`] advanced to `k`.
     pub fn place_with_stats(&self, scenario: &Scenario, k: usize) -> (Placement, u64) {
         let mut run = CelfRun::new(scenario);
         let (raps, evals) = run.advance_to(k);

@@ -5,11 +5,9 @@
 //!
 //! * [`DistanceMatrix::dijkstra_all`] — `|V|` Dijkstra runs,
 //!   `O(|V|·(|V|+|E|)·log|V|)`, the practical choice on sparse road networks;
-//! * [`DistanceMatrix::dijkstra_all_parallel`] — the same fanned out over
-//!   `std` scoped threads;
 //! * [`DistanceMatrix::floyd_warshall`] — the classical `O(|V|³)` dynamic
 //!   program, kept as an independent reference implementation that the test
-//!   suite cross-checks the Dijkstra variants against.
+//!   suite cross-checks both Dijkstra kernels against.
 
 use crate::dijkstra::Direction;
 use crate::graph::RoadGraph;
@@ -72,46 +70,10 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
-    /// Computes all pairs with one Dijkstra per node, fanned out over
-    /// `threads` scoped threads (one reusable [`SsspWorkspace`]
-    /// per worker).
-    ///
-    /// Produces exactly the same matrix as [`DistanceMatrix::dijkstra_all`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn dijkstra_all_parallel(graph: &RoadGraph, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        let n = graph.node_count();
-        if n == 0 {
-            return DistanceMatrix {
-                n,
-                data: Vec::new(),
-            };
-        }
-        let mut data = vec![Distance::MAX; n * n];
-        let rows_per_chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in data.chunks_mut(rows_per_chunk * n).enumerate() {
-                let first_row = chunk_idx * rows_per_chunk;
-                scope.spawn(move || {
-                    let mut ws = SsspWorkspace::for_graph(graph);
-                    for (i, row) in chunk.chunks_mut(n).enumerate() {
-                        let u = NodeId::new((first_row + i) as u32);
-                        ws.run(graph, u, Direction::Forward);
-                        ws.copy_distances_into(row);
-                    }
-                });
-            }
-        });
-        DistanceMatrix { n, data }
-    }
-
     /// Computes all pairs with the Floyd–Warshall dynamic program.
     ///
     /// `O(|V|³)` regardless of sparsity — use only on small graphs and as a
-    /// cross-check of the Dijkstra-based variants.
+    /// cross-check of both Dijkstra kernels.
     pub fn floyd_warshall(graph: &RoadGraph) -> Self {
         let n = graph.node_count();
         let mut data = vec![Distance::MAX; n * n];
@@ -188,7 +150,6 @@ mod tests {
     use super::*;
     use crate::geometry::Point;
     use crate::graph::GraphBuilder;
-    use crate::grid::GridGraph;
 
     fn sample() -> RoadGraph {
         let mut b = GraphBuilder::new();
@@ -211,20 +172,6 @@ mod tests {
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(a.get(u, v), b.get(u, v), "pair ({u}, {v})");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = GridGraph::new(6, 7, Distance::from_feet(100)).into_graph();
-        let seq = DistanceMatrix::dijkstra_all(&g);
-        for threads in [1, 2, 4, 9] {
-            let par = DistanceMatrix::dijkstra_all_parallel(&g, threads);
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    assert_eq!(seq.get(u, v), par.get(u, v));
-                }
             }
         }
     }
@@ -298,14 +245,5 @@ mod tests {
         assert_eq!(m.node_count(), 0);
         assert_eq!(m.diameter(), None);
         assert!(m.strongly_connected()); // vacuously
-        let mp = DistanceMatrix::dijkstra_all_parallel(&g, 4);
-        assert_eq!(mp.node_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count")]
-    fn zero_threads_panics() {
-        let g = sample();
-        let _ = DistanceMatrix::dijkstra_all_parallel(&g, 0);
     }
 }

@@ -1,21 +1,21 @@
 //! ALT landmarks: goal-directed search with triangle-inequality bounds.
 //!
 //! A* needs a lower bound on the remaining distance. Euclidean geometry
-//! gives one ([`crate::astar`]), but it degrades when edge weights exceed
-//! straight-line distances (bridges, one-ways) and vanishes on graphs whose
-//! weights are decoupled from geometry. The ALT technique (Goldberg &
-//! Harrelson) instead precomputes exact distances to a few *landmarks* `l`
-//! and bounds via the triangle inequality:
+//! gives one, but it degrades when edge weights exceed straight-line
+//! distances (bridges, one-ways) and vanishes on graphs whose weights are
+//! decoupled from geometry. The ALT technique (Goldberg & Harrelson)
+//! instead precomputes exact distances to a few *landmarks* `l` and bounds
+//! via the triangle inequality:
 //!
 //! ```text
 //! d(v, t) ≥ max_l  max( d(v, l) − d(t, l),  d(l, t) − d(l, v) )
 //! ```
 //!
 //! Landmarks are chosen by farthest-point selection, which puts them on the
-//! periphery where the bounds are tight. The map-matcher and CLI use this
-//! for repeated point-to-point queries on one city, and the batched routing
-//! engine ([`crate::sssp::SsspWorkspace::run_to_targets_pruned`]) uses the
-//! same tables to prune one-to-many target searches.
+//! periphery where the bounds are tight. [`alt_path`] answers one
+//! point-to-point query with them, and the batched routing engine
+//! ([`crate::sssp::SsspWorkspace::run_to_targets_pruned`]) uses the same
+//! tables to prune one-to-many target searches.
 //!
 //! The triangle inequality also yields *upper* bounds — routing through a
 //! landmark is a real (if indirect) path:

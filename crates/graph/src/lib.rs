@@ -20,8 +20,8 @@
 //!   Dijkstra with a reusable epoch-stamped [`SsspWorkspace`], automatic
 //!   bucket-vs-heap selection by edge-length spread, and early-exit runs for
 //!   routing workloads. Bit-identical results to [`dijkstra`].
-//! * [`apsp`] — all-pairs shortest paths, sequential or parallelized with
-//!   `std` scoped threads, plus a Floyd–Warshall reference used in tests.
+//! * [`apsp`] — all-pairs shortest paths, one [`SsspWorkspace`] run per
+//!   node, plus a Floyd–Warshall reference used in tests.
 //! * [`grid`] — Manhattan-grid generator used by the grid scenario of the
 //!   paper (Section IV).
 //! * [`generators`] — random city-like graph generators (geometric, radial
@@ -46,8 +46,6 @@
 //! ```
 
 pub mod apsp;
-pub mod astar;
-pub mod bidirectional;
 pub mod connectivity;
 pub mod dijkstra;
 pub mod error;
@@ -56,7 +54,6 @@ pub mod geometry;
 pub mod graph;
 pub mod grid;
 pub mod io;
-pub mod k_shortest;
 pub mod landmarks;
 pub mod node;
 pub mod path;

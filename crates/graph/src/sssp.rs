@@ -92,16 +92,6 @@ pub enum SsspKernel {
     BinaryHeap,
 }
 
-impl SsspKernel {
-    /// Stable lowercase name, for logs and benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SsspKernel::BucketQueue => "bucket-queue",
-            SsspKernel::BinaryHeap => "binary-heap",
-        }
-    }
-}
-
 /// Upper bound on the bucket array length (`max_edge + 1`); graphs with
 /// longer edges use the binary heap. 2^16 buckets cap the circular array at
 /// a well-bounded footprint while covering any realistic street segment
@@ -300,8 +290,8 @@ impl SsspWorkspace {
     }
 
     /// Builds a workspace with an explicitly chosen kernel, overriding the
-    /// automatic selection. Used by the equivalence property tests and the
-    /// construction benchmark; prefer [`SsspWorkspace::for_graph`].
+    /// automatic selection. Used by the equivalence tests; prefer
+    /// [`SsspWorkspace::for_graph`].
     ///
     /// # Panics
     ///

@@ -1,12 +1,10 @@
 //! Graph health validation and summary reports.
 //!
 //! Generated city models should be sane before experiments consume them:
-//! strongly connected (else flows silently drop), geometrically consistent
-//! (else A*'s heuristic collapses), and with plausible intersection degrees.
-//! [`GraphReport::analyze`] gathers these checks into one structure the CLI
-//! and the city generators assert against.
+//! strongly connected (else flows silently drop) and with plausible
+//! intersection degrees. [`GraphReport::analyze`] gathers these checks into
+//! one structure.
 
-use crate::astar::admissible_scale;
 use crate::connectivity::Components;
 use crate::graph::RoadGraph;
 use crate::node::Distance;
@@ -33,8 +31,6 @@ pub struct GraphReport {
     pub min_edge: Distance,
     /// Longest street segment.
     pub max_edge: Distance,
-    /// The A* admissibility scale (1.0 = geometry and weights agree).
-    pub heuristic_scale: f64,
     /// Number of isolated intersections (degree 0 both ways).
     pub isolated: usize,
 }
@@ -81,7 +77,6 @@ impl GraphReport {
             },
             min_edge,
             max_edge,
-            heuristic_scale: admissible_scale(graph),
             isolated,
         }
     }
@@ -98,7 +93,7 @@ impl fmt::Display for GraphReport {
         write!(
             f,
             "{} nodes, {} edges, {} scc (largest {}), out-degree {}..{} \
-             (mean {:.1}), edges {}..{}, heuristic scale {:.2}, {} isolated",
+             (mean {:.1}), edges {}..{}, {} isolated",
             self.nodes,
             self.edges,
             self.components,
@@ -108,7 +103,6 @@ impl fmt::Display for GraphReport {
             self.mean_out_degree,
             self.min_edge,
             self.max_edge,
-            self.heuristic_scale,
             self.isolated
         )
     }

@@ -14,12 +14,13 @@
 //! * **Spatial tiling** — tile partitions only matter once a single
 //!   shortest-path tree stops fitting in cache.
 //!
-//! [`RoutePlan::auto`] centralizes those thresholds so every caller (the
-//! scenario builder, the CLI, the benches) makes the same choice and tiny
-//! instances never pay setup costs they cannot amortize. The thresholds are
-//! deliberately coarse — each guards against an order-of-magnitude
-//! mis-selection, not a 10% one — and are exported as `pub const` so benches
-//! and tests can pin instances to either side of a boundary.
+//! [`RoutePlan::auto`] centralizes those thresholds so every caller of the
+//! scenario builder (`rap_core::build_scenario`) makes the same choice and
+//! tiny instances never pay setup costs they cannot amortize. The
+//! thresholds are deliberately coarse — each guards against an
+//! order-of-magnitude mis-selection, not a 10% one — and are exported as
+//! `pub const` so the benchmark and tests can pin instances to either side
+//! of a boundary.
 
 use crate::parallel;
 
@@ -109,8 +110,9 @@ impl RoutePlan {
         }
     }
 
-    /// Everything on, regardless of instance size — used by benches to
-    /// exercise the accelerated path on downsized smoke instances.
+    /// Everything on, regardless of instance size — lets tests and the
+    /// benchmark's tiny size exercise the accelerated path on downsized
+    /// instances.
     pub fn accelerated(threads: usize) -> Self {
         RoutePlan {
             threads: threads.max(1),

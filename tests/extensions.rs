@@ -1,10 +1,10 @@
 //! Integration tests for the extensions beyond the paper's core algorithms:
-//! budgeted placement, swap local search, multi-ad scheduling, optimality
-//! bounds, and the generalized shortest-path machinery.
+//! budgeted placement, swap local search, multi-ad scheduling and
+//! optimality bounds.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rap_vcps::graph::{k_shortest, Distance, GridGraph, NodeId};
+use rap_vcps::graph::Distance;
 use rap_vcps::placement::{
     certified_fraction, upper_bound, AdCampaign, BudgetedGreedy, CompositeGreedy, GreedyWithSwaps,
     PlacementAlgorithm, Scenario, ScheduleGreedy, SiteCosts, UtilityKind,
@@ -89,20 +89,4 @@ fn scheduling_across_city_shops() {
     let two_slots = campaign.evaluate(&ScheduleGreedy.schedule(&campaign, 6, 2));
     assert!(one_slot > 0.0);
     assert!(two_slots + 1e-9 >= one_slot);
-}
-
-#[test]
-fn k_shortest_supports_flexible_routing_analysis() {
-    // The general-graph analogue of Section IV's multiplicity property: on a
-    // grid embedded in a road graph, count_shortest_paths matches the
-    // binomial count, and Yen's enumeration agrees.
-    let grid = GridGraph::new(4, 4, Distance::from_feet(100));
-    let g = grid.graph();
-    let from = NodeId::new(0);
-    let to = NodeId::new(15);
-    let count = k_shortest::count_shortest_paths(g, from, to);
-    assert_eq!(count, 20); // C(6, 3)
-    let paths = k_shortest::k_shortest_paths(g, from, to, 25).unwrap();
-    let min_len = paths[0].length();
-    assert_eq!(paths.iter().filter(|p| p.length() == min_len).count(), 20);
 }

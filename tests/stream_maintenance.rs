@@ -1,16 +1,24 @@
-//! Tier-1 coverage of the streaming write path: a tiny seeded drift stream
+//! Tier-1 coverage of the streaming write path: seeded drift streams
 //! through `rap_stream::Maintainer`, the loop `rap stream` runs.
 //!
 //! Staleness checks measure the singleton bound and the serving objective
 //! straight off `MutableScenario`'s live arrays. At every check boundary
-//! this test measures both on a materialized snapshot too and demands the
-//! same bits. It then pins the maintenance trajectory (checks, repairs,
+//! the first test measures both on a materialized snapshot too and demands
+//! the same bits. It then pins the maintenance trajectory (checks, repairs,
 //! resolves, final placement, final objective bits), so a change to how
 //! checks measure cannot silently change what the stream decides.
+//!
+//! The second test is the quality gate: on a mid-size city the maintained
+//! placement must stay within 5% of a from-scratch greedy throughout a
+//! long drift stream.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rap_stream::{MaintainAction, Maintainer, MaintainerConfig, StreamDelta, SyntheticDrift};
 use rap_vcps::graph::{Distance, GridGraph};
-use rap_vcps::placement::{singleton_upper_bound, MutableScenario, Placement, UtilityKind};
+use rap_vcps::placement::{
+    singleton_upper_bound, LazyGreedy, MutableScenario, Placement, PlacementAlgorithm, UtilityKind,
+};
 use rap_vcps::traffic::demand::{uniform_demand, DemandParams};
 use rap_vcps::traffic::FlowSet;
 
@@ -27,21 +35,30 @@ const FINAL_RAPS: [u32; 4] = [19, 3, 27, 11];
 /// 8933.85964293531 customers/day.
 const FINAL_OBJECTIVE_BITS: u64 = 0x40c1_72ee_08c7_9ab2;
 
-fn scenario() -> MutableScenario {
-    let grid = GridGraph::new(8, 8, Distance::from_feet(500));
+/// A `side × side` grid at 500 ft with `flows` uniform flows (volume
+/// 100–1,000, drawn from `demand_seed`) and the shop at the center, under
+/// a linear utility with D = `d_feet`.
+fn grid_city(
+    side: u32,
+    flows: usize,
+    attractiveness: f64,
+    demand_seed: u64,
+    d_feet: u64,
+) -> MutableScenario {
+    let grid = GridGraph::new(side, side, Distance::from_feet(500));
     let params = DemandParams {
-        flows: 40,
+        flows,
         min_volume: 100.0,
         max_volume: 1_000.0,
-        attractiveness: 0.01,
+        attractiveness,
     };
-    let specs = uniform_demand(grid.graph(), params, 17).unwrap();
+    let specs = uniform_demand(grid.graph(), params, demand_seed).unwrap();
     let flows = FlowSet::route(grid.graph(), specs).unwrap();
     MutableScenario::new(
         grid.graph().clone(),
         flows,
         vec![grid.center()],
-        UtilityKind::Linear.instantiate(Distance::from_feet(2_000)),
+        UtilityKind::Linear.instantiate(Distance::from_feet(d_feet)),
     )
     .unwrap()
 }
@@ -64,7 +81,7 @@ fn assert_live_matches_snapshot(scenario: &mut MutableScenario, serving: &Placem
 
 #[test]
 fn seeded_drift_checks_match_snapshots_and_keep_the_trajectory() {
-    let mut scenario = scenario();
+    let mut scenario = grid_city(8, 40, 0.01, 17, 2_000);
     let cfg = MaintainerConfig {
         k: K,
         check_interval: CHECK_INTERVAL,
@@ -126,4 +143,50 @@ fn seeded_drift_checks_match_snapshots_and_keep_the_trajectory() {
         "final objective {}",
         maintainer.objective()
     );
+}
+
+#[test]
+fn maintained_placement_stays_within_five_percent_of_a_fresh_greedy() {
+    const K: usize = 10;
+    const DELTAS: usize = 10_000;
+    const CHECKPOINT_EVERY: usize = 1_000;
+    const SEED: u64 = 2015;
+    /// Largest tolerated shortfall against the fresh greedy.
+    const GAP_TOLERANCE: f64 = 0.05;
+
+    let mut scenario = grid_city(20, 400, 0.001, 42, 5_000);
+    let cfg = MaintainerConfig {
+        k: K,
+        seed: SEED,
+        ..MaintainerConfig::default()
+    };
+    let mut maintainer = Maintainer::new(cfg, &mut scenario).unwrap();
+    let drift = SyntheticDrift::new(
+        scenario.graph().node_count() as u32,
+        scenario.live_stable_ids(),
+        scenario.next_stable_id(),
+        DELTAS,
+        SEED,
+    );
+    let mut applied = 0usize;
+    for delta in drift {
+        let StreamDelta::Flow(delta) = delta else {
+            unreachable!("synthetic drift never forces a compaction");
+        };
+        scenario.apply(&delta).unwrap();
+        applied += 1;
+        maintainer.note_delta(&mut scenario);
+        if applied.is_multiple_of(CHECKPOINT_EVERY) {
+            let snap = scenario.snapshot();
+            let maintained = snap.evaluate(maintainer.placement());
+            let fresh = LazyGreedy.place(&snap, K, &mut StdRng::seed_from_u64(SEED));
+            let oracle = snap.evaluate(&fresh);
+            assert!(
+                maintained >= (1.0 - GAP_TOLERANCE) * oracle,
+                "maintained {maintained} fell more than 5% behind the fresh greedy's \
+                 {oracle} at delta {applied}"
+            );
+        }
+    }
+    assert_eq!(applied, DELTAS, "the drift source must emit every delta");
 }
