@@ -5,12 +5,13 @@ use crate::CliError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage, GreedyWithSwaps,
-    InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MaxCardinality, MaxCustomers,
-    MaxVehicles, Placement, PlacementAlgorithm, PlacementReport, Random, Scenario, UtilityKind,
+    build_scenario, BuildOptions, CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage,
+    GreedyWithSwaps, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MaxCardinality,
+    MaxCustomers, MaxVehicles, Placement, PlacementAlgorithm, PlacementError, PlacementReport,
+    Random, Scenario,
 };
 use rap_graph::{Distance, NodeId};
-use rap_traffic::{FlowSet, FlowSpec};
+use rap_traffic::FlowSpec;
 use serde::Serialize;
 
 /// Options accepted by `rap place`.
@@ -18,18 +19,16 @@ pub const USAGE: &str = "\
 rap place --graph FILE --flows FILE --shop NODE --k N
           [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
           [--algorithm alg1|alg2|marginal|lazy|inverted|swaps|maxcard|maxveh|maxcust|random|optimal|all]
-          [--lenient true] [--json true] [--threads N] [--route-threads N]
+          [--lenient true] [--json true] [--threads N]
 
 --graph  street network in the rap-graph text format (see `rap generate`)
 --flows  CSV with header origin,destination,volume,alpha
---threads        worker threads for the inverted engine's index build (0,
-                 the default, builds on one; the greedy itself always runs
-                 on one thread) and the --route-threads default, so one
-                 flag pins the whole run's parallelism. Placements are
-                 bit-identical at any value.
---route-threads  worker threads for flow routing and detour-table
-                 preprocessing; 0 (the default) falls back to --threads,
-                 then auto-detects
+--threads        worker threads for the scenario build on large instances
+                 (flow routing and detour-table preprocessing; 0, the
+                 default, uses every core, and small instances always
+                 build on one) and for the inverted engine's index build
+                 (0 builds on one; the greedy itself always runs on one
+                 thread). Placements are bit-identical at any value.
 --lenient        quarantine malformed flow rows (with a count in the
                  report) instead of aborting on the first one
 --json           emit one machine-readable JSON report (placement,
@@ -37,24 +36,6 @@ rap place --graph FILE --flows FILE --shop NODE --k N
                  text report — the same format family the `rap stream`
                  events use
 Prints the chosen placement(s) and quality reports.";
-
-/// Resolves `--route-threads` (shared with `rap stream` and `rap snapshot`):
-/// 0 — the default — falls back to `--threads` (the index-build width, so a
-/// single flag pins the whole run's parallelism) and then auto-detects via
-/// [`rap_traffic::parallel::default_threads`]; any explicit value is clamped
-/// to the available work downstream by the routing layer.
-pub(crate) fn route_threads(args: &Args) -> Result<usize, CliError> {
-    let requested: usize = args.get_or("route-threads", "integer", 0)?;
-    if requested != 0 {
-        return Ok(requested);
-    }
-    let engine: usize = args.get_or("threads", "integer", 0)?;
-    Ok(if engine != 0 {
-        engine
-    } else {
-        rap_traffic::parallel::default_threads()
-    })
-}
 
 /// Parses the flow summary CSV written by `rap generate` (shared with
 /// `rap stream`). In lenient mode malformed rows are counted instead of
@@ -176,34 +157,30 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let flows_path = args.required("flows")?;
     let shop: u32 = args.required_parsed("shop", "node id")?;
     let k: usize = args.required_parsed("k", "integer")?;
-    let d: u64 = args.get_or("d", "feet", 2_500)?;
+    let (utility, d) = super::utility_and_threshold(args, "linear")?;
     let seed: u64 = args.get_or("seed", "integer", 2015)?;
-    let utility = match args.get("utility").unwrap_or("linear") {
-        "threshold" => UtilityKind::Threshold,
-        "linear" => UtilityKind::Linear,
-        "sqrt" => UtilityKind::Sqrt,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown utility `{other}` (expected threshold, linear, or sqrt)"
-            )))
-        }
-    };
     let algorithm = args.get("algorithm").unwrap_or("alg2");
     let lenient: bool = args.get_or("lenient", "true/false", false)?;
     let json: bool = args.get_or("json", "true/false", false)?;
-    let engine_threads: usize = args.get_or("threads", "integer", 0)?;
+    let threads: usize = args.get_or("threads", "integer", 0)?;
 
-    let threads = route_threads(args)?;
     let graph = rap_graph::io::read_text(std::fs::File::open(graph_path)?)?;
     let (specs, quarantined) = read_flows(flows_path, lenient)?;
-    let flows = FlowSet::route_parallel(&graph, specs, threads)?;
-    let scenario = Scenario::new_with_threads(
+    let opts = BuildOptions {
+        threads: (threads > 0).then_some(threads),
+        ..BuildOptions::default()
+    };
+    let (scenario, _) = build_scenario(
         graph,
-        flows,
+        specs,
         vec![NodeId::new(shop)],
         utility.instantiate(Distance::from_feet(d)),
-        threads,
-    )?;
+        &opts,
+    )
+    .map_err(|e| match e {
+        PlacementError::Traffic(e) => CliError::Traffic(e),
+        e => CliError::Placement(e),
+    })?;
 
     let names: Vec<&str> = if algorithm == "all" {
         ALL_ALGORITHMS.to_vec()
@@ -226,7 +203,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         })?;
         let mut rng = StdRng::seed_from_u64(seed);
         let (placement, engine_report) =
-            place_with_counters(name, alg.as_ref(), &scenario, k, engine_threads, &mut rng);
+            place_with_counters(name, alg.as_ref(), &scenario, k, threads, &mut rng);
         if json {
             json_algorithms.push(JsonAlgorithm {
                 algorithm: name.to_string(),
@@ -409,6 +386,107 @@ mod tests {
                 assert_eq!(row["objective"], alg["objective"], "{name}");
             }
         }
+    }
+
+    #[test]
+    fn json_report_matches_the_plain_reference_build() {
+        // `rap place` builds through `build_scenario` under
+        // `BuildMode::Auto`; every algorithm must report the RAPs and
+        // objective bits that the plain sequential build gives in process,
+        // with the same algorithm and seed.
+        let dir = crate::TestDir::new("place_json_report_matches_the_plain_reference_build");
+        let gp = dir.path("seattle.txt");
+        let fp = dir.path("seattle.csv");
+        crate::dispatch([
+            "generate",
+            "--city",
+            "seattle",
+            "--journeys",
+            "40",
+            "--out-graph",
+            gp.to_str().unwrap(),
+            "--out-flows",
+            fp.to_str().unwrap(),
+        ])
+        .unwrap();
+        let args = Args::parse([
+            "--graph",
+            gp.to_str().unwrap(),
+            "--flows",
+            fp.to_str().unwrap(),
+            "--shop",
+            "60",
+            "--k",
+            "5",
+            "--d",
+            "2500",
+            "--algorithm",
+            "all",
+            "--json",
+            "true",
+        ])
+        .unwrap();
+        let report: serde::Value = serde_json::from_str(&run(&args).unwrap()).unwrap();
+
+        let graph = rap_graph::io::read_text(std::fs::File::open(&gp).unwrap()).unwrap();
+        let (specs, _) = read_flows(fp.to_str().unwrap(), false).unwrap();
+        let (plain, _) = build_scenario(
+            graph,
+            specs,
+            vec![NodeId::new(60)],
+            rap_core::UtilityKind::Linear.instantiate(Distance::from_feet(2_500)),
+            &BuildOptions {
+                mode: rap_core::BuildMode::Plain,
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap();
+        let rows = match &report["algorithms"] {
+            serde::Value::Seq(rows) => rows.clone(),
+            other => panic!("algorithms not an array: {other:?}"),
+        };
+        assert_eq!(rows.len(), ALL_ALGORITHMS.len());
+        for (row, name) in rows.iter().zip(ALL_ALGORITHMS) {
+            assert_eq!(row["algorithm"], name);
+            let mut rng = StdRng::seed_from_u64(2015);
+            let expected = algorithm_by_name(name).unwrap().place(&plain, 5, &mut rng);
+            let raps: Vec<u32> = match &row["raps"] {
+                serde::Value::Seq(items) => {
+                    items.iter().map(|v| v.as_f64().unwrap() as u32).collect()
+                }
+                other => panic!("{name}: raps not an array: {other:?}"),
+            };
+            let expected_raps: Vec<u32> = expected.iter().map(|v| v.raw()).collect();
+            assert_eq!(raps, expected_raps, "{name}");
+            assert_eq!(
+                row["objective"].as_f64().unwrap().to_bits(),
+                plain.evaluate(&expected).to_bits(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_threshold_is_a_usage_error() {
+        let dir = crate::TestDir::new("place_zero_threshold_is_a_usage_error");
+        let (gp, fp) = fixture(&dir);
+        let args = Args::parse([
+            "--graph",
+            gp.to_str().unwrap(),
+            "--flows",
+            fp.to_str().unwrap(),
+            "--shop",
+            "4",
+            "--k",
+            "2",
+            "--d",
+            "0",
+        ])
+        .unwrap();
+        assert!(
+            matches!(run(&args), Err(CliError::Usage(ref m)) if m.contains("--d")),
+            "--d 0 must be a usage error"
+        );
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::args::Args;
 use crate::CliError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rap_core::UtilityKind;
 use rap_graph::{Distance, GridGraph};
 use rap_manhattan::gen::{boundary_flows, class_histogram, BoundaryFlowParams};
 use rap_manhattan::simulate::{flexibility_gain, simulate_rap_seeking};
@@ -29,21 +28,11 @@ gain (RAP-seeking vs random-shortest-path drivers).";
 pub fn run(args: &Args) -> Result<String, CliError> {
     let side: u32 = args.get_or("side", "integer", 21)?;
     let spacing: u64 = args.get_or("spacing", "feet", 250)?;
-    let d: u64 = args.get_or("d", "feet", 2_500)?;
+    let (utility, d) = super::utility_and_threshold(args, "threshold")?;
     let flows: usize = args.get_or("flows", "integer", 100)?;
     let k: usize = args.get_or("k", "integer", 8)?;
     let seed: u64 = args.get_or("seed", "integer", 2015)?;
     let samples: usize = args.get_or("samples", "integer", 200)?;
-    let utility = match args.get("utility").unwrap_or("threshold") {
-        "threshold" => UtilityKind::Threshold,
-        "linear" => UtilityKind::Linear,
-        "sqrt" => UtilityKind::Sqrt,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown utility `{other}` (expected threshold, linear, or sqrt)"
-            )))
-        }
-    };
     if side < 2 {
         return Err(CliError::Usage("side must be at least 2".into()));
     }
@@ -126,6 +115,15 @@ mod tests {
         assert!(report.contains("Algorithm 3"));
         assert!(report.contains("flexibility"));
         assert!(report.contains("turned"));
+    }
+
+    #[test]
+    fn zero_threshold_is_a_usage_error() {
+        let args = Args::parse(["--side", "9", "--d", "0"]).unwrap();
+        assert!(matches!(
+            run(&args),
+            Err(CliError::Usage(ref m)) if m.contains("--d")
+        ));
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //! and prints the header facts. All three exit nonzero on any corruption,
 //! with a typed reason.
 
-use super::place::{read_flows, route_threads};
+use super::place::read_flows;
 use crate::args::Args;
 use crate::CliError;
 use rap_core::{
     decode_snapshot_with_threads, encode_snapshot, read_snapshot_file, section_directory,
     snapshot_crc32, verify_snapshot, write_snapshot_atomic, FaultPlan, MutableScenario,
-    UtilityKind,
 };
 use rap_graph::{Distance, NodeId};
+use rap_traffic::parallel::default_threads;
 use rap_traffic::FlowSet;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -30,8 +30,7 @@ use std::path::Path;
 pub const USAGE: &str = "\
 rap snapshot save   --file PATH --graph FILE --flows FILE --shop NODE
                     [--utility threshold|linear|sqrt] [--d FEET]
-                    [--route-threads N]
-rap snapshot load   --file PATH [--route-threads N]
+rap snapshot load   --file PATH
 rap snapshot verify --file PATH
 rap snapshot info   --file PATH
 
@@ -49,18 +48,8 @@ fn save(args: &Args, file: &Path) -> Result<String, CliError> {
     let graph_path = args.required("graph")?;
     let flows_path = args.required("flows")?;
     let shop: u32 = args.required_parsed("shop", "node id")?;
-    let d: u64 = args.get_or("d", "feet", 2_500)?;
-    let utility = match args.get("utility").unwrap_or("linear") {
-        "threshold" => UtilityKind::Threshold,
-        "linear" => UtilityKind::Linear,
-        "sqrt" => UtilityKind::Sqrt,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown utility `{other}` (expected threshold, linear, or sqrt)"
-            )))
-        }
-    };
-    let threads = route_threads(args)?;
+    let (utility, d) = super::utility_and_threshold(args, "linear")?;
+    let threads = default_threads();
     let graph = rap_graph::io::read_text(std::fs::File::open(graph_path)?)?;
     let (specs, _) = read_flows(flows_path, false)?;
     let flows = FlowSet::route_parallel(&graph, specs, threads)?;
@@ -82,10 +71,9 @@ fn save(args: &Args, file: &Path) -> Result<String, CliError> {
     ))
 }
 
-fn load(args: &Args, file: &Path) -> Result<String, CliError> {
-    let threads = route_threads(args)?.max(1);
+fn load(file: &Path) -> Result<String, CliError> {
     let bytes = read_snapshot_file(file, &FaultPlan::none())?;
-    let contents = decode_snapshot_with_threads(&bytes, threads)?;
+    let contents = decode_snapshot_with_threads(&bytes, default_threads())?;
     let scenario = contents.scenario;
     let mut out = format!(
         "snapshot ok: {} ({} bytes)\n  epoch {}  compactions {}  live flows {}  entries {} ({} dead)\n  source position {}\n",
@@ -194,7 +182,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let file = std::path::PathBuf::from(args.required("file")?);
     match sub {
         "save" => save(args, &file),
-        "load" => load(args, &file),
+        "load" => load(&file),
         "verify" => verify(&file),
         "info" => info(&file),
         other => Err(CliError::Usage(format!(
@@ -220,6 +208,31 @@ mod tests {
         )
         .unwrap();
         (gp, fp)
+    }
+
+    #[test]
+    fn save_rejects_a_zero_threshold() {
+        let dir = crate::TestDir::new("snapshot_save_rejects_a_zero_threshold");
+        let (gp, fp) = fixture(&dir);
+        let snap = dir.path("zero.snap");
+        let argv = [
+            "save",
+            "--file",
+            snap.to_str().unwrap(),
+            "--graph",
+            gp.to_str().unwrap(),
+            "--flows",
+            fp.to_str().unwrap(),
+            "--shop",
+            "12",
+            "--d",
+            "0",
+        ];
+        assert!(matches!(
+            run(&Args::parse(argv).unwrap()),
+            Err(CliError::Usage(ref m)) if m.contains("--d")
+        ));
+        assert!(!snap.exists(), "a rejected save must write nothing");
     }
 
     #[test]

@@ -36,7 +36,6 @@ rap stream --k N [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
            [--journeys N] [--window N]             [replay mode only]
            [--threshold F] [--check-interval N] [--threads N]
            [--metrics-interval N] [--strict true] [--out FILE]
-           [--route-threads N]
            [--wal FILE] [--snapshot FILE] [--snapshot-every N]
            [--fsync always|never|every-n] [--fsync-n N]
            [--resume true] [--record-deltas FILE] [--crash-after N]
@@ -54,13 +53,13 @@ rap stream --k N [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
 --threshold        certified staleness that triggers a repair (default 0.05)
 --check-interval   applied deltas between staleness checks (default 32)
 --threads          worker threads for the inverted-index build behind the
-                   initial solve and each escalation (default 4); the greedy
-                   runs on one thread. Placements are identical at any value
+                   initial solve and each escalation (default 4), and for
+                   flow routing and detour-table preprocessing (default:
+                   every core); the greedy runs on one thread. Placements
+                   are identical at any value
 --metrics-interval applied deltas between metrics events (default 1000)
 --strict           stop at the first rejected delta instead of skipping it
 --out              write NDJSON events here instead of to stdout
---route-threads    worker threads for flow routing and detour-table
-                   preprocessing; 0 (the default) falls back to --threads
 --wal              write-ahead-log every source item here (crash safety)
 --snapshot         rotate checksummed scenario snapshots here (needs --wal)
 --snapshot-every   journaled items between snapshot rotations (default 1024)
@@ -425,18 +424,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 /// [`run`], with `stdout` standing in for the process's standard output.
 fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliError> {
     let k: usize = args.required_parsed("k", "integer")?;
-    let d: u64 = args.get_or("d", "feet", 2_500)?;
+    let (utility, d) = super::utility_and_threshold(args, "linear")?;
     let seed: u64 = args.get_or("seed", "integer", 2015)?;
-    let utility = match args.get("utility").unwrap_or("linear") {
-        "threshold" => UtilityKind::Threshold,
-        "linear" => UtilityKind::Linear,
-        "sqrt" => UtilityKind::Sqrt,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown utility `{other}` (expected threshold, linear, or sqrt)"
-            )))
-        }
-    };
 
     let defaults = MaintainerConfig::default();
     let cfg = StreamConfig {
@@ -456,7 +445,10 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
         strict: args.get_or("strict", "true/false", false)?,
     };
 
-    let route_threads = super::place::route_threads(args)?;
+    let route_threads = match args.get_or("threads", "integer", 0)? {
+        0 => rap_traffic::parallel::default_threads(),
+        given => given,
+    };
     let (dur_cfg, resume) = durability_config(args)?;
 
     // Resolve the scenario, the delta source (with any WAL replay
@@ -466,7 +458,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
         let dcfg = dur_cfg
             .clone()
             .expect("durability_config ties --resume to --wal");
-        match prepare_resume(dcfg, route_threads.max(1))? {
+        match prepare_resume(dcfg, route_threads)? {
             ResumePoint::Snapshot(setup) => {
                 // Warm resume: the snapshot is the scenario; only the
                 // source is rebuilt, and it skips everything the snapshot
@@ -706,6 +698,20 @@ mod tests {
         let report = run_quietly(&Args::parse(argv).unwrap()).unwrap();
         assert!(report.contains("stream done:"), "{report}");
         assert!(report.contains("\"deltas_rejected\": 0"), "{report}");
+    }
+
+    #[test]
+    fn zero_threshold_is_a_usage_error() {
+        let dir = crate::TestDir::new("stream_zero_threshold_is_a_usage_error");
+        let (gp, fp) = fixture(&dir);
+        let mut argv = base_args(&gp, &fp);
+        let at = argv.iter().position(|a| a == "--d").unwrap();
+        argv[at + 1] = "0".to_string();
+        argv.extend(["--synthetic".to_string(), "10".to_string()]);
+        assert!(matches!(
+            run_quietly(&Args::parse(argv).unwrap()),
+            Err(CliError::Usage(ref m)) if m.contains("--d")
+        ));
     }
 
     #[test]

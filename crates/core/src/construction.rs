@@ -146,10 +146,8 @@ pub fn build_scenario(
 
     // Phase 3 — detour table, walking tile-aligned shards when available.
     let phase = Instant::now();
-    let detours = match &tiles {
-        Some(grid) => DetourTable::build_tiled(&graph, &flows, &shops, plan.threads, grid)?,
-        None => DetourTable::build_threaded(&graph, &flows, &shops, plan.threads)?,
-    };
+    let (detours, _, _) =
+        DetourTable::build_with_trees(&graph, &flows, &shops, plan.threads, tiles.as_ref())?;
     let detour_ms = phase.elapsed().as_secs_f64() * 1e3;
 
     let tile_count = tiles.as_ref().map_or(0, TileGrid::tile_count);

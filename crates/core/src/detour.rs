@@ -101,65 +101,24 @@ impl DetourTable {
         Ok(Self::build_with_trees(graph, flows, shops, 1, None)?.0)
     }
 
-    /// [`DetourTable::build`] with the per-shop tree runs fanned across
-    /// `threads` scoped worker threads (one reusable `SsspWorkspace` per
-    /// worker) and the CSR entries fill sharded over visit-mass-balanced
-    /// node ranges. Bit-identical output; `threads` is clamped by the shared
-    /// thread policy (to the shop count for the tree phase, the node count
-    /// for the fill), so `build_threaded(_, _, _, 1)` *is* the sequential
-    /// build.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DetourTable::build`].
-    pub fn build_threaded(
-        graph: &RoadGraph,
-        flows: &FlowSet,
-        shops: &[NodeId],
-        threads: usize,
-    ) -> Result<Self, PlacementError> {
-        Ok(Self::build_with_trees(graph, flows, shops, threads, None)?.0)
-    }
-
-    /// [`DetourTable::build_threaded`] with the CSR fill walking
-    /// **tile-aligned** node ranges instead of arbitrary mass-balanced ones:
-    /// each worker fills whole spatial cells, so its resident working set is
-    /// one tile's flows and adjacency rather than a random slice of the
-    /// city. Falls back to the untiled shard computation when the grid's
-    /// node ids are not tile-clustered ([`TileGrid::id_contiguous`]).
-    ///
-    /// Output is bit-identical to [`DetourTable::build`]: shards are
-    /// contiguous id ranges merged in order either way.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DetourTable::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles` was built for a graph with a different node count.
-    pub fn build_tiled(
-        graph: &RoadGraph,
-        flows: &FlowSet,
-        shops: &[NodeId],
-        threads: usize,
-        tiles: &TileGrid,
-    ) -> Result<Self, PlacementError> {
-        assert_eq!(
-            tiles.node_count(),
-            graph.node_count(),
-            "tile grid built for a {}-node graph used with a {}-node graph",
-            tiles.node_count(),
-            graph.node_count()
-        );
-        Ok(Self::build_with_trees(graph, flows, shops, threads, Some(tiles))?.0)
-    }
-
     /// [`DetourTable::build`], additionally returning the per-shop reverse
     /// and forward shortest-path trees it computed. The incremental
     /// [`crate::mutable::MutableScenario`] retains them so that later flow
     /// additions cost one Dijkstra for the new flow's route instead of a full
     /// table rebuild.
+    ///
+    /// The per-shop tree runs fan across `threads` scoped workers (one
+    /// reusable `SsspWorkspace` each) and the CSR entries fill is sharded
+    /// over visit-mass-balanced node ranges; with `tiles` over tile-clustered
+    /// node ids ([`TileGrid::id_contiguous`]) those ranges align to tile
+    /// boundaries, so each worker walks whole spatial cells. `threads` is
+    /// clamped by the shared thread policy, and the output is bit-identical
+    /// at any `threads` and with or without `tiles`: shards are contiguous
+    /// id ranges merged in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tiles` was built for a graph with a different node count.
     pub(crate) fn build_with_trees(
         graph: &RoadGraph,
         flows: &FlowSet,
@@ -167,6 +126,15 @@ impl DetourTable {
         threads: usize,
         tiles: Option<&TileGrid>,
     ) -> Result<(Self, Vec<ShortestPathTree>, Vec<ShortestPathTree>), PlacementError> {
+        if let Some(tiles) = tiles {
+            assert_eq!(
+                tiles.node_count(),
+                graph.node_count(),
+                "tile grid built for a {}-node graph used with a {}-node graph",
+                tiles.node_count(),
+                graph.node_count()
+            );
+        }
         if shops.is_empty() {
             return Err(PlacementError::NoShops);
         }
@@ -588,7 +556,8 @@ mod tests {
         let shops = [NodeId::new(4), NodeId::new(8), NodeId::new(0)];
         let seq = DetourTable::build(grid.graph(), &flows, &shops).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = DetourTable::build_threaded(grid.graph(), &flows, &shops, threads).unwrap();
+            let (par, _, _) =
+                DetourTable::build_with_trees(grid.graph(), &flows, &shops, threads, None).unwrap();
             assert_eq!(par.entries(), seq.entries(), "threads={threads}");
             for v in 0..seq.node_count() {
                 let node = NodeId::new(v as u32);
@@ -619,7 +588,9 @@ mod tests {
         for target in [9, 1_000] {
             let tiles = rap_graph::tiles::TileGrid::build(g, target);
             for threads in [1, 2, 4] {
-                let tiled = DetourTable::build_tiled(g, &flows, &shops, threads, &tiles).unwrap();
+                let (tiled, _, _) =
+                    DetourTable::build_with_trees(g, &flows, &shops, threads, Some(&tiles))
+                        .unwrap();
                 assert_eq!(
                     tiled.entries(),
                     seq.entries(),
@@ -641,7 +612,8 @@ mod tests {
         let big = GridGraph::new(5, 5, Distance::from_feet(10));
         let tiles = rap_graph::tiles::TileGrid::build(small.graph(), 4);
         let flows = FlowSet::route(big.graph(), vec![]).unwrap();
-        let _ = DetourTable::build_tiled(big.graph(), &flows, &[NodeId::new(0)], 2, &tiles);
+        let _ =
+            DetourTable::build_with_trees(big.graph(), &flows, &[NodeId::new(0)], 2, Some(&tiles));
     }
 
     #[test]

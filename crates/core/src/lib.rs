@@ -73,7 +73,6 @@ pub mod lazy;
 pub mod local_search;
 pub mod metrics;
 pub mod mutable;
-pub mod partial_enum;
 pub mod placement;
 pub mod robustness;
 pub mod scenario;
@@ -98,7 +97,6 @@ pub use lazy::{CelfRun, LazyGreedy};
 pub use local_search::{GreedyWithSwaps, SwapSearch};
 pub use metrics::{LatencyHistogram, PlacementReport};
 pub use mutable::{DeltaError, DeltaOutcome, FlowDelta, MutableScenario};
-pub use partial_enum::PartialEnumeration;
 pub use placement::Placement;
 pub use robustness::{
     correlated_evaluate, failure_aware_evaluate, simulate_correlated_outages, simulate_outages,

@@ -92,25 +92,6 @@ impl Scenario {
         Ok(Self::from_parts(graph, flows, shops, utility, detours))
     }
 
-    /// [`Scenario::new`] with the detour-table preprocessing (two
-    /// shortest-path trees per shop) fanned across `threads` worker threads.
-    /// The scenario — detour table, entry values, candidate set — is
-    /// bit-identical to the sequential constructor's.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scenario::new`].
-    pub fn new_with_threads(
-        graph: RoadGraph,
-        flows: FlowSet,
-        shops: Vec<NodeId>,
-        utility: Arc<dyn UtilityFunction>,
-        threads: usize,
-    ) -> Result<Self, PlacementError> {
-        let detours = DetourTable::build_threaded(&graph, &flows, &shops, threads)?;
-        Ok(Self::from_parts(graph, flows, shops, utility, detours))
-    }
-
     /// Assembles a scenario around an already-built detour table.
     ///
     /// The per-entry contributions `α · f(detour) · T` are recomputed here

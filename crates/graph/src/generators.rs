@@ -394,6 +394,7 @@ mod tests {
         let g1 = radial_ring_city(Point::ORIGIN, RadialRingParams::default(), 3);
         let g2 = radial_ring_city(Point::ORIGIN, RadialRingParams::default(), 3);
         assert_eq!(g1.edge_count(), g2.edge_count());
+        assert!(DistanceMatrix::dijkstra_all(&g1).strongly_connected());
     }
 
     #[test]
@@ -407,6 +408,8 @@ mod tests {
         };
         let g = perturbed_grid(params, 11);
         assert_eq!(g.node_count(), 64);
+        assert!(DistanceMatrix::dijkstra_all(&g).strongly_connected());
+        let g = perturbed_grid(PerturbedGridParams::default(), 4);
         assert!(DistanceMatrix::dijkstra_all(&g).strongly_connected());
     }
 

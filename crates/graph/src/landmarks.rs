@@ -12,10 +12,9 @@
 //! ```
 //!
 //! Landmarks are chosen by farthest-point selection, which puts them on the
-//! periphery where the bounds are tight. [`alt_path`] answers one
-//! point-to-point query with them, and the batched routing engine
-//! ([`crate::sssp::SsspWorkspace::run_to_targets_pruned`]) uses the same
-//! tables to prune one-to-many target searches.
+//! periphery where the bounds are tight. The batched routing engine
+//! ([`crate::sssp::SsspWorkspace::run_to_targets_pruned`]) uses the tables
+//! to prune one-to-many target searches.
 //!
 //! The triangle inequality also yields *upper* bounds — routing through a
 //! landmark is a real (if indirect) path:
@@ -27,13 +26,9 @@
 //! ([`Landmarks::upper_bound`]); the pruned search combines both bounds.
 
 use crate::dijkstra::Direction;
-use crate::error::GraphError;
 use crate::graph::RoadGraph;
 use crate::node::{Distance, NodeId};
-use crate::path::Path;
 use crate::sssp::SsspWorkspace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Precomputed landmark distance tables for one graph.
 ///
@@ -249,65 +244,6 @@ fn tables(
     per_worker.into_iter().flatten().unzip()
 }
 
-/// A* with the ALT heuristic: exact shortest paths, typically far fewer
-/// settled nodes than Dijkstra on peripheral queries.
-///
-/// # Errors
-///
-/// * [`GraphError::NodeOutOfBounds`] if either endpoint is missing.
-/// * [`GraphError::Unreachable`] if no path exists.
-pub fn alt_path(
-    graph: &RoadGraph,
-    landmarks: &Landmarks,
-    from: NodeId,
-    to: NodeId,
-) -> Result<Path, GraphError> {
-    graph.check_node(from)?;
-    graph.check_node(to)?;
-    let n = graph.node_count();
-    let mut dist = vec![Distance::MAX; n];
-    let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(Distance, Distance, u32)>> = BinaryHeap::new();
-    dist[from.index()] = Distance::ZERO;
-    heap.push(Reverse((
-        landmarks.lower_bound(from, to),
-        Distance::ZERO,
-        from.raw(),
-    )));
-    while let Some(Reverse((_f, g, raw))) = heap.pop() {
-        let u = NodeId::new(raw);
-        if g > dist[u.index()] {
-            continue;
-        }
-        if u == to {
-            break;
-        }
-        for nb in graph.out_neighbors(u) {
-            let ng = g.saturating_add(nb.length);
-            if ng < dist[nb.node.index()] {
-                dist[nb.node.index()] = ng;
-                pred[nb.node.index()] = Some(u);
-                heap.push(Reverse((
-                    ng.saturating_add(landmarks.lower_bound(nb.node, to)),
-                    ng,
-                    nb.node.raw(),
-                )));
-            }
-        }
-    }
-    if dist[to.index()] == Distance::MAX {
-        return Err(GraphError::Unreachable { from, to });
-    }
-    let mut chain = vec![to];
-    let mut cur = to;
-    while let Some(p) = pred[cur.index()] {
-        chain.push(p);
-        cur = p;
-    }
-    chain.reverse();
-    Ok(Path::from_parts_unchecked(chain, dist[to.index()]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,35 +314,6 @@ mod tests {
             for t in g.nodes() {
                 let true_d = tree.distance(t).unwrap();
                 assert_eq!(lm.lower_bound(l, t), true_d, "landmark {l} target {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn alt_matches_dijkstra_everywhere() {
-        let g = perturbed_grid(
-            PerturbedGridParams {
-                rows: 6,
-                cols: 8,
-                spacing: Distance::from_feet(300),
-                delete_probability: 0.12,
-                diagonal_probability: 0.08,
-            },
-            4,
-        );
-        let lm = Landmarks::select(&g, 4);
-        for a in (0..g.node_count() as u32).step_by(9) {
-            for b in (0..g.node_count() as u32).step_by(11) {
-                let expected = dijkstra::distance(&g, NodeId::new(a), NodeId::new(b));
-                match alt_path(&g, &lm, NodeId::new(a), NodeId::new(b)) {
-                    Ok(p) => {
-                        assert_eq!(Some(p.length()), expected, "pair ({a}, {b})");
-                        // Valid walk.
-                        let validated = Path::new(&g, p.nodes().to_vec()).unwrap();
-                        assert!(validated.length() <= p.length());
-                    }
-                    Err(_) => assert_eq!(expected, None, "pair ({a}, {b})"),
-                }
             }
         }
     }

@@ -46,7 +46,6 @@
 //! ```
 
 pub mod apsp;
-pub mod connectivity;
 pub mod dijkstra;
 pub mod error;
 pub mod generators;
@@ -58,9 +57,7 @@ pub mod landmarks;
 pub mod node;
 pub mod path;
 pub mod sssp;
-pub mod subgraph;
 pub mod tiles;
-pub mod validate;
 
 pub use error::GraphError;
 pub use geometry::{BoundingBox, Point};

@@ -38,7 +38,6 @@
 //! # }
 //! ```
 
-pub mod binary;
 pub mod bus;
 pub mod city;
 pub mod csv;
@@ -46,9 +45,7 @@ pub mod error;
 pub mod gps;
 pub mod map_match;
 pub mod metro;
-pub mod quality;
 
-pub use binary::{decode, encode};
 pub use bus::{drive_path, DriveParams};
 pub use city::{dublin, seattle, CityModel, CityParams};
 pub use csv::{
@@ -58,4 +55,3 @@ pub use error::TraceError;
 pub use gps::{BusId, GpsNoise, GpsPoint, JourneyId, TraceRecord};
 pub use map_match::{extract_flows, match_fixes, match_journeys, ExtractParams, MatchedJourney};
 pub use metro::{metro, MetroModel, MetroParams};
-pub use quality::{compare, GroundTruth, QualityReport};

@@ -111,9 +111,9 @@ pub fn match_journeys(graph: &RoadGraph, records: &[TraceRecord]) -> Vec<Matched
         let mut best: Option<Path> = None;
         let mut observed = 0usize;
         for (_bus, mut recs) in buses {
-            // total_cmp, not partial_cmp: records may arrive from unvalidated
-            // sources (e.g. the binary codec) where a NaN timestamp must not
-            // panic the matcher — NaN sorts last and the fix is harmless.
+            // total_cmp, not partial_cmp: callers may pass records that never
+            // went through `TraceRecord::validate`, and a NaN timestamp must
+            // not panic the matcher — NaN sorts last and the fix is harmless.
             recs.sort_by(|a, b| a.fix.time_s.total_cmp(&b.fix.time_s));
             if let Ok(Some(path)) = match_fixes(graph, &recs) {
                 observed += 1;

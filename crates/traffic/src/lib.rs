@@ -38,7 +38,6 @@ pub mod error;
 pub mod flow;
 pub mod flow_set;
 pub mod matrix;
-pub mod ops;
 pub mod parallel;
 pub mod plan;
 pub mod stats;
