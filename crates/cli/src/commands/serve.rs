@@ -52,6 +52,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let trigger = args.get("reload-on").map(PathBuf::from);
 
     let state = Arc::new(ServeState::from_snapshot_file(&snapshot, workers)?);
+    // Read before the workers start: a `/reload` may replace it at once.
+    let loaded = state.current();
     let config = ServerConfig {
         workers,
         ..ServerConfig::default()
@@ -62,9 +64,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "rap serve: listening on {} ({} workers, epoch {}, crc 0x{:08X})",
         handle.addr(),
         workers,
-        state.current().epoch,
-        state.current().snapshot_crc,
+        loaded.epoch,
+        loaded.snapshot_crc,
     );
+    // Holding it would keep this epoch's scenario alive past every reload.
+    drop(loaded);
 
     while !signals::shutdown_requested() {
         std::thread::sleep(Duration::from_millis(100));
@@ -73,9 +77,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             .is_some_and(|path| path.exists() && std::fs::remove_file(path).is_ok());
         if signals::take_reload_request() || triggered {
             match state.reload() {
-                Ok((previous, next)) => {
-                    eprintln!("rap serve: reloaded snapshot, epoch {previous} -> {next}");
-                }
+                Ok(installed) => eprintln!(
+                    "rap serve: reloaded snapshot, epoch {} -> {}",
+                    installed.epoch - 1,
+                    installed.epoch
+                ),
                 Err(e) => eprintln!("rap serve: reload rejected, old epoch retained: {e}"),
             }
         }

@@ -17,8 +17,8 @@ use super::place::read_flows;
 use crate::args::Args;
 use crate::CliError;
 use rap_core::{
-    decode_snapshot_with_threads, encode_snapshot, read_snapshot_file, section_directory,
-    snapshot_crc32, verify_snapshot, write_snapshot_atomic, FaultPlan, MutableScenario,
+    decode_snapshot_with_threads, encode_snapshot, read_snapshot_file, verify_snapshot,
+    write_snapshot_atomic, FaultPlan, MutableScenario,
 };
 use rap_graph::{Distance, NodeId};
 use rap_traffic::parallel::default_threads;
@@ -130,14 +130,13 @@ fn verify(file: &Path) -> Result<String, CliError> {
 
 fn info(file: &Path) -> Result<String, CliError> {
     let bytes = read_snapshot_file(file, &FaultPlan::none())?;
-    let sections = section_directory(&bytes)?;
     let header = verify_snapshot(&bytes)?;
     let mut out = format!(
         "snapshot: {} (magic RAPSNAP1, version {}, {} bytes, file crc32 0x{:08X})\n",
         file.display(),
         header.version,
         header.file_len,
-        snapshot_crc32(&bytes),
+        header.file_crc32,
     );
     let _ = writeln!(
         out,
@@ -157,7 +156,7 @@ fn info(file: &Path) -> Result<String, CliError> {
         header.extra_len,
     );
     out.push_str("  sections (id, name, offset, length, crc32):\n");
-    for s in &sections {
+    for s in &header.sections {
         let _ = writeln!(
             out,
             "    {:>2}  {:<15} {:>10}  {:>10}  0x{:08X}",
@@ -304,6 +303,12 @@ mod tests {
         let info_argv = ["info", "--file", snap.to_str().unwrap()];
         let report = run(&Args::parse(info_argv).unwrap()).unwrap();
         assert!(report.contains("magic RAPSNAP1, version 1"), "{report}");
+        // The CRC folded from the section checksums is the whole file's.
+        let crc = rap_core::snapshot_crc32(&std::fs::read(&snap).unwrap());
+        assert!(
+            report.contains(&format!("file crc32 0x{crc:08X})")),
+            "{report}"
+        );
         assert!(report.contains("25 nodes"), "{report}");
         for section in [
             "meta",

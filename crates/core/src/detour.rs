@@ -148,15 +148,7 @@ impl DetourTable {
         // (d'' at every destination).
         let (rev_trees, fwd_trees) = shop_trees(graph, shops, threads);
 
-        // Dense row minimum over the reverse trees: each tree exposes its
-        // full distance row, so this is a straight columnwise min instead of
-        // per-node Option probing.
-        let mut to_shop = vec![Distance::MAX; n];
-        for tree in &rev_trees {
-            for (slot, &d) in to_shop.iter_mut().zip(tree.distances()) {
-                *slot = (*slot).min(d);
-            }
-        }
+        let to_shop = nearest_shop(rev_trees.iter().map(ShortestPathTree::distances), n);
 
         // Per flow: min over shops of d''(shop, destination), precomputed
         // once. Destinations were validated during routing, so the dense rows
@@ -360,6 +352,22 @@ impl DetourTable {
     }
 }
 
+/// `min_s dist(v → shop_s)` for every node `v`, folded from one dense
+/// distance row per shop (`Distance::MAX` = unreachable): a straight
+/// columnwise min instead of per-node `Option` probing.
+pub(crate) fn nearest_shop<'a>(
+    rows: impl IntoIterator<Item = &'a [Distance]>,
+    n: usize,
+) -> Vec<Distance> {
+    let mut to_shop = vec![Distance::MAX; n];
+    for row in rows {
+        for (slot, &d) in to_shop.iter_mut().zip(row) {
+            *slot = (*slot).min(d);
+        }
+    }
+    to_shop
+}
+
 /// Grows the reverse and forward shortest-path trees of every shop, fanning
 /// shops across `threads` workers (one reusable [`SsspWorkspace`] each) and
 /// merging in shop order. The trees are bit-identical to
@@ -371,20 +379,49 @@ pub(crate) fn shop_trees(
     shops: &[NodeId],
     threads: usize,
 ) -> (Vec<ShortestPathTree>, Vec<ShortestPathTree>) {
-    let grow = |ws: &mut SsspWorkspace, shop: NodeId| {
+    per_shop(graph, shops, threads, |ws, shop| {
         ws.run(graph, shop, Direction::Reverse);
         let rev = ws.to_tree();
         ws.run(graph, shop, Direction::Forward);
         let fwd = ws.to_tree();
         (rev, fwd)
-    };
+    })
+    .into_iter()
+    .unzip()
+}
+
+/// [`nearest_shop`] over the shops' reverse runs alone, fanned like
+/// [`shop_trees`]: what an immutable [`crate::Scenario`] keeps of the shop
+/// trees. Only [`crate::MutableScenario`]'s flow additions need the
+/// forward trees.
+pub(crate) fn shop_distances(graph: &RoadGraph, shops: &[NodeId], threads: usize) -> Vec<Distance> {
+    let n = graph.node_count();
+    let rows = per_shop(graph, shops, threads, |ws, shop| {
+        ws.run(graph, shop, Direction::Reverse);
+        let mut row = vec![Distance::MAX; n];
+        ws.copy_distances_into(&mut row);
+        row
+    });
+    nearest_shop(rows.iter().map(Vec::as_slice), n)
+}
+
+/// Runs `grow` once per shop, fanning shops across `threads` workers (one
+/// reusable [`SsspWorkspace`] each, clamped by the shared thread policy)
+/// and returning the results in shop order.
+fn per_shop<T: Send>(
+    graph: &RoadGraph,
+    shops: &[NodeId],
+    threads: usize,
+    grow: impl Fn(&mut SsspWorkspace, NodeId) -> T + Sync,
+) -> Vec<T> {
     let workers = parallel::effective_threads(threads, shops.len());
     if workers <= 1 {
         let mut ws = SsspWorkspace::for_graph(graph);
-        return shops.iter().map(|&s| grow(&mut ws, s)).unzip();
+        return shops.iter().map(|&s| grow(&mut ws, s)).collect();
     }
     let chunk = shops.len().div_ceil(workers);
-    let per_worker: Vec<Vec<(ShortestPathTree, ShortestPathTree)>> = std::thread::scope(|scope| {
+    let grow = &grow;
+    let per_worker: Vec<Vec<T>> = std::thread::scope(|scope| {
         let handles: Vec<_> = shops
             .chunks(chunk)
             .map(|shard| {
@@ -400,7 +437,7 @@ pub(crate) fn shop_trees(
             .collect()
     });
     // Contiguous chunks flattened in order reconstruct shop order exactly.
-    per_worker.into_iter().flatten().unzip()
+    per_worker.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -124,6 +124,18 @@ pub fn small_grid_scenario(kind: UtilityKind, threshold: Distance) -> Scenario {
     .expect("grid scenario is valid")
 }
 
+/// Recomputes every section checksum of a snapshot, then its header
+/// checksum, trusting the directory's offsets and lengths. After an edit
+/// inside a section the bytes pass every checksum again, so a test can
+/// reach the decoders' checks on the decoded state.
+///
+/// # Panics
+///
+/// Panics if the directory points outside `bytes`.
+pub fn reseal_snapshot(bytes: &mut [u8]) {
+    crate::snapshot::reseal(bytes);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -106,9 +106,10 @@ pub use robustness::{
 pub use scenario::Scenario;
 pub use scheduling::{AdCampaign, Schedule, ScheduleGreedy};
 pub use snapshot::{
-    decode_snapshot, decode_snapshot_with_threads, encode_snapshot, read_snapshot_file, restore,
-    restore_with_threads, section_directory, snapshot_crc32, verify_snapshot,
-    write_snapshot_atomic, Restored, SectionInfo, SnapshotContents, SnapshotError, SnapshotInfo,
+    decode_serving_snapshot, decode_snapshot, decode_snapshot_with_threads, encode_snapshot,
+    read_snapshot_file, restore, restore_with_threads, snapshot_crc32, verify_snapshot,
+    write_snapshot_atomic, Restored, SectionInfo, ServingSnapshot, SnapshotContents, SnapshotError,
+    SnapshotInfo,
 };
 pub use utility::{LinearUtility, SqrtUtility, ThresholdUtility, UtilityFunction, UtilityKind};
 pub use wal::{

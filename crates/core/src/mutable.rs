@@ -78,7 +78,7 @@
 //! # }
 //! ```
 
-use crate::detour::{DetourTable, FlowDetour};
+use crate::detour::{nearest_shop, DetourTable, FlowDetour};
 use crate::error::PlacementError;
 use crate::kernel;
 use crate::placement::Placement;
@@ -87,7 +87,7 @@ use crate::utility::UtilityFunction;
 use rap_graph::dijkstra::{self, Direction};
 use rap_graph::sssp::SsspWorkspace;
 use rap_graph::{Distance, NodeId, Path, RoadGraph};
-use rap_traffic::{FlowId, FlowSet, FlowSpec, TrafficFlow};
+use rap_traffic::{FlowId, FlowSet, FlowSpec, TrafficError, TrafficFlow};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -234,6 +234,17 @@ struct OverlayEntry {
     detour: Distance,
     /// `f(detour, α) · volume`, zeroed when the flow is tombstoned.
     value: f64,
+}
+
+impl OverlayEntry {
+    /// The entry without its value, named by internal flow id.
+    fn detour_entry(&self) -> FlowDetour {
+        FlowDetour {
+            flow: FlowId::new(self.flow),
+            position: self.position,
+            detour: self.detour,
+        }
+    }
 }
 
 /// Everything the maintainer tracks per flow.
@@ -704,63 +715,21 @@ impl MutableScenario {
     /// Builds the snapshot scenario from the maintained arrays — no Dijkstra
     /// runs, one pass over entries plus the first-visit re-index.
     fn materialize(&self) -> Scenario {
-        // Dense renumber of live flows, in internal-id (= insertion) order —
-        // the order `FlowSet::route` would assign from `live_specs()`.
-        let mut remap: Vec<u32> = vec![u32::MAX; self.flows.len()];
-        let mut routed: Vec<TrafficFlow> = Vec::with_capacity(self.by_stable.len());
-        for (old, st) in self.flows.iter().enumerate() {
-            if !st.live {
-                continue;
-            }
-            remap[old] = routed.len() as u32;
-            let spec = FlowSpec::new(st.origin, st.destination, st.volume)
-                .expect("volume validated at apply time")
-                .with_attractiveness(st.alpha)
-                .expect("alpha validated at apply time");
-            routed.push(TrafficFlow::new(
-                FlowId::new(remap[old]),
-                spec,
-                st.path.clone(),
-            ));
-        }
-        let flow_count = routed.len();
-        let flows = FlowSet::from_routed(&self.graph, routed);
-        let n = self.graph.node_count();
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut entries: Vec<FlowDetour> = Vec::new();
-        offsets.push(0);
-        for v in 0..n {
-            let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
-            for e in &self.entries[range] {
-                let new_id = remap[e.flow.index()];
-                if new_id != u32::MAX {
-                    entries.push(FlowDetour {
-                        flow: FlowId::new(new_id),
-                        position: e.position,
-                        detour: e.detour,
-                    });
-                }
-            }
-            for oe in &self.overlay[v] {
-                let new_id = remap[oe.flow as usize];
-                if new_id != u32::MAX {
-                    entries.push(FlowDetour {
-                        flow: FlowId::new(new_id),
-                        position: oe.position,
-                        detour: oe.detour,
-                    });
-                }
-            }
-            offsets.push(entries.len() as u32);
-        }
-        let table = DetourTable::from_parts(offsets, entries, self.to_shop.clone(), flow_count);
-        Scenario::from_parts(
+        live_scenario(
             self.graph.clone(),
-            flows,
             self.shops.clone(),
             Arc::clone(&self.utility),
-            table,
+            self.flows.iter().map(|st| {
+                st.live.then(|| {
+                    let spec = live_spec(st.origin, st.destination, st.volume, st.alpha);
+                    (spec, st.path.clone())
+                })
+            }),
+            (&self.offsets, &self.entries),
+            |v| self.overlay[v].iter().map(OverlayEntry::detour_entry),
+            self.to_shop.clone(),
         )
+        .expect("maintained paths follow the graph")
     }
 
     /// The objective `w(placement)` against the *current* state, straight
@@ -891,12 +860,7 @@ impl MutableScenario {
         self.flows
             .iter()
             .filter(|st| st.live)
-            .map(|st| {
-                FlowSpec::new(st.origin, st.destination, st.volume)
-                    .expect("volume validated at apply time")
-                    .with_attractiveness(st.alpha)
-                    .expect("alpha validated at apply time")
-            })
+            .map(|st| live_spec(st.origin, st.destination, st.volume, st.alpha))
             .collect()
     }
 
@@ -953,17 +917,10 @@ impl MutableScenario {
             })
             .collect();
         let mut overlay_offsets: Vec<u32> = Vec::with_capacity(self.overlay.len() + 1);
-        let mut overlay_entries: Vec<PersistedOverlayEntry> =
-            Vec::with_capacity(self.overlay_entries);
+        let mut overlay_entries: Vec<FlowDetour> = Vec::with_capacity(self.overlay_entries);
         overlay_offsets.push(0);
         for row in &self.overlay {
-            for oe in row {
-                overlay_entries.push(PersistedOverlayEntry {
-                    flow: oe.flow,
-                    position: oe.position,
-                    detour: oe.detour,
-                });
-            }
+            overlay_entries.extend(row.iter().map(OverlayEntry::detour_entry));
             overlay_offsets.push(overlay_entries.len() as u32);
         }
         PersistedState {
@@ -979,73 +936,26 @@ impl MutableScenario {
         }
     }
 
-    /// Reassembles a scenario from persisted state, validating every CSR and
-    /// flow invariant (the bytes came from disk) and recomputing all derived
-    /// state: entry values via the same `f(detour, α) · volume` expression
-    /// the incremental maintenance evaluates (so values are bit-identical to
-    /// the never-crashed scenario's), per-shop trees via the same Dijkstra
-    /// runs the constructor makes, and the flow→location indexes by scanning
-    /// the CSR arrays in their canonical order.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violated invariant.
+    /// Reassembles a scenario from persisted state that the snapshot reader
+    /// has validated, recomputing all derived state: entry values via the
+    /// same `f(detour, α) · volume` expression the incremental maintenance
+    /// evaluates (so values are bit-identical to the never-crashed
+    /// scenario's), per-shop trees via the same Dijkstra runs the
+    /// constructor makes, and the flow→location indexes by scanning the CSR
+    /// arrays in their canonical order.
     pub(crate) fn from_persisted(
         graph: RoadGraph,
         shops: Vec<NodeId>,
         utility: Arc<dyn UtilityFunction>,
         threads: usize,
         st: PersistedState,
-    ) -> Result<Self, String> {
+    ) -> Self {
         let n = graph.node_count();
-        if shops.is_empty() {
-            return Err("shop list is empty".into());
-        }
-        for &s in &shops {
-            if !graph.contains_node(s) {
-                return Err(format!("shop {s} is outside the graph"));
-            }
-        }
-        check_csr(&st.offsets, n, st.entries.len(), "base")?;
-        check_csr(&st.overlay_offsets, n, st.overlay_entries.len(), "overlay")?;
-        if !(0.0..=1.0).contains(&st.compact_ratio) {
-            return Err(format!("compact ratio {} outside [0, 1]", st.compact_ratio));
-        }
-
-        // Flow table: tombstones keep their parameters (values are zeroed,
-        // never read), but every path must still be in-bounds.
-        let mut flows: Vec<FlowState> = Vec::with_capacity(st.flows.len());
         let mut by_stable: HashMap<u64, u32> = HashMap::new();
+        let mut flows: Vec<FlowState> = Vec::with_capacity(st.flows.len());
         for (i, pf) in st.flows.into_iter().enumerate() {
-            if pf.stable >= st.next_stable {
-                return Err(format!(
-                    "flow #{} stable id {} is not below next_stable {}",
-                    i, pf.stable, st.next_stable
-                ));
-            }
-            if pf.path_nodes.is_empty() {
-                return Err(format!("flow #{i} has an empty path"));
-            }
-            for &node in &pf.path_nodes {
-                if !graph.contains_node(node) {
-                    return Err(format!("flow #{i} path visits {node} outside the graph"));
-                }
-            }
-            if pf.path_nodes.first() != Some(&pf.origin)
-                || pf.path_nodes.last() != Some(&pf.destination)
-            {
-                return Err(format!("flow #{i} path does not span origin → destination"));
-            }
             if pf.live {
-                if !pf.volume.is_finite() || pf.volume <= 0.0 {
-                    return Err(format!("flow #{} volume {} is invalid", i, pf.volume));
-                }
-                if !pf.alpha.is_finite() || !(0.0..=1.0).contains(&pf.alpha) {
-                    return Err(format!("flow #{} alpha {} is invalid", i, pf.alpha));
-                }
-                if by_stable.insert(pf.stable, i as u32).is_some() {
-                    return Err(format!("duplicate live stable id {}", pf.stable));
-                }
+                by_stable.insert(pf.stable, i as u32);
             }
             flows.push(FlowState {
                 stable: pf.stable,
@@ -1065,9 +975,7 @@ impl MutableScenario {
         let mut values: Vec<f64> = Vec::with_capacity(st.entries.len());
         let mut dead_entries = 0usize;
         for (i, e) in st.entries.iter().enumerate() {
-            let fs = flows
-                .get_mut(e.flow.index())
-                .ok_or_else(|| format!("base entry {} names unknown flow {}", i, e.flow))?;
+            let fs = &mut flows[e.flow.index()];
             fs.base_locs.push(i as u32);
             if fs.live {
                 values.push(utility.probability(e.detour, fs.alpha) * fs.volume);
@@ -1079,13 +987,10 @@ impl MutableScenario {
 
         // Overlay rows, rehydrated from CSR form with the same recomputation.
         let mut overlay: Vec<Vec<OverlayEntry>> = vec![Vec::new(); n];
-        let mut overlay_count = 0usize;
         for (v, row) in overlay.iter_mut().enumerate() {
             let range = st.overlay_offsets[v] as usize..st.overlay_offsets[v + 1] as usize;
             for oe in &st.overlay_entries[range] {
-                let fs = flows
-                    .get_mut(oe.flow as usize)
-                    .ok_or_else(|| format!("overlay entry names unknown flow {}", oe.flow))?;
+                let fs = &mut flows[oe.flow.index()];
                 fs.overlay_locs.push((v as u32, row.len() as u32));
                 let value = if fs.live {
                     utility.probability(oe.detour, fs.alpha) * fs.volume
@@ -1094,12 +999,11 @@ impl MutableScenario {
                     0.0
                 };
                 row.push(OverlayEntry {
-                    flow: oe.flow,
+                    flow: oe.flow.raw(),
                     position: oe.position,
                     detour: oe.detour,
                     value,
                 });
-                overlay_count += 1;
             }
         }
 
@@ -1107,14 +1011,12 @@ impl MutableScenario {
         // columnwise to-shop minimum the constructor computes (exact integer
         // distances, so bit-identical regardless of thread count).
         let (rev_trees, fwd_trees) = crate::detour::shop_trees(&graph, &shops, threads);
-        let mut to_shop = vec![Distance::MAX; n];
-        for tree in &rev_trees {
-            for (slot, &d) in to_shop.iter_mut().zip(tree.distances()) {
-                *slot = (*slot).min(d);
-            }
-        }
+        let to_shop = nearest_shop(
+            rev_trees.iter().map(dijkstra::ShortestPathTree::distances),
+            n,
+        );
         let route_ws = SsspWorkspace::for_graph(&graph);
-        Ok(MutableScenario {
+        MutableScenario {
             graph,
             shops,
             utility,
@@ -1129,39 +1031,87 @@ impl MutableScenario {
             entries: st.entries,
             values,
             overlay,
-            overlay_entries: overlay_count,
+            overlay_entries: st.overlay_entries.len(),
             dead_entries,
             compact_ratio: st.compact_ratio,
             epoch: st.epoch,
             compactions: st.compactions,
             cache: None,
-        })
+        }
     }
 }
 
-/// CSR shape validation shared by the base and overlay tables.
-fn check_csr(offsets: &[u32], n: usize, entries: usize, what: &str) -> Result<(), String> {
-    if offsets.len() != n + 1 {
-        return Err(format!(
-            "{} CSR has {} offsets for {} nodes",
-            what,
-            offsets.len(),
-            n
-        ));
+/// The spec of a live flow, whose parameters were validated when the delta
+/// that set them was applied or when the snapshot holding them was read.
+pub(crate) fn live_spec(origin: NodeId, destination: NodeId, volume: f64, alpha: f64) -> FlowSpec {
+    FlowSpec::new(origin, destination, volume)
+        .expect("live flows have distinct endpoints and a valid volume")
+        .with_attractiveness(alpha)
+        .expect("live flows have a valid alpha")
+}
+
+/// The immutable [`Scenario`] of a state's live flows: the one rule
+/// [`MutableScenario::snapshot`] and the serving snapshot decode share.
+///
+/// `flows` yields, in internal-id order, a live flow's spec and path, or
+/// `None` for a tombstone. Live flows take dense ids in that order, the
+/// order [`FlowSet::route`] would assign from
+/// [`MutableScenario::live_specs`]. Each node's detour row is its base row
+/// (`base`, a CSR `(offsets, entries)`) followed by its overlay row
+/// (`overlay_row(v)`), entries named by internal flow id; an entry is kept
+/// only when its flow is live, renamed to the flow's dense id, so the rows
+/// stay sorted by id exactly as [`DetourTable::build`] emits them.
+///
+/// # Errors
+///
+/// [`FlowSet::try_from_routed`]'s, for a path that does not follow the
+/// graph.
+pub(crate) fn live_scenario<I>(
+    graph: RoadGraph,
+    shops: Vec<NodeId>,
+    utility: Arc<dyn UtilityFunction>,
+    flows: impl Iterator<Item = Option<(FlowSpec, Path)>>,
+    (base_offsets, base): (&[u32], &[FlowDetour]),
+    overlay_row: impl Fn(usize) -> I,
+    to_shop: Vec<Distance>,
+) -> Result<Scenario, TrafficError>
+where
+    I: Iterator<Item = FlowDetour>,
+{
+    let (hint, _) = flows.size_hint();
+    let mut remap: Vec<u32> = Vec::with_capacity(hint);
+    let mut routed: Vec<TrafficFlow> = Vec::with_capacity(hint);
+    for flow in flows {
+        remap.push(match flow {
+            Some((spec, path)) => {
+                let id = FlowId::new(routed.len() as u32);
+                routed.push(TrafficFlow::new(id, spec, path));
+                id.raw()
+            }
+            None => u32::MAX,
+        });
     }
-    if offsets[0] != 0 {
-        return Err(format!("{what} CSR does not start at 0"));
+    let flow_count = routed.len();
+    let flow_set = FlowSet::try_from_routed(&graph, routed)?;
+    let n = base_offsets.len() - 1;
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut entries: Vec<FlowDetour> = Vec::with_capacity(base.len());
+    offsets.push(0);
+    for v in 0..n {
+        let row = &base[base_offsets[v] as usize..base_offsets[v + 1] as usize];
+        for e in row.iter().copied().chain(overlay_row(v)) {
+            let live = remap[e.flow.index()];
+            if live != u32::MAX {
+                entries.push(FlowDetour {
+                    flow: FlowId::new(live),
+                    ..e
+                });
+            }
+        }
+        offsets.push(entries.len() as u32);
     }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(format!("{what} CSR offsets decrease"));
-    }
-    if offsets[n] as usize != entries {
-        return Err(format!(
-            "{} CSR ends at {} but holds {} entries",
-            what, offsets[n], entries
-        ));
-    }
-    Ok(())
+    let table = DetourTable::from_parts(offsets, entries, to_shop, flow_count);
+    Ok(Scenario::from_parts(graph, flow_set, shops, utility, table))
 }
 
 /// One flow's persisted fields, as `crate::snapshot` serializes them.
@@ -1177,14 +1127,6 @@ pub(crate) struct PersistedFlow {
     pub path_length: Distance,
 }
 
-/// One overlay entry in persisted (value-free) form.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PersistedOverlayEntry {
-    pub flow: u32,
-    pub position: u32,
-    pub detour: Distance,
-}
-
 /// The complete mutable state a snapshot round-trips; see
 /// [`MutableScenario::persisted_state`].
 #[derive(Clone, Debug)]
@@ -1198,7 +1140,8 @@ pub(crate) struct PersistedState {
     pub entries: Vec<FlowDetour>,
     /// Overlay rows in CSR form: `overlay_offsets.len() == node_count + 1`.
     pub overlay_offsets: Vec<u32>,
-    pub overlay_entries: Vec<PersistedOverlayEntry>,
+    /// Overlay entries, named by internal flow id.
+    pub overlay_entries: Vec<FlowDetour>,
 }
 
 fn check_alpha(alpha: f64) -> Result<(), DeltaError> {

@@ -1,6 +1,7 @@
 //! Versioned, checksummed, offset-based binary snapshots of a
 //! [`MutableScenario`], plus the recovery path that replays a write-ahead
-//! log on top ([`restore`]).
+//! log on top ([`restore`]) and the serving decode that goes straight to
+//! an immutable [`Scenario`] ([`decode_serving_snapshot`]).
 //!
 //! ## File layout (version 1, all integers little-endian)
 //!
@@ -34,8 +35,27 @@
 //! checksum, and any single-byte corruption is detected (the exhaustive
 //! flip sweep in `tests/snapshot_corruption.rs` asserts this). All reads
 //! are bounds-checked; every failure is a typed [`SnapshotError`], never a
-//! panic. The flat offset-based layout is `mmap`-friendly by design: a
-//! future reader can verify checksums once and then view sections in place.
+//! panic. The file's own CRC32, the identity a server reports, is folded
+//! from the section checksums (zlib's `crc32_combine`), so a load hashes
+//! every byte once.
+//!
+//! ## One reader, one validator, two assemblers
+//!
+//! A single reader parses every section and a single validator checks the
+//! decoded state against every invariant the assemblers rely on, so bytes
+//! that pass every checksum but describe an impossible scenario (a path
+//! hop no street makes, a live flow that ends where it starts) are
+//! rejected as [`SnapshotError::Malformed`] instead of panicking later.
+//! Two assemblers then build different outputs from the same parts:
+//!
+//! - [`decode_snapshot`] rebuilds the [`MutableScenario`] a stream resume
+//!   continues from;
+//! - [`decode_serving_snapshot`] builds the immutable [`Scenario`] a server
+//!   answers from, with none of the mutable state.
+//!
+//! Both accept exactly the same bytes and fail with the same error text;
+//! on acceptance the serving scenario equals the resumed one's
+//! [`MutableScenario::snapshot`] bit for bit (`tests/persist_prop.rs`).
 //!
 //! ## What is persisted vs. recomputed
 //!
@@ -48,17 +68,20 @@
 //! preserves), as are the per-shop Dijkstra trees, the flow→location
 //! indexes, and the routing workspace.
 
+use crate::detour::FlowDetour;
 use crate::faults::{DiskFault, FaultPlan};
-use crate::mutable::{MutableScenario, PersistedFlow, PersistedOverlayEntry, PersistedState};
+use crate::mutable::{live_scenario, live_spec, MutableScenario, PersistedFlow, PersistedState};
 use crate::placement::Placement;
-use crate::utility::UtilityKind;
+use crate::scenario::Scenario;
+use crate::utility::{UtilityFunction, UtilityKind};
 use crate::wal::{self, ReplayReport, WalStop};
-use rap_graph::{Distance, GraphBuilder, NodeId, Point, RoadGraph};
-use rap_traffic::FlowId;
+use rap_graph::{Distance, GraphBuilder, GraphError, NodeId, Path, Point, RoadGraph};
+use rap_traffic::{FlowId, TrafficError};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
-use std::path::Path;
+use std::sync::Arc;
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"RAPSNAP1";
@@ -207,6 +230,9 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// The reflected CRC-32 polynomial (IEEE 802.3).
+const POLY: u32 = 0xEDB8_8320;
+
 /// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant), slice-by-8.
 ///
 /// Snapshot loads checksum every byte of a multi-megabyte file before any
@@ -224,11 +250,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
             let mut c = i as u32;
             let mut k = 0;
             while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
                 k += 1;
             }
             tables[0][i] = c;
@@ -288,6 +310,9 @@ pub struct SnapshotInfo {
     pub version: u32,
     /// Total file length in bytes.
     pub file_len: u64,
+    /// CRC32 of the whole file, equal to [`snapshot_crc32`] of its bytes,
+    /// folded from the section checksums.
+    pub file_crc32: u32,
     /// Scenario epoch at save time.
     pub epoch: u64,
     /// Compactions run before the save.
@@ -316,6 +341,8 @@ pub struct SnapshotInfo {
     pub utility: &'static str,
     /// Utility threshold `D` in feet.
     pub threshold_feet: u64,
+    /// The section directory, every checksum verified.
+    pub sections: Vec<SectionInfo>,
 }
 
 /// A scenario restored from snapshot + WAL, with the replay accounting.
@@ -359,65 +386,19 @@ impl ByteWriter {
     }
 }
 
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
+// Readers of one field at a byte offset. Every caller has checked the
+// bounds: the header length, or a section sized exactly by `cross_check`.
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }
 
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        ByteReader {
-            buf,
-            pos: 0,
-            section,
-        }
-    }
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() - self.pos < n {
-            return Err(SnapshotError::Malformed {
-                section: self.section,
-                detail: format!(
-                    "field overruns section ({} of {} bytes consumed, {n} more needed)",
-                    self.pos,
-                    self.buf.len()
-                ),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        if self.pos != self.buf.len() {
-            return Err(SnapshotError::Malformed {
-                section: self.section,
-                detail: format!(
-                    "{} trailing bytes after the last field",
-                    self.buf.len() - self.pos
-                ),
-            });
-        }
-        Ok(())
-    }
+fn f64_at(bytes: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64_at(bytes, at))
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +501,7 @@ pub fn encode_snapshot(
 
     let mut overlay = ByteWriter::new();
     for e in &st.overlay_entries {
-        overlay.u32(e.flow);
+        overlay.u32(e.flow.raw());
         overlay.u32(e.position);
         overlay.u64(e.detour.feet());
     }
@@ -569,12 +550,72 @@ pub fn encode_snapshot(
 }
 
 // ---------------------------------------------------------------------------
-// Decode.
+// Decode: one reader, one validator, two assemblers.
+//
+// `read_parts` parses every section and runs every check the assemblers
+// rely on but one: the path-hop check of live flows (`check_live_hops`).
+// `decode_snapshot` makes that check as its own pass; the serving decode
+// gets it from `FlowSet::try_from_routed`, which looks up the same edges,
+// in the same order, to build the first-visit index. Either way it runs
+// last, so both decoders accept the same bytes and fail with the same
+// error.
 
-/// Parses and checksums the header + directory, returning each section's
-/// byte range. Performs every structural check that does not require
-/// interpreting section contents.
-fn parse_sections(bytes: &[u8]) -> Result<Vec<(u32, std::ops::Range<usize>)>, SnapshotError> {
+/// `a(x) · b(x) mod p(x)` over the reflected polynomial (zlib's
+/// `multmodp`): bit 31 holds `x^0`.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    product
+}
+
+/// `x^(2^k) mod p(x)` for `k` in `0..32` (zlib's `x2n_table`).
+const X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    table[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        table[k] = p;
+        k += 1;
+    }
+    table
+};
+
+/// `x^(n · 2^k) mod p(x)` (zlib's `x2nmodp`): one table product per set
+/// bit of `n`.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b.len()` (zlib's
+/// `crc32_combine`), in `O(32 · log len)` without touching the bytes: a
+/// snapshot's file CRC is its per-section checksums folded together.
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // Appending `len_b` bytes multiplies `a`'s register by x^(8 · len_b).
+    multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b
+}
+
+/// Parses and checksums the header, the directory and every section,
+/// returning the directory and the whole file's CRC32, folded from the
+/// checksums just verified. Performs every structural check that does not
+/// require interpreting section contents.
+fn parse_sections(bytes: &[u8]) -> Result<(Vec<SectionInfo>, u32), SnapshotError> {
     if bytes.len() < 16 {
         return Err(SnapshotError::Truncated {
             expected: 16,
@@ -584,11 +625,11 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<(u32, std::ops::Range<usize>)>, Sn
     if bytes[..8] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = u32_at(bytes, 8);
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
+    let count = u32_at(bytes, 12);
     if count as usize != SECTION_IDS.len() {
         return Err(SnapshotError::HeaderCorrupt {
             detail: format!(
@@ -604,22 +645,20 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<(u32, std::ops::Range<usize>)>, Sn
             found: bytes.len() as u64,
         });
     }
-    let stored_crc = u32::from_le_bytes(
-        bytes[header_len - 4..header_len]
-            .try_into()
-            .expect("4 bytes"),
-    );
-    if crc32(&bytes[..header_len - 4]) != stored_crc {
+    let stored_crc = u32_at(bytes, header_len - 4);
+    let header_crc = crc32(&bytes[..header_len - 4]);
+    if header_crc != stored_crc {
         return Err(SnapshotError::HeaderChecksum);
     }
+    let mut file_crc = crc32_combine(header_crc, crc32(&bytes[header_len - 4..header_len]), 4);
     let mut sections = Vec::with_capacity(count as usize);
     let mut expected_offset = header_len as u64;
     for (i, &want_id) in SECTION_IDS.iter().enumerate() {
         let at = 16 + 24 * i;
-        let id = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-        let offset = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().expect("8 bytes"));
+        let id = u32_at(bytes, at);
+        let crc = u32_at(bytes, at + 4);
+        let offset = u64_at(bytes, at + 8);
+        let len = u64_at(bytes, at + 16);
         if id != want_id {
             return Err(SnapshotError::HeaderCorrupt {
                 detail: format!("directory slot {i} holds section id {id}, expected {want_id}"),
@@ -644,13 +683,20 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<(u32, std::ops::Range<usize>)>, Sn
                 found: bytes.len() as u64,
             });
         }
-        let range = offset as usize..end as usize;
-        if crc32(&bytes[range.clone()]) != crc {
+        let section = SectionInfo {
+            id,
+            name: section_name(id),
+            offset,
+            len,
+            crc32: crc,
+        };
+        if crc32(&bytes[section.range()]) != crc {
             return Err(SnapshotError::SectionChecksum {
-                section: section_name(id),
+                section: section.name,
             });
         }
-        sections.push((id, range));
+        file_crc = crc32_combine(file_crc, crc, len);
+        sections.push(section);
         expected_offset = end;
     }
     if expected_offset != bytes.len() as u64 {
@@ -659,11 +705,27 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<(u32, std::ops::Range<usize>)>, Sn
             found: bytes.len() as u64,
         });
     }
-    Ok(sections)
+    Ok((sections, file_crc))
 }
 
-/// One row of a snapshot's section directory, as validated and returned by
-/// [`section_directory`].
+/// Rewrites every section checksum in the directory, then the header
+/// checksum, trusting the directory's offsets and lengths. Backs
+/// [`crate::fixtures::reseal_snapshot`].
+pub(crate) fn reseal(bytes: &mut [u8]) {
+    let header_len = 16 + 24 * SECTION_IDS.len() + 4;
+    for i in 0..SECTION_IDS.len() {
+        let at = 16 + 24 * i;
+        let offset = u64_at(bytes, at + 8) as usize;
+        let len = u64_at(bytes, at + 16) as usize;
+        let crc = crc32(&bytes[offset..offset + len]);
+        bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+    let crc = crc32(&bytes[..header_len - 4]);
+    bytes[header_len - 4..header_len].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One row of a snapshot's section directory, as validated and returned in
+/// [`SnapshotInfo::sections`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SectionInfo {
     /// Section id as stored in the directory.
@@ -678,38 +740,20 @@ pub struct SectionInfo {
     pub crc32: u32,
 }
 
-/// Validates the header and every section checksum, then returns the full
-/// section directory (backs `rap snapshot info`). Performs exactly the
-/// structural half of [`verify_snapshot`] — no section decoding.
-///
-/// # Errors
-///
-/// Any header or checksum corruption, as the corresponding
-/// [`SnapshotError`] variant.
-pub fn section_directory(bytes: &[u8]) -> Result<Vec<SectionInfo>, SnapshotError> {
-    let sections = parse_sections(bytes)?;
-    Ok(sections
-        .iter()
-        .enumerate()
-        .map(|(i, (id, range))| {
-            // parse_sections validated the directory; re-read the pinned CRC
-            // from the entry it checked.
-            let at = 16 + 24 * i;
-            let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-            SectionInfo {
-                id: *id,
-                name: section_name(*id),
-                offset: range.start as u64,
-                len: range.len() as u64,
-                crc32: crc,
-            }
-        })
-        .collect())
+impl SectionInfo {
+    /// The payload's byte range; `parse_sections` checked it lies in the
+    /// file.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.offset as usize..(self.offset + self.len) as usize
+    }
 }
 
 /// CRC32 of an entire snapshot file: a cheap identity tag for "which bytes
 /// am I serving" (reported by the serving layer's `/metrics`). Not stored
-/// in the file itself — the per-section CRCs in the directory cover it.
+/// in the file itself — the per-section CRCs in the directory cover it,
+/// and the decoders and [`verify_snapshot`] fold this value from them
+/// instead of hashing the file again. This function is the reference they
+/// are tested against.
 #[must_use]
 pub fn snapshot_crc32(bytes: &[u8]) -> u32 {
     crc32(bytes)
@@ -734,27 +778,36 @@ struct Meta {
     threshold_feet: u64,
 }
 
+/// Byte length of the META section: fourteen `u64` fields, the utility
+/// kind (`u32`) and the threshold (`u64`), in `encode_snapshot`'s order.
+const META_LEN: usize = 14 * 8 + 4 + 8;
+
 fn parse_meta(bytes: &[u8]) -> Result<Meta, SnapshotError> {
-    let mut r = ByteReader::new(bytes, "meta");
+    if bytes.len() != META_LEN {
+        return Err(SnapshotError::Malformed {
+            section: "meta",
+            detail: format!("{} bytes, the layout has {META_LEN}", bytes.len()),
+        });
+    }
+    let field = |i: usize| u64_at(bytes, 8 * i);
     let meta = Meta {
-        epoch: r.u64()?,
-        next_stable: r.u64()?,
-        compactions: r.u64()?,
-        compact_ratio: r.f64()?,
-        source_position: r.u64()?,
-        node_count: r.u64()?,
-        edge_count: r.u64()?,
-        shop_count: r.u64()?,
-        flow_count: r.u64()?,
-        path_nodes_total: r.u64()?,
-        entry_count: r.u64()?,
-        overlay_count: r.u64()?,
-        placement_len: r.u64()?,
-        extra_len: r.u64()?,
-        utility_kind: r.u32()?,
-        threshold_feet: r.u64()?,
+        epoch: field(0),
+        next_stable: field(1),
+        compactions: field(2),
+        compact_ratio: f64::from_bits(field(3)),
+        source_position: field(4),
+        node_count: field(5),
+        edge_count: field(6),
+        shop_count: field(7),
+        flow_count: field(8),
+        path_nodes_total: field(9),
+        entry_count: field(10),
+        overlay_count: field(11),
+        placement_len: field(12),
+        extra_len: field(13),
+        utility_kind: u32_at(bytes, 14 * 8),
+        threshold_feet: u64_at(bytes, 14 * 8 + 4),
     };
-    r.finish()?;
     if meta.utility_kind > 2 {
         return Err(SnapshotError::Malformed {
             section: "meta",
@@ -785,46 +838,53 @@ fn check_section_len(id: u32, len: u64, count: u64, record: u64) -> Result<(), S
     Ok(())
 }
 
-fn cross_check(
-    meta: &Meta,
-    sections: &[(u32, std::ops::Range<usize>)],
-) -> Result<(), SnapshotError> {
-    for (id, range) in sections {
-        let len = range.len() as u64;
-        match *id {
+fn cross_check(meta: &Meta, sections: &[SectionInfo]) -> Result<(), SnapshotError> {
+    for s in sections {
+        let (id, len) = (s.id, s.len);
+        match id {
             SEC_META => {}
-            SEC_POINTS => check_section_len(*id, len, meta.node_count, 16)?,
-            SEC_EDGES => check_section_len(*id, len, meta.edge_count, 16)?,
-            SEC_SHOPS => check_section_len(*id, len, meta.shop_count, 4)?,
-            SEC_FLOWS => check_section_len(*id, len, meta.flow_count, 48)?,
-            SEC_PATHS => check_section_len(*id, len, meta.path_nodes_total, 4)?,
+            SEC_POINTS => check_section_len(id, len, meta.node_count, 16)?,
+            SEC_EDGES => check_section_len(id, len, meta.edge_count, 16)?,
+            SEC_SHOPS => check_section_len(id, len, meta.shop_count, 4)?,
+            SEC_FLOWS => check_section_len(id, len, meta.flow_count, 48)?,
+            SEC_PATHS => check_section_len(id, len, meta.path_nodes_total, 4)?,
             SEC_OFFSETS | SEC_OVERLAY_OFFSETS => {
-                check_section_len(*id, len, meta.node_count + 1, 4)?
+                check_section_len(id, len, meta.node_count + 1, 4)?
             }
-            SEC_ENTRIES => check_section_len(*id, len, meta.entry_count, 16)?,
-            SEC_OVERLAY => check_section_len(*id, len, meta.overlay_count, 16)?,
-            SEC_PLACEMENT => check_section_len(*id, len, meta.placement_len, 4)?,
-            SEC_EXTRA => check_section_len(*id, len, meta.extra_len, 1)?,
+            SEC_ENTRIES => check_section_len(id, len, meta.entry_count, 16)?,
+            SEC_OVERLAY => check_section_len(id, len, meta.overlay_count, 16)?,
+            SEC_PLACEMENT => check_section_len(id, len, meta.placement_len, 4)?,
+            SEC_EXTRA => check_section_len(id, len, meta.extra_len, 1)?,
             _ => unreachable!("parse_sections admits known ids only"),
         }
     }
     Ok(())
 }
 
+/// The checksummed directory, the meta section and the folded file CRC:
+/// everything [`verify_snapshot`] reports and the reader starts from.
+fn parse_header(bytes: &[u8]) -> Result<(Vec<SectionInfo>, Meta, u32), SnapshotError> {
+    let (sections, file_crc) = parse_sections(bytes)?;
+    let meta = parse_meta(&bytes[sections[0].range()])?;
+    cross_check(&meta, &sections)?;
+    Ok((sections, meta, file_crc))
+}
+
 /// Validates checksums and structure without rebuilding the scenario — no
-/// graph construction, no Dijkstra runs. This is `rap snapshot verify`.
+/// graph construction, no Dijkstra runs. This is `rap snapshot verify` and
+/// `rap snapshot info`; the file CRC it reports is folded from the section
+/// checksums, so the file is hashed once.
 ///
 /// # Errors
 ///
 /// Any [`SnapshotError`] the full decode would raise at the header or
 /// section-shape level.
 pub fn verify_snapshot(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let sections = parse_sections(bytes)?;
-    let meta = parse_meta(&bytes[sections[0].1.clone()])?;
-    cross_check(&meta, &sections)?;
+    let (sections, meta, file_crc32) = parse_header(bytes)?;
     Ok(SnapshotInfo {
         version: VERSION,
         file_len: bytes.len() as u64,
+        file_crc32,
         epoch: meta.epoch,
         compactions: meta.compactions,
         next_stable: meta.next_stable,
@@ -843,82 +903,62 @@ pub fn verify_snapshot(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
             _ => "sqrt",
         },
         threshold_feet: meta.threshold_feet,
+        sections,
     })
 }
 
-/// Decodes a snapshot into a live [`MutableScenario`] (sequential derived-
-/// state rebuild).
-///
-/// # Errors
-///
-/// Any [`SnapshotError`]; never panics on corrupt input.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotContents, SnapshotError> {
-    decode_snapshot_with_threads(bytes, 1)
+/// A snapshot's sections, read and validated: what both assemblers start
+/// from.
+struct Parts<'a> {
+    graph: RoadGraph,
+    shops: Vec<NodeId>,
+    utility: Arc<dyn UtilityFunction>,
+    state: PersistedState,
+    placement: Option<Placement>,
+    source_position: u64,
+    extra: &'a [u8],
+    file_crc: u32,
 }
 
-/// [`decode_snapshot`] with the per-shop Dijkstra rebuild fanned across
-/// `threads` workers (bit-identical result — distances are exact integers).
-///
-/// # Errors
-///
-/// Any [`SnapshotError`]; never panics on corrupt input.
-pub fn decode_snapshot_with_threads(
-    bytes: &[u8],
-    threads: usize,
-) -> Result<SnapshotContents, SnapshotError> {
-    let sections = parse_sections(bytes)?;
-    let meta = parse_meta(&bytes[sections[0].1.clone()])?;
-    cross_check(&meta, &sections)?;
-    let sec = |id: u32| -> &[u8] {
-        let (_, range) = &sections[id as usize - 1];
-        &bytes[range.clone()]
-    };
+/// The one reader: parses every section and runs the validator
+/// ([`validate_state`]), leaving only [`check_live_hops`] to the caller.
+/// Sections are read as fixed-size records, which `cross_check` sized
+/// exactly.
+fn read_parts(bytes: &[u8]) -> Result<Parts<'_>, SnapshotError> {
+    let (sections, meta, file_crc) = parse_header(bytes)?;
+    let sec = |id: u32| &bytes[sections[id as usize - 1].range()];
 
     // Graph: nodes then edges, in stored order — `GraphBuilder::build` is a
     // deterministic counting sort, so the rebuilt CSR is identical to the
     // saved graph's.
     let node_count = meta.node_count as usize;
     let mut builder = GraphBuilder::with_capacity(node_count, meta.edge_count as usize);
-    let mut points = ByteReader::new(sec(SEC_POINTS), "points");
-    for _ in 0..node_count {
-        let x = points.f64()?;
-        let y = points.f64()?;
-        builder.add_node(Point::new(x, y));
+    for p in sec(SEC_POINTS).chunks_exact(16) {
+        builder.add_node(Point::new(f64_at(p, 0), f64_at(p, 8)));
     }
-    points.finish()?;
-    let mut edges = ByteReader::new(sec(SEC_EDGES), "edges");
-    for i in 0..meta.edge_count {
-        let src = NodeId::new(edges.u32()?);
-        let dst = NodeId::new(edges.u32()?);
-        let length = Distance::from_feet(edges.u64()?);
+    for (i, e) in sec(SEC_EDGES).chunks_exact(16).enumerate() {
+        let (src, dst) = (NodeId::new(u32_at(e, 0)), NodeId::new(u32_at(e, 4)));
         builder
-            .add_edge(src, dst, length)
-            .map_err(|e| SnapshotError::Malformed {
+            .add_edge(src, dst, Distance::from_feet(u64_at(e, 8)))
+            .map_err(|err| SnapshotError::Malformed {
                 section: "edges",
-                detail: format!("edge {i}: {e}"),
+                detail: format!("edge {i}: {err}"),
             })?;
     }
-    edges.finish()?;
     let graph: RoadGraph = builder.build();
 
-    let mut shops_r = ByteReader::new(sec(SEC_SHOPS), "shops");
-    let mut shops = Vec::with_capacity(meta.shop_count as usize);
-    for _ in 0..meta.shop_count {
-        shops.push(NodeId::new(shops_r.u32()?));
-    }
-    shops_r.finish()?;
+    let shops: Vec<NodeId> = sec(SEC_SHOPS)
+        .chunks_exact(4)
+        .map(|c| NodeId::new(u32_at(c, 0)))
+        .collect();
 
-    // Flow records plus their concatenated paths.
-    let mut flows_r = ByteReader::new(sec(SEC_FLOWS), "flows");
-    let mut paths_r = ByteReader::new(sec(SEC_PATHS), "paths");
+    // Flow records plus their concatenated paths. A record's path length
+    // is checked against the bytes left before anything is allocated.
+    let paths = sec(SEC_PATHS);
+    let mut path_at = 0usize;
     let mut flows = Vec::with_capacity(meta.flow_count as usize);
-    for i in 0..meta.flow_count {
-        let stable = flows_r.u64()?;
-        let origin = NodeId::new(flows_r.u32()?);
-        let destination = NodeId::new(flows_r.u32()?);
-        let volume = flows_r.f64()?;
-        let alpha = flows_r.f64()?;
-        let live = match flows_r.u32()? {
+    for (i, r) in sec(SEC_FLOWS).chunks_exact(48).enumerate() {
+        let live = match u32_at(r, 32) {
             0 => false,
             1 => true,
             other => {
@@ -928,64 +968,59 @@ pub fn decode_snapshot_with_threads(
                 })
             }
         };
-        let path_len = flows_r.u32()? as usize;
-        let path_length = Distance::from_feet(flows_r.u64()?);
-        let mut path_nodes = Vec::with_capacity(path_len);
-        for _ in 0..path_len {
-            path_nodes.push(NodeId::new(paths_r.u32()?));
-        }
+        let path_end = (u32_at(r, 36) as usize)
+            .checked_mul(4)
+            .and_then(|len| path_at.checked_add(len))
+            .filter(|&end| end <= paths.len())
+            .ok_or_else(|| SnapshotError::Malformed {
+                section: "paths",
+                detail: format!("flow #{i} path runs past the end of the section"),
+            })?;
+        let path_nodes = paths[path_at..path_end]
+            .chunks_exact(4)
+            .map(|c| NodeId::new(u32_at(c, 0)))
+            .collect();
+        path_at = path_end;
         flows.push(PersistedFlow {
-            stable,
-            origin,
-            destination,
-            volume,
-            alpha,
+            stable: u64_at(r, 0),
+            origin: NodeId::new(u32_at(r, 8)),
+            destination: NodeId::new(u32_at(r, 12)),
+            volume: f64_at(r, 16),
+            alpha: f64_at(r, 24),
             live,
             path_nodes,
-            path_length,
+            path_length: Distance::from_feet(u64_at(r, 40)),
         });
     }
-    flows_r.finish()?;
-    paths_r.finish()?;
+    if path_at != paths.len() {
+        return Err(SnapshotError::Malformed {
+            section: "paths",
+            detail: format!(
+                "{} bytes follow the last flow's path",
+                paths.len() - path_at
+            ),
+        });
+    }
 
-    let read_u32s = |id: u32, name: &'static str| -> Result<Vec<u32>, SnapshotError> {
-        let mut r = ByteReader::new(sec(id), name);
-        let mut out = Vec::with_capacity(sec(id).len() / 4);
-        for _ in 0..sec(id).len() / 4 {
-            out.push(r.u32()?);
-        }
-        r.finish()?;
-        Ok(out)
+    let u32s = |id: u32| -> Vec<u32> { sec(id).chunks_exact(4).map(|c| u32_at(c, 0)).collect() };
+    let detours = |id: u32| -> Vec<FlowDetour> {
+        sec(id)
+            .chunks_exact(16)
+            .map(|c| FlowDetour {
+                flow: FlowId::new(u32_at(c, 0)),
+                position: u32_at(c, 4),
+                detour: Distance::from_feet(u64_at(c, 8)),
+            })
+            .collect()
     };
-    let offsets = read_u32s(SEC_OFFSETS, "offsets")?;
-    let overlay_offsets = read_u32s(SEC_OVERLAY_OFFSETS, "overlay-offsets")?;
+    let offsets = u32s(SEC_OFFSETS);
+    let overlay_offsets = u32s(SEC_OVERLAY_OFFSETS);
+    let entries = detours(SEC_ENTRIES);
+    let overlay_entries = detours(SEC_OVERLAY);
 
-    let mut entries_r = ByteReader::new(sec(SEC_ENTRIES), "entries");
-    let mut entries = Vec::with_capacity(meta.entry_count as usize);
-    for _ in 0..meta.entry_count {
-        entries.push(crate::detour::FlowDetour {
-            flow: FlowId::new(entries_r.u32()?),
-            position: entries_r.u32()?,
-            detour: Distance::from_feet(entries_r.u64()?),
-        });
-    }
-    entries_r.finish()?;
-
-    let mut overlay_r = ByteReader::new(sec(SEC_OVERLAY), "overlay");
-    let mut overlay_entries = Vec::with_capacity(meta.overlay_count as usize);
-    for _ in 0..meta.overlay_count {
-        overlay_entries.push(PersistedOverlayEntry {
-            flow: overlay_r.u32()?,
-            position: overlay_r.u32()?,
-            detour: Distance::from_feet(overlay_r.u64()?),
-        });
-    }
-    overlay_r.finish()?;
-
-    let mut placement_r = ByteReader::new(sec(SEC_PLACEMENT), "placement");
     let mut raps = Vec::with_capacity(meta.placement_len as usize);
-    for _ in 0..meta.placement_len {
-        let node = NodeId::new(placement_r.u32()?);
+    for c in sec(SEC_PLACEMENT).chunks_exact(4) {
+        let node = NodeId::new(u32_at(c, 0));
         if node.index() >= node_count {
             return Err(SnapshotError::Malformed {
                 section: "placement",
@@ -994,14 +1029,7 @@ pub fn decode_snapshot_with_threads(
         }
         raps.push(node);
     }
-    placement_r.finish()?;
-    let placement = if raps.is_empty() {
-        None
-    } else {
-        Some(Placement::new(raps))
-    };
-
-    let extra = sec(SEC_EXTRA).to_vec();
+    let placement = (!raps.is_empty()).then(|| Placement::new(raps));
 
     let utility = match meta.utility_kind {
         0 => UtilityKind::Threshold,
@@ -1021,17 +1049,292 @@ pub fn decode_snapshot_with_threads(
         overlay_offsets,
         overlay_entries,
     };
-    let scenario = MutableScenario::from_persisted(graph, shops, utility, threads, state).map_err(
-        |detail| SnapshotError::Malformed {
-            section: "state",
-            detail,
-        },
-    )?;
-    Ok(SnapshotContents {
-        scenario,
+    validate_state(&graph, &shops, &state)?;
+    Ok(Parts {
+        graph,
+        shops,
+        utility,
+        state,
         placement,
         source_position: meta.source_position,
-        extra,
+        extra: sec(SEC_EXTRA),
+        file_crc,
+    })
+}
+
+/// A violated scenario invariant, as the validator reports it.
+fn invalid(detail: String) -> SnapshotError {
+    SnapshotError::Malformed {
+        section: "state",
+        detail,
+    }
+}
+
+/// The validator: every invariant of the persisted state that the section
+/// shapes do not already guarantee and that the assemblers rely on — shops
+/// and path nodes inside the graph, well-formed CSRs, entries naming known
+/// flows, and for live flows a valid volume and `α`, distinct stable ids
+/// and distinct endpoints. Its last check, the path hops of live flows, is
+/// [`check_live_hops`].
+fn validate_state(
+    graph: &RoadGraph,
+    shops: &[NodeId],
+    st: &PersistedState,
+) -> Result<(), SnapshotError> {
+    let n = graph.node_count();
+    if shops.is_empty() {
+        return Err(invalid("shop list is empty".into()));
+    }
+    for &s in shops {
+        if !graph.contains_node(s) {
+            return Err(invalid(format!("shop {s} is outside the graph")));
+        }
+    }
+    check_csr(&st.offsets, n, st.entries.len(), "base")?;
+    check_csr(&st.overlay_offsets, n, st.overlay_entries.len(), "overlay")?;
+    if !(0.0..=1.0).contains(&st.compact_ratio) {
+        return Err(invalid(format!(
+            "compact ratio {} outside [0, 1]",
+            st.compact_ratio
+        )));
+    }
+
+    // Tombstones keep their parameters (their values are zeroed, never
+    // read), but every path must still be in-bounds.
+    let mut live_stable = HashSet::new();
+    for (i, pf) in st.flows.iter().enumerate() {
+        if pf.stable >= st.next_stable {
+            return Err(invalid(format!(
+                "flow #{} stable id {} is not below next_stable {}",
+                i, pf.stable, st.next_stable
+            )));
+        }
+        if pf.path_nodes.is_empty() {
+            return Err(invalid(format!("flow #{i} has an empty path")));
+        }
+        for &node in &pf.path_nodes {
+            if !graph.contains_node(node) {
+                return Err(invalid(format!(
+                    "flow #{i} path visits {node} outside the graph"
+                )));
+            }
+        }
+        if pf.path_nodes.first() != Some(&pf.origin)
+            || pf.path_nodes.last() != Some(&pf.destination)
+        {
+            return Err(invalid(format!(
+                "flow #{i} path does not span origin → destination"
+            )));
+        }
+        if pf.live {
+            if !pf.volume.is_finite() || pf.volume <= 0.0 {
+                return Err(invalid(format!(
+                    "flow #{} volume {} is invalid",
+                    i, pf.volume
+                )));
+            }
+            if !pf.alpha.is_finite() || !(0.0..=1.0).contains(&pf.alpha) {
+                return Err(invalid(format!(
+                    "flow #{} alpha {} is invalid",
+                    i, pf.alpha
+                )));
+            }
+            if pf.origin == pf.destination {
+                return Err(invalid(format!(
+                    "live flow #{i} starts and ends at {}",
+                    pf.origin
+                )));
+            }
+            if !live_stable.insert(pf.stable) {
+                return Err(invalid(format!("duplicate live stable id {}", pf.stable)));
+            }
+        }
+    }
+    for (i, e) in st.entries.iter().enumerate() {
+        if e.flow.index() >= st.flows.len() {
+            return Err(invalid(format!(
+                "base entry {i} names unknown flow {}",
+                e.flow
+            )));
+        }
+    }
+    for (i, e) in st.overlay_entries.iter().enumerate() {
+        if e.flow.index() >= st.flows.len() {
+            return Err(invalid(format!(
+                "overlay entry {i} names unknown flow {}",
+                e.flow
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// CSR shape validation shared by the base and overlay tables.
+fn check_csr(offsets: &[u32], n: usize, entries: usize, what: &str) -> Result<(), SnapshotError> {
+    if offsets.len() != n + 1 {
+        return Err(invalid(format!(
+            "{} CSR has {} offsets for {} nodes",
+            what,
+            offsets.len(),
+            n
+        )));
+    }
+    if offsets[0] != 0 {
+        return Err(invalid(format!("{what} CSR does not start at 0")));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(invalid(format!("{what} CSR offsets decrease")));
+    }
+    if offsets[n] as usize != entries {
+        return Err(invalid(format!(
+            "{} CSR ends at {} but holds {} entries",
+            what, offsets[n], entries
+        )));
+    }
+    Ok(())
+}
+
+/// The validator's last check: every hop of a live flow's path is an edge
+/// of the graph, or the first-visit index cannot be built. Tombstones are
+/// never indexed. The serving decode makes this check inside
+/// [`rap_traffic::FlowSet::try_from_routed`], which visits the hops in this
+/// order.
+fn check_live_hops(graph: &RoadGraph, flows: &[PersistedFlow]) -> Result<(), SnapshotError> {
+    for pf in flows.iter().filter(|pf| pf.live) {
+        for hop in pf.path_nodes.windows(2) {
+            if graph.edge_length(hop[0], hop[1]).is_none() {
+                return Err(hop_error(hop[0], hop[1]));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn hop_error(from: NodeId, to: NodeId) -> SnapshotError {
+    invalid(format!(
+        "a live flow's path hops {from} → {to}, which no edge connects"
+    ))
+}
+
+/// Decodes a snapshot into a live [`MutableScenario`] (sequential derived-
+/// state rebuild).
+///
+/// # Errors
+///
+/// Any [`SnapshotError`]; never panics on corrupt input.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotContents, SnapshotError> {
+    decode_snapshot_with_threads(bytes, 1)
+}
+
+/// [`decode_snapshot`] with the per-shop Dijkstra rebuild fanned across
+/// `threads` workers (bit-identical result — distances are exact integers).
+///
+/// This is the decode a stream resume needs: the mutable state with its
+/// overlay rows, tombstones and per-shop trees. A server needs only the
+/// immutable scenario; [`decode_serving_snapshot`] builds that directly.
+///
+/// # Errors
+///
+/// Any [`SnapshotError`]; never panics on corrupt input.
+pub fn decode_snapshot_with_threads(
+    bytes: &[u8],
+    threads: usize,
+) -> Result<SnapshotContents, SnapshotError> {
+    let parts = read_parts(bytes)?;
+    check_live_hops(&parts.graph, &parts.state.flows)?;
+    let scenario = MutableScenario::from_persisted(
+        parts.graph,
+        parts.shops,
+        parts.utility,
+        threads,
+        parts.state,
+    );
+    Ok(SnapshotContents {
+        scenario,
+        placement: parts.placement,
+        source_position: parts.source_position,
+        extra: parts.extra.to_vec(),
+    })
+}
+
+/// A snapshot decoded for serving, from [`decode_serving_snapshot`].
+#[derive(Debug)]
+pub struct ServingSnapshot {
+    /// The immutable scenario of the live flows: field for field and bit
+    /// for bit, `decode_snapshot(bytes)?.scenario.snapshot()`.
+    pub scenario: Scenario,
+    /// The placement recorded at save time, if one was.
+    pub placement: Option<Placement>,
+    /// The scenario's delta epoch at save time.
+    pub scenario_epoch: u64,
+    /// Live (non-tombstoned) flows, the flows `scenario` holds.
+    pub live_flows: usize,
+    /// CRC32 of the whole file, equal to [`snapshot_crc32`] of its bytes,
+    /// folded from the section checksums the decode verified.
+    pub file_crc32: u32,
+}
+
+/// Decodes a snapshot straight to the immutable [`Scenario`] a server
+/// answers from, with the same checks and the same errors as
+/// [`decode_snapshot`], but none of the state only a stream resume needs:
+///
+/// - live flows become routed flows by moving their decoded paths, and
+///   base and overlay rows merge per node under the live-id remap, by the
+///   same code [`MutableScenario::snapshot`] runs;
+/// - [`rap_traffic::FlowSet::try_from_routed`] indexes the flows' first
+///   visits, and its edge lookups are the path-hop check;
+/// - shop distances come from one reverse Dijkstra per shop, fanned across
+///   `threads` workers; the forward trees only serve flow additions;
+/// - entry values are computed once, by the scenario itself.
+///
+/// # Errors
+///
+/// Any [`SnapshotError`]; never panics on corrupt input.
+pub fn decode_serving_snapshot(
+    bytes: &[u8],
+    threads: usize,
+) -> Result<ServingSnapshot, SnapshotError> {
+    let Parts {
+        graph,
+        shops,
+        utility,
+        state: st,
+        placement,
+        file_crc,
+        ..
+    } = read_parts(bytes)?;
+    let to_shop = crate::detour::shop_distances(&graph, &shops, threads);
+    let flows = st.flows.into_iter().map(|pf| {
+        pf.live.then(|| {
+            let path = Path::from_parts_unchecked(pf.path_nodes, pf.path_length);
+            (
+                live_spec(pf.origin, pf.destination, pf.volume, pf.alpha),
+                path,
+            )
+        })
+    });
+    let scenario = live_scenario(
+        graph,
+        shops,
+        utility,
+        flows,
+        (&st.offsets, &st.entries),
+        |v| {
+            let row = st.overlay_offsets[v] as usize..st.overlay_offsets[v + 1] as usize;
+            st.overlay_entries[row].iter().copied()
+        },
+        to_shop,
+    )
+    .map_err(|e| match e {
+        TrafficError::Graph(GraphError::Unreachable { from, to }) => hop_error(from, to),
+        other => invalid(other.to_string()),
+    })?;
+    Ok(ServingSnapshot {
+        live_flows: scenario.flows().len(),
+        scenario,
+        placement,
+        scenario_epoch: st.epoch,
+        file_crc32: file_crc,
     })
 }
 
@@ -1049,7 +1352,7 @@ pub fn decode_snapshot_with_threads(
 ///
 /// Any I/O failure, including injected ones.
 pub fn write_snapshot_atomic(
-    path: &Path,
+    path: &std::path::Path,
     bytes: &[u8],
     faults: &FaultPlan,
 ) -> Result<(), SnapshotError> {
@@ -1100,7 +1403,10 @@ pub fn write_snapshot_atomic(
 /// # Errors
 ///
 /// Any I/O failure from reading the file.
-pub fn read_snapshot_file(path: &Path, faults: &FaultPlan) -> Result<Vec<u8>, SnapshotError> {
+pub fn read_snapshot_file(
+    path: &std::path::Path,
+    faults: &FaultPlan,
+) -> Result<Vec<u8>, SnapshotError> {
     let mut bytes = std::fs::read(path)?;
     if let Some(DiskFault::ShortRead { keep_bytes }) = faults.disk_read_fault(0) {
         bytes.truncate(keep_bytes as usize);
@@ -1264,6 +1570,39 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// Folding the pieces' CRCs with `crc32_combine` gives the CRC of
+        /// their concatenation, for any cut (empty pieces included).
+        #[test]
+        fn folded_crc_equals_the_whole_crc(
+            bytes in proptest::collection::vec(0u8..=255, 0..600),
+            cuts in proptest::collection::vec(0usize..601, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.push(0);
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            let mut folded = crc32(&[]);
+            for piece in cuts.windows(2) {
+                let piece = &bytes[piece[0]..piece[1]];
+                folded = crc32_combine(folded, crc32(piece), piece.len() as u64);
+            }
+            proptest::prop_assert_eq!(folded, snapshot_crc32(&bytes));
+        }
+    }
+
+    #[test]
+    fn folded_crc_handles_long_pieces() {
+        // Lengths with high bits set walk the whole x^(2^k) table.
+        let a = b"snapshot header";
+        let b = vec![0xA5u8; (1 << 20) + 7];
+        let whole: Vec<u8> = a.iter().chain(&b).copied().collect();
+        assert_eq!(
+            crc32_combine(crc32(a), crc32(&b), b.len() as u64),
+            crc32(&whole)
+        );
+    }
+
     #[test]
     fn roundtrip_preserves_exact_state() {
         let mut m = dirty_scenario();
@@ -1297,7 +1636,9 @@ mod tests {
     fn section_directory_reports_every_section() {
         let m = dirty_scenario();
         let bytes = encode_snapshot(&m, None, 0, b"tail").unwrap();
-        let dir = section_directory(&bytes).unwrap();
+        let info = verify_snapshot(&bytes).unwrap();
+        assert_eq!(info.file_crc32, snapshot_crc32(&bytes));
+        let dir = info.sections;
         assert_eq!(dir.len(), SECTION_IDS.len());
         assert_eq!(dir[0].name, "meta");
         assert_eq!(dir.last().unwrap().name, "extra");
@@ -1317,7 +1658,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x80;
         assert!(matches!(
-            section_directory(&bad),
+            verify_snapshot(&bad),
             Err(SnapshotError::SectionChecksum { section: "extra" })
         ));
         assert_ne!(snapshot_crc32(&bad), snapshot_crc32(&bytes));

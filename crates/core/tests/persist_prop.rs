@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use rap_core::{
-    decode_snapshot, encode_record, encode_snapshot, read_wal, restore, FlowDelta, MutableScenario,
-    UtilityKind, WalOp,
+    decode_serving_snapshot, decode_snapshot, encode_record, encode_snapshot, read_wal, restore,
+    snapshot_crc32, FlowDelta, MutableScenario, Placement, Scenario, UtilityKind, WalOp,
 };
 use rap_graph::{Distance, GridGraph, NodeId};
 use rap_traffic::{FlowSet, FlowSpec};
@@ -89,8 +89,96 @@ fn fingerprint(ms: &MutableScenario) -> Vec<u8> {
     encode_snapshot(ms, None, 0, &[]).unwrap()
 }
 
+/// Asserts two scenarios equal field for field and bit for bit: the graph,
+/// every flow's id, spec and path, the first-visit index, the detour table
+/// with its shop distances, every entry value, and the candidates.
+fn assert_same_scenario(a: &Scenario, b: &Scenario) {
+    let (ga, gb) = (a.graph(), b.graph());
+    assert_eq!(ga.node_count(), gb.node_count());
+    for v in 0..ga.node_count() {
+        let node = NodeId::new(v as u32);
+        let (pa, pb) = (ga.point(node), gb.point(node));
+        assert_eq!(
+            (pa.x.to_bits(), pa.y.to_bits()),
+            (pb.x.to_bits(), pb.y.to_bits())
+        );
+    }
+    let edges = |g: &rap_graph::RoadGraph| -> Vec<(u32, u32, u64)> {
+        g.edges()
+            .map(|e| (e.src.raw(), e.dst.raw(), e.length.feet()))
+            .collect()
+    };
+    assert_eq!(edges(ga), edges(gb));
+    assert_eq!(a.shops(), b.shops());
+    assert_eq!(a.utility().name(), b.utility().name());
+    assert_eq!(a.utility().threshold(), b.utility().threshold());
+
+    assert_eq!(a.flows().len(), b.flows().len());
+    for (fa, fb) in a.flows().iter().zip(b.flows()) {
+        assert_eq!(fa.id(), fb.id());
+        assert_eq!(
+            (fa.origin(), fa.destination()),
+            (fb.origin(), fb.destination())
+        );
+        assert_eq!(fa.volume().to_bits(), fb.volume().to_bits());
+        assert_eq!(fa.attractiveness().to_bits(), fb.attractiveness().to_bits());
+        assert_eq!(fa.path(), fb.path());
+    }
+    assert_eq!(a.flows().node_count(), b.flows().node_count());
+    for v in 0..ga.node_count() {
+        let node = NodeId::new(v as u32);
+        assert_eq!(
+            a.flows().visits_at(node),
+            b.flows().visits_at(node),
+            "visits at {node}"
+        );
+        assert_eq!(a.entries_at(node), b.entries_at(node), "entries at {node}");
+        assert_eq!(
+            a.detours().shop_distance(node),
+            b.detours().shop_distance(node),
+            "shop distance at {node}"
+        );
+        let (af, av) = a.value_entries_at(node);
+        let (bf, bv) = b.value_entries_at(node);
+        assert_eq!(af, bf, "entry flows at {node}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(av), bits(bv), "entry values at {node}");
+    }
+    assert_eq!(a.detours().flow_count(), b.detours().flow_count());
+    assert_eq!(a.candidates(), b.candidates());
+    // Anything the fields above miss shows in the full dump.
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The serving decode builds exactly the scenario a resume decode
+    /// materializes, for arbitrary histories (tombstones, overlay rows,
+    /// compactions), with and without a placement and extra bytes.
+    #[test]
+    fn serving_decode_matches_the_materialized_resume(
+        ops in arb_ops(),
+        placed in 0u8..2,
+        extra_len in 0usize..4,
+        threads in 1usize..3,
+    ) {
+        let mut ms = scenario();
+        for &raw in &ops {
+            let op = wal_op(&ms, raw);
+            apply_op(&mut ms, &op);
+        }
+        let placement = (placed == 1).then(|| Placement::new(vec![NodeId::new(9), NodeId::new(6)]));
+        let extra = vec![0x5A; extra_len];
+        let bytes = encode_snapshot(&ms, placement.as_ref(), ops.len() as u64, &extra).unwrap();
+        let mut resumed = decode_snapshot(&bytes).unwrap();
+        let served = decode_serving_snapshot(&bytes, threads).unwrap();
+        prop_assert_eq!(&served.placement, &resumed.placement);
+        prop_assert_eq!(served.scenario_epoch, resumed.scenario.epoch());
+        prop_assert_eq!(served.live_flows, resumed.scenario.live_flows());
+        prop_assert_eq!(served.file_crc32, snapshot_crc32(&bytes));
+        assert_same_scenario(&served.scenario, &resumed.scenario.snapshot());
+    }
 
     /// save -> load -> save is byte-identical for arbitrary histories.
     #[test]

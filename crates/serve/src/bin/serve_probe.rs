@@ -4,12 +4,14 @@
 //! again on the epoch its own `/reload` swaps in.
 //!
 //! ```text
-//! serve_probe ADDR [--min-epoch N] [--skip-reload]
+//! serve_probe ADDR [--min-epoch N] [--skip-reload] [--expect-crc CRC]
 //! ```
 //!
 //! `--min-epoch` additionally asserts that `/healthz` reports at least
 //! that epoch (used to check a trigger-file reload happened);
-//! `--skip-reload` leaves `/reload` untested (for read-only checks).
+//! `--skip-reload` leaves `/reload` untested (for read-only checks);
+//! `--expect-crc` (`0x` and hex, as `rap snapshot info` prints it) asserts
+//! that `/metrics` and the `/reload` body report that snapshot CRC.
 
 use rap_serve::Client;
 use serde::Value;
@@ -85,14 +87,31 @@ fn check_topk_prefix(client: &mut Client) -> usize {
     short.len()
 }
 
+/// Parses a CRC32 written as `rap snapshot info` prints it: `0x` and hex.
+fn parse_crc(text: &str) -> Option<u32> {
+    u32::from_str_radix(text.strip_prefix("0x")?, 16).ok()
+}
+
+/// Asserts a body's `snapshot_crc` equals `expected`, when one is given.
+fn check_crc(body: &Value, expected: Option<u32>, what: &str) {
+    if let Some(crc) = expected {
+        let served = num(body, "snapshot_crc");
+        check(
+            served == f64::from(crc),
+            &format!("{what} snapshot_crc {served} is the file's crc32 0x{crc:08X}"),
+        );
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(addr) = args.next() else {
-        eprintln!("usage: serve_probe ADDR [--min-epoch N] [--skip-reload]");
+        eprintln!("usage: serve_probe ADDR [--min-epoch N] [--skip-reload] [--expect-crc CRC]");
         std::process::exit(2);
     };
     let mut min_epoch = 0u64;
     let mut skip_reload = false;
+    let mut expect_crc = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--min-epoch" => {
@@ -102,6 +121,14 @@ fn main() {
                     .unwrap_or_else(|| fail("--min-epoch needs an integer"));
             }
             "--skip-reload" => skip_reload = true,
+            "--expect-crc" => {
+                expect_crc = Some(
+                    args.next()
+                        .as_deref()
+                        .and_then(parse_crc)
+                        .unwrap_or_else(|| fail("--expect-crc needs a CRC32 as 0x-prefixed hex")),
+                );
+            }
             other => fail(&format!("unknown flag `{other}`")),
         }
     }
@@ -153,6 +180,7 @@ fn main() {
         metrics.body["evaluate"].get("p99_us").is_some(),
         "/metrics evaluate.p99_us",
     );
+    check_crc(&metrics.body, expect_crc, "/metrics");
 
     let placement = client.get("/placement").expect("/placement");
     check(placement.status == 200, "/placement status");
@@ -173,11 +201,14 @@ fn main() {
         check(reload.body["status"] == "reloaded", "/reload body.status");
         let new_epoch = num(&reload.body, "epoch") as u64;
         check(new_epoch == epoch + 1, "/reload bumps epoch by one");
+        check_crc(&reload.body, expect_crc, "/reload");
         let health = client.get("/healthz").expect("/healthz after reload");
         check(
             num(&health.body, "epoch") as u64 == new_epoch,
             "/healthz reflects reloaded epoch",
         );
+        let metrics = client.get("/metrics").expect("/metrics after reload");
+        check_crc(&metrics.body, expect_crc, "/metrics after reload");
         check_topk_prefix(&mut client);
     }
 

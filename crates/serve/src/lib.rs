@@ -9,10 +9,10 @@
 //! pool ([`server`]) that respawns a panicked worker against a bounded
 //! budget. State lives in an epoch-swapped
 //! `Arc<Scenario>` ([`state`]): requests pin one immutable epoch for
-//! their whole lifetime, `POST /reload` re-reads the `RAPSNAP1` snapshot
-//! and swaps epochs in a pointer-sized critical section, and a corrupt
-//! replacement is rejected by the snapshot checksums while the old epoch
-//! keeps serving.
+//! their whole lifetime, `POST /reload` re-reads the `RAPSNAP1` snapshot,
+//! decodes it straight to the serving scenario and swaps epochs in a
+//! pointer-sized critical section, and a corrupt or invalid replacement
+//! is rejected by the decoder while the old epoch keeps serving.
 //!
 //! | Endpoint | Method | Purpose |
 //! |---|---|---|

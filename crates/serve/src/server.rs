@@ -69,7 +69,9 @@ pub struct ServerMetrics {
     pub evaluate: LatencyHistogram,
     /// `/topk` handler latency.
     pub topk: LatencyHistogram,
-    /// `/reload` handler latency (includes the snapshot read and decode).
+    /// `/reload` handler latency: the snapshot read, the serving decode
+    /// (checksums, validation, first-visit index, one reverse Dijkstra per
+    /// shop, entry values) and the epoch swap.
     pub reload: LatencyHistogram,
 }
 
@@ -517,15 +519,14 @@ fn topk(request: &Request, state: &Arc<ServeState>, metrics: &ServerMetrics) -> 
 
 fn reload(state: &Arc<ServeState>) -> Response {
     match state.reload() {
-        Ok((previous, next)) => {
-            let epoch = state.current();
-            json(&ReloadResponse {
-                status: "reloaded".into(),
-                previous_epoch: previous,
-                epoch: next,
-                snapshot_crc: epoch.snapshot_crc,
-            })
-        }
+        // The installed epoch, not `state.current()`: another reload may
+        // already have replaced it.
+        Ok(installed) => json(&ReloadResponse {
+            status: "reloaded".into(),
+            previous_epoch: installed.epoch - 1,
+            epoch: installed.epoch,
+            snapshot_crc: installed.snapshot_crc,
+        }),
         Err(crate::ServeError::NoSnapshotPath) => (
             409,
             "Conflict",

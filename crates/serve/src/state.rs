@@ -2,12 +2,16 @@
 //!
 //! The server holds one [`ServeState`]; every request clones an
 //! `Arc<EpochState>` out of it and works against that immutable view for
-//! the request's whole lifetime. `/reload` builds a complete replacement
-//! epoch *outside* the lock (file read and decode — the expensive part),
-//! then swaps the `Arc` in one short write-lock critical section.
+//! the request's whole lifetime. Start-up and `/reload` load an epoch the
+//! same way: one file read, then [`decode_serving_snapshot`], which turns
+//! the bytes straight into the immutable [`Scenario`] and folds the file's
+//! CRC from the section checksums it verifies. No `MutableScenario` is
+//! built; only a live-attached state ([`ServeState::from_scenario`])
+//! materializes one. `/reload` builds the replacement epoch *outside* the
+//! lock, then swaps the `Arc` in one short write-lock critical section.
 //! In-flight requests keep their old epoch alive through their own `Arc`
-//! until they finish; a corrupt replacement snapshot is rejected by the
-//! decoder's checksums and the old epoch keeps serving untouched.
+//! until they finish; a corrupt or invalid replacement snapshot is
+//! rejected by the decoder and the old epoch keeps serving untouched.
 //!
 //! `/topk` answers from one resumable CELF run per epoch
 //! ([`EpochState::topk`]): the greedy is nested in its budget, so every
@@ -16,8 +20,8 @@
 
 use crate::ServeError;
 use rap_core::{
-    decode_snapshot_with_threads, read_snapshot_file, snapshot_crc32, CelfRun, FaultPlan,
-    MutableScenario, Placement, Scenario,
+    decode_serving_snapshot, read_snapshot_file, CelfRun, FaultPlan, MutableScenario, Placement,
+    Scenario,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,23 +66,33 @@ pub struct TopkAnswer {
 }
 
 impl EpochState {
-    fn build(
-        mut scenario: MutableScenario,
-        placement: Option<Placement>,
-        snapshot_crc: u32,
-        epoch: u64,
-    ) -> Self {
-        let scenario_epoch = scenario.epoch();
-        let live_flows = scenario.live_flows() as u64;
+    /// Epoch `epoch` over a live-attached scenario.
+    fn build(mut scenario: MutableScenario, placement: Option<Placement>, epoch: u64) -> Self {
         EpochState {
             epoch,
             scenario: scenario.snapshot(),
             placement,
-            snapshot_crc,
-            scenario_epoch,
-            live_flows,
+            snapshot_crc: 0,
+            scenario_epoch: scenario.epoch(),
+            live_flows: scenario.live_flows() as u64,
             topk_run: Mutex::new(None),
         }
+    }
+
+    /// Epoch `epoch` read from the snapshot file at `path`: the one load
+    /// path of start-up and `/reload`.
+    fn load(path: &Path, threads: usize, epoch: u64) -> Result<Self, ServeError> {
+        let bytes = read_snapshot_file(path, &FaultPlan::none())?;
+        let served = decode_serving_snapshot(&bytes, threads)?;
+        Ok(EpochState {
+            epoch,
+            scenario: Arc::new(served.scenario),
+            placement: served.placement,
+            snapshot_crc: served.file_crc32,
+            scenario_epoch: served.scenario_epoch,
+            live_flows: served.live_flows as u64,
+            topk_run: Mutex::new(None),
+        })
     }
 
     /// The first `k` RAPs of this epoch's CELF run, advancing the run as
@@ -124,7 +138,7 @@ pub struct ServeState {
     /// read-decode-swap sequences (readers are never blocked by this).
     reload_gate: Mutex<()>,
     snapshot_path: Option<PathBuf>,
-    /// Threads a reload decodes the snapshot with.
+    /// Threads a reload's decode fans its per-shop Dijkstra runs across.
     threads: usize,
     reloads_ok: AtomicU64,
     reloads_failed: AtomicU64,
@@ -141,17 +155,15 @@ impl std::fmt::Debug for ServeState {
 
 impl ServeState {
     /// Loads epoch 1 from a snapshot file; `/reload` re-reads the same
-    /// path. `threads` decodes the snapshot, here and on every reload.
+    /// path. `threads` fans out the decode's per-shop Dijkstra runs, here
+    /// and on every reload.
     ///
     /// # Errors
     ///
     /// I/O failures and every flavor of snapshot corruption, as
     /// [`ServeError`].
     pub fn from_snapshot_file(path: &Path, threads: usize) -> Result<Self, ServeError> {
-        let bytes = read_snapshot_file(path, &FaultPlan::none())?;
-        let crc = snapshot_crc32(&bytes);
-        let contents = decode_snapshot_with_threads(&bytes, threads.max(1))?;
-        let epoch = EpochState::build(contents.scenario, contents.placement, crc, 1);
+        let epoch = EpochState::load(path, threads.max(1), 1)?;
         Ok(ServeState {
             current: RwLock::new(Arc::new(epoch)),
             reload_gate: Mutex::new(()),
@@ -166,7 +178,7 @@ impl ServeState {
     /// maintainer hand-off, also the test/bench path). `/reload` on such a
     /// state fails with [`ServeError::NoSnapshotPath`].
     pub fn from_scenario(scenario: MutableScenario, placement: Option<Placement>) -> Self {
-        let epoch = EpochState::build(scenario, placement, 0, 1);
+        let epoch = EpochState::build(scenario, placement, 1);
         ServeState {
             current: RwLock::new(Arc::new(epoch)),
             reload_gate: Mutex::new(()),
@@ -198,8 +210,10 @@ impl ServeState {
         self.reloads_failed.load(Ordering::Relaxed)
     }
 
-    /// Re-reads the snapshot file and swaps in a new epoch, returning
-    /// `(previous_epoch, new_epoch)`.
+    /// Re-reads the snapshot file and swaps in a new epoch, returning the
+    /// epoch it installed, whose number is one past the previous epoch's.
+    /// The returned `Arc` is this reload's epoch even if another reload
+    /// has replaced it by the time the caller reads it.
     ///
     /// All heavy work happens before the swap; the write lock is held only
     /// for the pointer exchange, so in-flight readers are never blocked
@@ -210,7 +224,7 @@ impl ServeState {
     /// [`ServeError::NoSnapshotPath`] for live-attached states; otherwise
     /// I/O or corruption errors, in which case the current epoch is left
     /// untouched and keeps serving.
-    pub fn reload(&self) -> Result<(u64, u64), ServeError> {
+    pub fn reload(&self) -> Result<Arc<EpochState>, ServeError> {
         let path = self
             .snapshot_path
             .as_deref()
@@ -222,20 +236,14 @@ impl ServeState {
             .reload_gate
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let outcome = (|| {
-            let bytes = read_snapshot_file(path, &FaultPlan::none())?;
-            let crc = snapshot_crc32(&bytes);
-            let contents = decode_snapshot_with_threads(&bytes, self.threads)?;
-            Ok::<_, ServeError>((contents, crc))
-        })();
-        match outcome {
-            Ok((contents, crc)) => {
-                let previous = self.current().epoch;
-                let next =
-                    EpochState::build(contents.scenario, contents.placement, crc, previous + 1);
-                *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+        let next = self.current().epoch + 1;
+        match EpochState::load(path, self.threads, next) {
+            Ok(epoch) => {
+                let installed = Arc::new(epoch);
+                *self.current.write().unwrap_or_else(PoisonError::into_inner) =
+                    Arc::clone(&installed);
                 self.reloads_ok.fetch_add(1, Ordering::Relaxed);
-                Ok((previous, previous + 1))
+                Ok(installed)
             }
             Err(e) => {
                 self.reloads_failed.fetch_add(1, Ordering::Relaxed);
@@ -262,7 +270,7 @@ mod tests {
             UtilityKind::Linear.instantiate(threshold),
         )
         .unwrap();
-        EpochState::build(scenario, None, 0, 1)
+        EpochState::build(scenario, None, 1)
     }
 
     fn fresh(epoch: &EpochState, k: usize) -> (Placement, u64) {

@@ -5,9 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rap_core::fixtures::reseal_snapshot;
 use rap_core::{
-    decode_snapshot, encode_snapshot, write_snapshot_atomic, FaultPlan, LazyGreedy, MarginalGreedy,
-    MutableScenario, Placement, PlacementAlgorithm, UtilityKind,
+    decode_snapshot, encode_snapshot, snapshot_crc32, verify_snapshot, write_snapshot_atomic,
+    FaultPlan, LazyGreedy, MarginalGreedy, MutableScenario, Placement, PlacementAlgorithm,
+    SnapshotError, UtilityKind,
 };
 use rap_graph::{Distance, GridGraph, NodeId};
 use rap_serve::{serve, Client, ServeError, ServeState, ServerConfig};
@@ -177,7 +179,10 @@ fn endpoint_contracts_end_to_end() {
     // Two 400s, one 404, two 405s so far.
     assert_eq!(as_u64(&metrics.body["errors_4xx"]), 5);
     assert_eq!(as_u64(&metrics.body["worker_respawns"]), 0);
-    assert!(as_u64(&metrics.body["snapshot_crc"]) != 0);
+    assert_eq!(
+        as_u64(&metrics.body["snapshot_crc"]),
+        u64::from(snapshot_crc32(&bytes))
+    );
     assert!(as_u64(&metrics.body["evaluate"]["count"]) >= 2);
 
     handle.shutdown();
@@ -411,10 +416,12 @@ fn old_epoch_readers_survive_rotation_and_reload() {
     // Rotate the file on disk (atomic temp+fsync+rename) and reload.
     let bytes_v2 = snapshot_bytes(3.0, None);
     write_snapshot_atomic(&path, &bytes_v2, &FaultPlan::none()).unwrap();
-    assert_eq!(state.reload().unwrap(), (1, 2));
+    let installed = state.reload().unwrap();
+    assert_eq!(installed.epoch, 2);
+    assert_eq!(installed.snapshot_crc, snapshot_crc32(&bytes_v2));
 
     let new_epoch = state.current();
-    assert_eq!(new_epoch.epoch, 2);
+    assert!(Arc::ptr_eq(&installed, &new_epoch));
     let new_objective = new_epoch.scenario.evaluate(&probe);
     assert!(
         (new_objective - 3.0 * old_objective).abs() < 1e-6,
@@ -429,7 +436,105 @@ fn old_epoch_readers_survive_rotation_and_reload() {
         old_objective.to_bits()
     );
 
+    // A later reload replaces the epoch; the earlier reload's answer still
+    // describes the epoch it installed.
+    let bytes_v3 = snapshot_bytes(5.0, None);
+    write_snapshot_atomic(&path, &bytes_v3, &FaultPlan::none()).unwrap();
+    let later = state.reload().unwrap();
+    assert_eq!(
+        (later.epoch, later.snapshot_crc),
+        (3, snapshot_crc32(&bytes_v3))
+    );
+    assert_eq!(
+        (installed.epoch, installed.snapshot_crc),
+        (2, snapshot_crc32(&bytes_v2))
+    );
+
     std::fs::remove_file(&path).ok();
+}
+
+/// A 6×6 snapshot whose first flow drives 0 → 1 → 2, with `edits` written
+/// into it as `(section, byte offset, u32)` and every checksum re-sealed:
+/// bytes that pass the checksums but carry the decoded state the edits
+/// make.
+fn resealed_short_flow_snapshot(edits: &[(&str, usize, u32)]) -> Vec<u8> {
+    let grid = GridGraph::new(6, 6, Distance::from_feet(400));
+    let specs = vec![
+        FlowSpec::new(NodeId::new(0), NodeId::new(2), 900.0).unwrap(),
+        FlowSpec::new(NodeId::new(5), NodeId::new(30), 700.0).unwrap(),
+    ];
+    let flows = FlowSet::route(grid.graph(), specs).unwrap();
+    let scenario = MutableScenario::new(
+        grid.graph().clone(),
+        flows,
+        vec![grid.center()],
+        UtilityKind::Linear.instantiate(Distance::from_feet(2_500)),
+    )
+    .unwrap();
+    let mut bytes = encode_snapshot(&scenario, None, 0, &[]).unwrap();
+    let sections = verify_snapshot(&bytes).unwrap().sections;
+    for &(name, at, value) in edits {
+        let section = sections.iter().find(|s| s.name == name).unwrap();
+        let at = section.offset as usize + at;
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+    reseal_snapshot(&mut bytes);
+    bytes
+}
+
+/// Reloading `bad` over a state serving a good snapshot fails with a
+/// typed error naming `what`, counts one rejected reload, and leaves the
+/// old epoch serving; starting from `bad` fails the same way.
+fn assert_reload_rejects(name: &str, bad: &[u8], what: &str) {
+    let path = temp_snapshot(name, &resealed_short_flow_snapshot(&[]));
+    let state = ServeState::from_snapshot_file(&path, 1).unwrap();
+    let probe = Placement::new(vec![NodeId::new(1), NodeId::new(14)]);
+    let before = state.current();
+    let objective = before.scenario.evaluate(&probe);
+
+    write_snapshot_atomic(&path, bad, &FaultPlan::none()).unwrap();
+    let err = state.reload().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Snapshot(SnapshotError::Malformed {
+                section: "state",
+                ..
+            })
+        ),
+        "{err}"
+    );
+    assert!(err.to_string().contains(what), "{err}");
+    assert_eq!((state.reloads_ok(), state.reloads_failed()), (0, 1));
+    let after = state.current();
+    assert!(Arc::ptr_eq(&before, &after), "the old epoch keeps serving");
+    assert_eq!(after.epoch, 1);
+    assert_eq!(
+        after.scenario.evaluate(&probe).to_bits(),
+        objective.to_bits()
+    );
+    assert!(matches!(
+        ServeState::from_snapshot_file(&path, 1),
+        Err(ServeError::Snapshot(SnapshotError::Malformed { .. }))
+    ));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn reload_rejects_a_path_hop_with_no_edge() {
+    // Path 0 → 8 → 2: the endpoints still match the flow, but node 8 sits
+    // a row above node 2, two blocks from node 0: the first hop is no
+    // street.
+    let bad = resealed_short_flow_snapshot(&[("paths", 4, 8)]);
+    assert_reload_rejects("hop", &bad, "hops V0 → V8, which no edge connects");
+}
+
+#[test]
+fn reload_rejects_a_live_flow_that_ends_where_it_starts() {
+    // Path 0 → 1 → 0 and destination 0: every hop is a street, but the
+    // flow has no distinct endpoints.
+    let bad = resealed_short_flow_snapshot(&[("paths", 8, 0), ("flows", 12, 0)]);
+    assert_reload_rejects("loop", &bad, "live flow #0 starts and ends at V0");
 }
 
 #[test]
@@ -441,10 +546,15 @@ fn corrupt_replacement_is_rejected_and_old_epoch_keeps_serving() {
     let before = client.get("/healthz").unwrap();
     assert_eq!(as_u64(&before.body["epoch"]), 1);
 
-    // A good reload works and bumps the epoch.
+    // A good reload works, bumps the epoch and reports the file's CRC.
     let reloaded = client.post("/reload", "").unwrap();
     assert_eq!(reloaded.status, 200);
     assert_eq!(as_u64(&reloaded.body["epoch"]), 2);
+    assert_eq!(as_u64(&reloaded.body["previous_epoch"]), 1);
+    assert_eq!(
+        as_u64(&reloaded.body["snapshot_crc"]),
+        u64::from(snapshot_crc32(&bytes))
+    );
 
     // Torn write: truncate the file mid-section. The reload must be
     // rejected by the checksums and epoch 2 keeps serving.

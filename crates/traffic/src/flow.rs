@@ -196,6 +196,11 @@ impl TrafficFlow {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// Re-ids the flow in place, keeping its spec and path.
+    pub(crate) fn set_id(&mut self, id: FlowId) {
+        self.id = id;
+    }
 }
 
 impl fmt::Display for TrafficFlow {

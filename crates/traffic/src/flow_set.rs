@@ -14,7 +14,7 @@ use rap_graph::dijkstra::Direction;
 use rap_graph::landmarks::Landmarks;
 use rap_graph::sssp::SsspWorkspace;
 use rap_graph::tiles::TileGrid;
-use rap_graph::{Distance, NodeId, RoadGraph};
+use rap_graph::{Distance, GraphError, NodeId, RoadGraph};
 use std::collections::HashMap;
 
 /// Acceleration inputs for [`FlowSet::route_with`].
@@ -76,8 +76,13 @@ pub struct FlowVisit {
 #[derive(Clone, Debug)]
 pub struct FlowSet {
     flows: Vec<TrafficFlow>,
-    /// `node_index[v]` lists the first visits of all flows passing `v`.
-    node_index: Vec<Vec<FlowVisit>>,
+    /// First-visit CSR row starts: node `v`'s visits are
+    /// `visits[visit_offsets[v] as usize..visit_offsets[v + 1] as usize]`.
+    /// Length `node_count + 1`.
+    visit_offsets: Vec<u32>,
+    /// First visits of every flow, grouped by node id; within a node, in
+    /// flow id order.
+    visits: Vec<FlowVisit>,
 }
 
 impl FlowSet {
@@ -287,46 +292,101 @@ impl FlowSet {
     /// first-visit index.
     ///
     /// Flow ids are reassigned to match positions in `flows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a path leaves the graph or hops between two nodes no edge
+    /// connects; [`FlowSet::try_from_routed`] reports those as errors.
     pub fn from_routed(graph: &RoadGraph, flows: Vec<TrafficFlow>) -> Self {
-        let mut reindexed = Vec::with_capacity(flows.len());
-        for (i, f) in flows.into_iter().enumerate() {
-            reindexed.push(TrafficFlow::new(
-                FlowId::new(i as u32),
-                *f.spec(),
-                f.path().clone(),
-            ));
-        }
-        let mut node_index: Vec<Vec<FlowVisit>> = vec![Vec::new(); graph.node_count()];
+        Self::try_from_routed(graph, flows).expect("routed path edges exist in graph")
+    }
+
+    /// [`FlowSet::from_routed`] for paths that may not follow the graph,
+    /// such as paths read back from disk.
+    ///
+    /// The first-visit index is one CSR built in two passes over the paths:
+    /// a count pass sizes every node's row, and a fill pass writes each
+    /// flow's first visit to a node, with its prefix length, into the next
+    /// slot of that row. Flows are re-id'd in place; no path is copied.
+    ///
+    /// # Errors
+    ///
+    /// [`TrafficError::Graph`] carrying [`GraphError::NodeOutOfBounds`] for
+    /// a path node outside the graph, or [`GraphError::Unreachable`] for the
+    /// first hop (in flow order, then path order) that no edge connects.
+    pub fn try_from_routed(
+        graph: &RoadGraph,
+        mut flows: Vec<TrafficFlow>,
+    ) -> Result<Self, TrafficError> {
+        let n = graph.node_count();
         // `stamp[v]` is the index of the last flow that visited `v`, so a
         // node counts once per flow, at its first position, without a
         // per-flow set.
-        let mut stamp = vec![u32::MAX; graph.node_count()];
-        for flow in &reindexed {
-            let mut prefix = Distance::ZERO;
+        let mut stamp = vec![u32::MAX; n];
+        let mut visit_offsets = vec![0u32; n + 1];
+        for (i, flow) in flows.iter_mut().enumerate() {
+            let id = FlowId::new(i as u32);
+            flow.set_id(id);
+            for &node in flow.path().nodes() {
+                graph.check_node(node)?;
+                let seen = &mut stamp[node.index()];
+                if *seen != id.raw() {
+                    *seen = id.raw();
+                    visit_offsets[node.index() + 1] += 1;
+                }
+            }
+        }
+        let mut total = 0usize;
+        for slot in &mut visit_offsets[1..] {
+            total += *slot as usize;
+            assert!(
+                total <= u32::MAX as usize,
+                "first-visit index exceeds u32 CSR offset range"
+            );
+            *slot = total as u32;
+        }
+        let mut next: Vec<u32> = visit_offsets[..n].to_vec();
+        let mut visits = vec![
+            FlowVisit {
+                flow: FlowId::new(0),
+                position: 0,
+                prefix: Distance::ZERO,
+            };
+            total
+        ];
+        stamp.fill(u32::MAX);
+        for flow in &flows {
             let nodes = flow.path().nodes();
+            let mut prefix = Distance::ZERO;
             for (pos, &node) in nodes.iter().enumerate() {
                 if pos > 0 {
                     let prev = nodes[pos - 1];
                     let hop = graph
                         .edge_length(prev, node)
-                        .expect("routed path edges exist in graph");
+                        .ok_or(GraphError::Unreachable {
+                            from: prev,
+                            to: node,
+                        })?;
                     prefix = prefix.saturating_add(hop);
                 }
                 let seen = &mut stamp[node.index()];
                 if *seen != flow.id().raw() {
                     *seen = flow.id().raw();
-                    node_index[node.index()].push(FlowVisit {
+                    let slot = &mut next[node.index()];
+                    visits[*slot as usize] = FlowVisit {
                         flow: flow.id(),
                         position: pos as u32,
                         prefix,
-                    });
+                    };
+                    *slot += 1;
                 }
             }
         }
-        FlowSet {
-            flows: reindexed,
-            node_index,
-        }
+        Ok(FlowSet {
+            flows,
+            visit_offsets,
+            visits,
+        })
     }
 
     /// Number of flows.
@@ -363,10 +423,11 @@ impl FlowSet {
     /// Returns an empty slice for intersections no flow passes or ids outside
     /// the graph the set was built against.
     pub fn visits_at(&self, node: NodeId) -> &[FlowVisit] {
-        self.node_index
-            .get(node.index())
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let v = node.index();
+        if v >= self.node_count() {
+            return &[];
+        }
+        &self.visits[self.visit_offsets[v] as usize..self.visit_offsets[v + 1] as usize]
     }
 
     /// Number of distinct flows passing `node`.
@@ -390,7 +451,7 @@ impl FlowSet {
 
     /// Number of intersections in the underlying graph.
     pub fn node_count(&self) -> usize {
-        self.node_index.len()
+        self.visit_offsets.len() - 1
     }
 }
 
@@ -514,6 +575,61 @@ mod tests {
         assert_eq!(visits(2), [(0, 4, 40)]);
         assert_eq!(visits(5), [(1, 3, 30)]);
         assert!(visits(3).is_empty());
+        // The CSR rows hold one visit per (flow, distinct node) pair.
+        let total: usize = (0..9).map(|v| fs.visits_at(NodeId::new(v)).len()).sum();
+        assert_eq!(total, 4 + 3);
+        assert_eq!(fs.node_count(), 9);
+    }
+
+    #[test]
+    fn try_from_routed_rejects_a_hop_with_no_edge() {
+        let grid = grid3();
+        let g = grid.graph();
+        let flow = |nodes: &[u32]| {
+            let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId::new).collect();
+            let spec = FlowSpec::new(nodes[0], *nodes.last().unwrap(), 1.0).unwrap();
+            TrafficFlow::new(
+                FlowId::new(0),
+                spec,
+                Path::from_parts_unchecked(nodes, Distance::from_feet(30)),
+            )
+        };
+        // Nodes 1 and 7 are two rows apart; the first flow is a valid walk,
+        // so the error names the second flow's first missing hop.
+        let err = FlowSet::try_from_routed(g, vec![flow(&[0, 1, 2]), flow(&[0, 1, 7, 8, 5])])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TrafficError::Graph(GraphError::Unreachable { from, to })
+                    if from == NodeId::new(1) && to == NodeId::new(7)
+            ),
+            "{err:?}"
+        );
+        let err = FlowSet::try_from_routed(g, vec![flow(&[0, 1, 99])]).unwrap_err();
+        assert!(
+            matches!(err, TrafficError::Graph(GraphError::NodeOutOfBounds { .. })),
+            "{err:?}"
+        );
+        // The same walks without the bad hop build, equal to `from_routed`.
+        let ok = FlowSet::try_from_routed(g, vec![flow(&[0, 1, 2]), flow(&[0, 1, 4, 7, 8])]);
+        let expected = FlowSet::from_routed(g, vec![flow(&[0, 1, 2]), flow(&[0, 1, 4, 7, 8])]);
+        assert_flow_sets_identical(&ok.unwrap(), &expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "routed path edges exist in graph")]
+    fn from_routed_panics_on_a_hop_with_no_edge() {
+        let grid = grid3();
+        let spec = FlowSpec::new(NodeId::new(0), NodeId::new(8), 1.0).unwrap();
+        let path = Path::from_parts_unchecked(
+            vec![NodeId::new(0), NodeId::new(8)],
+            Distance::from_feet(40),
+        );
+        let _ = FlowSet::from_routed(
+            grid.graph(),
+            vec![TrafficFlow::new(FlowId::new(0), spec, path)],
+        );
     }
 
     #[test]
