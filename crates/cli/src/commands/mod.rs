@@ -10,7 +10,26 @@ pub mod stream;
 
 use crate::args::Args;
 use crate::CliError;
-use rap_core::UtilityKind;
+use rap_core::{BuildOptions, PlacementError, UtilityKind};
+
+/// The scenario-build options for a `--threads N` value (0 = every core).
+/// `place` and `stream` build through the plan `snapshot save` uses too,
+/// which keeps small instances on one thread whatever `N` is.
+pub(crate) fn build_options(threads: usize) -> BuildOptions {
+    BuildOptions {
+        threads: (threads > 0).then_some(threads),
+        ..BuildOptions::default()
+    }
+}
+
+/// A scenario-build failure as the commands report it: routing errors keep
+/// the traffic variant, whose text carries no `traffic error:` prefix.
+pub(crate) fn build_error(e: PlacementError) -> CliError {
+    match e {
+        PlacementError::Traffic(e) => CliError::Traffic(e),
+        e => CliError::Placement(e),
+    }
+}
 
 /// Parses `--utility` (`default` when absent) and `--d`, the detour
 /// threshold in feet (2,500 when absent), shared by every command that

@@ -5,10 +5,9 @@ use crate::CliError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    build_scenario, BuildOptions, CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage,
+    build_scenario, CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage,
     GreedyWithSwaps, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MaxCardinality,
-    MaxCustomers, MaxVehicles, Placement, PlacementAlgorithm, PlacementError, PlacementReport,
-    Random, Scenario,
+    MaxCustomers, MaxVehicles, Placement, PlacementAlgorithm, PlacementReport, Random, Scenario,
 };
 use rap_graph::{Distance, NodeId};
 use rap_traffic::FlowSpec;
@@ -166,21 +165,14 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let graph = rap_graph::io::read_text(std::fs::File::open(graph_path)?)?;
     let (specs, quarantined) = read_flows(flows_path, lenient)?;
-    let opts = BuildOptions {
-        threads: (threads > 0).then_some(threads),
-        ..BuildOptions::default()
-    };
     let (scenario, _) = build_scenario(
         graph,
         specs,
         vec![NodeId::new(shop)],
         utility.instantiate(Distance::from_feet(d)),
-        &opts,
+        &super::build_options(threads),
     )
-    .map_err(|e| match e {
-        PlacementError::Traffic(e) => CliError::Traffic(e),
-        e => CliError::Placement(e),
-    })?;
+    .map_err(super::build_error)?;
 
     let names: Vec<&str> = if algorithm == "all" {
         ALL_ALGORITHMS.to_vec()
@@ -435,9 +427,9 @@ mod tests {
             specs,
             vec![NodeId::new(60)],
             rap_core::UtilityKind::Linear.instantiate(Distance::from_feet(2_500)),
-            &BuildOptions {
+            &rap_core::BuildOptions {
                 mode: rap_core::BuildMode::Plain,
-                ..BuildOptions::default()
+                ..rap_core::BuildOptions::default()
             },
         )
         .unwrap();

@@ -17,12 +17,11 @@ use super::place::read_flows;
 use crate::args::Args;
 use crate::CliError;
 use rap_core::{
-    decode_snapshot_with_threads, encode_snapshot, read_snapshot_file, verify_snapshot,
-    write_snapshot_atomic, FaultPlan, MutableScenario,
+    build_mutable_scenario, decode_snapshot_with_threads, encode_snapshot, read_snapshot_file,
+    verify_snapshot, write_snapshot_atomic, BuildOptions, FaultPlan,
 };
 use rap_graph::{Distance, NodeId};
 use rap_traffic::parallel::default_threads;
-use rap_traffic::FlowSet;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -49,17 +48,16 @@ fn save(args: &Args, file: &Path) -> Result<String, CliError> {
     let flows_path = args.required("flows")?;
     let shop: u32 = args.required_parsed("shop", "node id")?;
     let (utility, d) = super::utility_and_threshold(args, "linear")?;
-    let threads = default_threads();
     let graph = rap_graph::io::read_text(std::fs::File::open(graph_path)?)?;
     let (specs, _) = read_flows(flows_path, false)?;
-    let flows = FlowSet::route_parallel(&graph, specs, threads)?;
-    let scenario = MutableScenario::new_with_threads(
+    let (scenario, _) = build_mutable_scenario(
         graph,
-        flows,
+        specs,
         vec![NodeId::new(shop)],
         utility.instantiate(Distance::from_feet(d)),
-        threads,
-    )?;
+        &BuildOptions::default(),
+    )
+    .map_err(super::build_error)?;
     let bytes = encode_snapshot(&scenario, None, 0, &[])?;
     write_snapshot_atomic(file, &bytes, &FaultPlan::none())?;
     Ok(format!(
@@ -334,6 +332,58 @@ mod tests {
             run(&Args::parse(info_argv).unwrap()),
             Err(CliError::Snapshot(_))
         ));
+    }
+
+    #[test]
+    fn save_writes_the_bytes_of_the_routed_reference_build() {
+        // `rap snapshot save` builds through `build_mutable_scenario` under
+        // `BuildMode::Auto`; the file must hold the bytes that
+        // `MutableScenario::new` over `FlowSet::route` encodes in process.
+        let dir =
+            crate::TestDir::new("snapshot_save_writes_the_bytes_of_the_routed_reference_build");
+        let gp = dir.path("seattle.txt");
+        let fp = dir.path("seattle.csv");
+        let snap = dir.path("seattle.snap");
+        crate::dispatch([
+            "generate",
+            "--city",
+            "seattle",
+            "--journeys",
+            "40",
+            "--out-graph",
+            gp.to_str().unwrap(),
+            "--out-flows",
+            fp.to_str().unwrap(),
+        ])
+        .unwrap();
+        let argv = [
+            "save",
+            "--file",
+            snap.to_str().unwrap(),
+            "--graph",
+            gp.to_str().unwrap(),
+            "--flows",
+            fp.to_str().unwrap(),
+            "--shop",
+            "60",
+        ];
+        run(&Args::parse(argv).unwrap()).unwrap();
+
+        let graph = rap_graph::io::read_text(std::fs::File::open(&gp).unwrap()).unwrap();
+        let (specs, _) = read_flows(fp.to_str().unwrap(), false).unwrap();
+        let flows = rap_traffic::FlowSet::route(&graph, specs).unwrap();
+        let reference = rap_core::MutableScenario::new(
+            graph,
+            flows,
+            vec![NodeId::new(60)],
+            rap_core::UtilityKind::Linear.instantiate(Distance::from_feet(2_500)),
+        )
+        .unwrap();
+        let want = encode_snapshot(&reference, None, 0, &[]).unwrap();
+        assert!(
+            std::fs::read(&snap).unwrap() == want,
+            "saved snapshot differs from the reference build's bytes"
+        );
     }
 
     #[test]

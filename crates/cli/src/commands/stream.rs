@@ -17,14 +17,14 @@
 use super::place::read_flows;
 use crate::args::Args;
 use crate::CliError;
-use rap_core::{FsyncPolicy, MutableScenario, UtilityKind};
+use rap_core::{build_mutable_scenario, FsyncPolicy, MutableScenario, UtilityKind};
 use rap_graph::{Distance, NodeId};
 use rap_stream::{
     prepare_resume, read_ndjson, run_stream_with, Durability, DurabilityConfig, Journal,
     Maintainer, MaintainerConfig, ResumePoint, StreamConfig, StreamDelta, StreamError,
     StreamProgress, StreamSummary, SyntheticDrift, TraceReplay,
 };
-use rap_traffic::{FlowSet, Zone};
+use rap_traffic::Zone;
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
 
@@ -53,8 +53,9 @@ rap stream --k N [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
 --threshold        certified staleness that triggers a repair (default 0.05)
 --check-interval   applied deltas between staleness checks (default 32)
 --threads          worker threads for the inverted-index build behind the
-                   initial solve and each escalation (default 4), and for
-                   flow routing and detour-table preprocessing (default:
+                   initial solve and each escalation (default 4), for the
+                   scenario build (large instances only, as in `rap
+                   place`) and for a resume's snapshot decode (default:
                    every core); the greedy runs on one thread. Placements
                    are identical at any value
 --metrics-interval applied deltas between metrics events (default 1000)
@@ -117,7 +118,7 @@ fn replay_session(
     seed: u64,
     utility: UtilityKind,
     d: u64,
-    route_threads: usize,
+    build_threads: usize,
 ) -> Result<Session, CliError> {
     let (model, window) = city_model(args, city, seed)?;
     let shop = match args.get_parsed::<u32>("shop", "node id")? {
@@ -129,15 +130,14 @@ fn replay_session(
                 CliError::Usage("city model has no city-center shop candidate".into())
             })?,
     };
-    let graph = model.graph().clone();
-    let flows = FlowSet::route(&graph, Vec::new())?;
-    let scenario = MutableScenario::new_with_threads(
-        graph,
-        flows,
+    let (scenario, _) = build_mutable_scenario(
+        model.graph().clone(),
+        Vec::new(),
         vec![shop],
         utility.instantiate(Distance::from_feet(d)),
-        route_threads,
-    )?;
+        &super::build_options(build_threads),
+    )
+    .map_err(super::build_error)?;
     let source = TraceReplay::new(&model, window, scenario.next_stable_id());
     Ok(Session {
         scenario,
@@ -152,7 +152,7 @@ fn file_session(
     seed: u64,
     utility: UtilityKind,
     d: u64,
-    route_threads: usize,
+    build_threads: usize,
 ) -> Result<Session, CliError> {
     let graph_path = args.required("graph").map_err(|_| {
         CliError::Usage(
@@ -163,15 +163,15 @@ fn file_session(
     let shop: u32 = args.required_parsed("shop", "node id")?;
     let graph = rap_graph::io::read_text(std::fs::File::open(graph_path)?)?;
     let (specs, _) = read_flows(flows_path, false)?;
-    let flows = FlowSet::route_parallel(&graph, specs, route_threads)?;
     let node_count = graph.node_count() as u32;
-    let scenario = MutableScenario::new_with_threads(
+    let (scenario, _) = build_mutable_scenario(
         graph,
-        flows,
+        specs,
         vec![NodeId::new(shop)],
         utility.instantiate(Distance::from_feet(d)),
-        route_threads,
-    )?;
+        &super::build_options(build_threads),
+    )
+    .map_err(super::build_error)?;
 
     let source: Box<dyn Iterator<Item = Result<StreamDelta, StreamError>>> = match (
         args.get("deltas"),
@@ -207,20 +207,21 @@ fn file_session(
 type DeltaSource = Box<dyn Iterator<Item = Result<StreamDelta, StreamError>>>;
 
 /// Builds the scenario + source for this invocation from scratch (fresh
-/// runs and WAL-only resumes, which must rebuild and re-route everything).
+/// runs and WAL-only resumes, which must rebuild and re-route everything),
+/// through the scenario front door with `--threads` (0 = every core).
 fn build_session(
     args: &Args,
     seed: u64,
     utility: UtilityKind,
     d: u64,
-    route_threads: usize,
+    build_threads: usize,
 ) -> Result<Session, CliError> {
     match args.get("replay") {
         Some(city) => {
             let city = city.to_string();
-            replay_session(args, &city, seed, utility, d, route_threads)
+            replay_session(args, &city, seed, utility, d, build_threads)
         }
-        None => file_session(args, seed, utility, d, route_threads),
+        None => file_session(args, seed, utility, d, build_threads),
     }
 }
 
@@ -445,10 +446,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
         strict: args.get_or("strict", "true/false", false)?,
     };
 
-    let route_threads = match args.get_or("threads", "integer", 0)? {
-        0 => rap_traffic::parallel::default_threads(),
-        given => given,
-    };
+    let build_threads: usize = args.get_or("threads", "integer", 0)?;
     let (dur_cfg, resume) = durability_config(args)?;
 
     // Resolve the scenario, the delta source (with any WAL replay
@@ -458,7 +456,11 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
         let dcfg = dur_cfg
             .clone()
             .expect("durability_config ties --resume to --wal");
-        match prepare_resume(dcfg, route_threads)? {
+        let decode_threads = match build_threads {
+            0 => rap_traffic::parallel::default_threads(),
+            given => given,
+        };
+        match prepare_resume(dcfg, decode_threads)? {
             ResumePoint::Snapshot(setup) => {
                 // Warm resume: the snapshot is the scenario; only the
                 // source is rebuilt, and it skips everything the snapshot
@@ -477,7 +479,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
                 // Crash before the first rotation: rebuild from the
                 // original inputs, then replay the whole WAL through the
                 // normal pipeline.
-                let session = build_session(args, seed, utility, d, route_threads)?;
+                let session = build_session(args, seed, utility, d, build_threads)?;
                 let consumed = usize::try_from(setup.consumed).map_err(|_| {
                     CliError::Usage("resume position overflows this platform".into())
                 })?;
@@ -491,7 +493,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
                 )
             }
             ResumePoint::Fresh => {
-                let session = build_session(args, seed, utility, d, route_threads)?;
+                let session = build_session(args, seed, utility, d, build_threads)?;
                 let dcfg = dur_cfg.expect("durability_config ties --resume to --wal");
                 let durability = Durability::start(dcfg).map_err(CliError::Stream)?;
                 (
@@ -503,7 +505,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
             }
         }
     } else {
-        let session = build_session(args, seed, utility, d, route_threads)?;
+        let session = build_session(args, seed, utility, d, build_threads)?;
         let journal = match dur_cfg {
             Some(dcfg) => {
                 CliJournal::On(Box::new(Durability::start(dcfg).map_err(CliError::Stream)?))

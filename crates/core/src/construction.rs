@@ -2,7 +2,10 @@
 //!
 //! [`build_scenario`] is the one front door for turning raw inputs — a road
 //! graph, unrouted demand specs, shop locations, a utility function — into a
-//! ready-to-place [`Scenario`]. It consults the shared auto-selection policy
+//! ready-to-place [`Scenario`]; its sibling [`build_mutable_scenario`] runs
+//! the same phases and assembles the incremental [`MutableScenario`] a
+//! stream or a snapshot starts from, taking over the per-shop distance rows
+//! the detour phase grew. Both consult the shared auto-selection policy
 //! ([`RoutePlan::auto`]) to decide, per instance size, which accelerations
 //! the build uses:
 //!
@@ -21,8 +24,9 @@
 //! by semantics. The returned [`BuildReport`] records what was chosen and
 //! how long each phase took.
 
-use crate::detour::DetourTable;
+use crate::detour::{DetourTable, ShopRows};
 use crate::error::PlacementError;
+use crate::mutable::MutableScenario;
 use crate::scenario::Scenario;
 use crate::utility::UtilityFunction;
 use rap_graph::landmarks::Landmarks;
@@ -106,6 +110,52 @@ pub fn build_scenario(
     utility: Arc<dyn UtilityFunction>,
     opts: &BuildOptions,
 ) -> Result<(Scenario, BuildReport), PlacementError> {
+    build_with(
+        graph,
+        specs,
+        shops,
+        opts,
+        |graph, flows, shops, table, _| Scenario::from_parts(graph, flows, shops, utility, table),
+    )
+}
+
+/// [`build_scenario`]'s phases, assembled into a [`MutableScenario`] that
+/// takes over the per-shop distance rows the detour phase grew. The result
+/// is bit-identical across every [`BuildMode`], and to
+/// [`MutableScenario::new`] over [`FlowSet::route`]: the same flows, base
+/// CSR, entry values and shop rows, so the same snapshot bytes.
+///
+/// # Errors
+///
+/// Same as [`build_scenario`].
+pub fn build_mutable_scenario(
+    graph: RoadGraph,
+    specs: Vec<FlowSpec>,
+    shops: Vec<NodeId>,
+    utility: Arc<dyn UtilityFunction>,
+    opts: &BuildOptions,
+) -> Result<(MutableScenario, BuildReport), PlacementError> {
+    build_with(
+        graph,
+        specs,
+        shops,
+        opts,
+        |graph, flows, shops, table, rows| {
+            MutableScenario::assemble(graph, &flows, shops, utility, table, rows)
+        },
+    )
+}
+
+/// The phases both front doors share — plan, acceleration structures,
+/// routing, detour table — followed by `assemble`, which is timed into
+/// [`BuildReport::total_ms`].
+fn build_with<S>(
+    graph: RoadGraph,
+    specs: Vec<FlowSpec>,
+    shops: Vec<NodeId>,
+    opts: &BuildOptions,
+    assemble: impl FnOnce(RoadGraph, FlowSet, Vec<NodeId>, DetourTable, ShopRows) -> S,
+) -> Result<(S, BuildReport), PlacementError> {
     let start = Instant::now();
     let nodes = graph.node_count();
     let flow_count = specs.len();
@@ -146,14 +196,14 @@ pub fn build_scenario(
 
     // Phase 3 — detour table, walking tile-aligned shards when available.
     let phase = Instant::now();
-    let (detours, _, _) =
-        DetourTable::build_with_trees(&graph, &flows, &shops, plan.threads, tiles.as_ref())?;
+    let (detours, rows) =
+        DetourTable::build_with_rows(&graph, &flows, &shops, plan.threads, tiles.as_ref())?;
     let detour_ms = phase.elapsed().as_secs_f64() * 1e3;
 
     let tile_count = tiles.as_ref().map_or(0, TileGrid::tile_count);
-    let scenario = Scenario::from_parts(graph, flows, shops, utility, detours);
+    let built = assemble(graph, flows, shops, detours, rows);
     Ok((
-        scenario,
+        built,
         BuildReport {
             nodes,
             flows: flow_count,
@@ -248,6 +298,40 @@ mod tests {
                 assert!(report.plan.use_alt && report.plan.use_tiles);
                 assert!(report.tile_count > 0);
             }
+        }
+    }
+
+    #[test]
+    fn mutable_front_door_encodes_like_the_routed_constructor() {
+        let utility = UtilityKind::Linear.instantiate(Distance::from_feet(200));
+        let (g, specs, shops) = grid_inputs();
+        let flows = FlowSet::route(&g, specs.clone()).unwrap();
+        let reference =
+            MutableScenario::new(g.clone(), flows, shops.clone(), utility.clone()).unwrap();
+        let want = crate::encode_snapshot(&reference, None, 0, &[]).unwrap();
+        for (mode, threads) in [
+            (BuildMode::Plain, None),
+            (BuildMode::Auto, None),
+            (BuildMode::Accelerated, Some(2)),
+        ] {
+            let (built, report) = build_mutable_scenario(
+                g.clone(),
+                specs.clone(),
+                shops.clone(),
+                utility.clone(),
+                &BuildOptions {
+                    threads,
+                    mode,
+                    tile_cell: None,
+                },
+            )
+            .unwrap();
+            if mode == BuildMode::Accelerated {
+                assert!(report.plan.use_tiles && report.tile_count > 0);
+                assert_eq!(report.plan.threads, 2);
+            }
+            let got = crate::encode_snapshot(&built, None, 0, &[]).unwrap();
+            assert!(got == want, "{mode:?}: snapshot bytes differ");
         }
     }
 

@@ -13,17 +13,17 @@
 //! with multiple RAPs on the path, the *first* RAP attains the minimum detour
 //! (Theorem 1), which is why only first visits are tabulated.
 //!
-//! [`DetourTable::build`] needs exactly two Dijkstra runs per shop — one
-//! reverse tree (distances *to* the shop) and one forward tree (distances
-//! *from* the shop) — rather than the paper's all-pairs `O(|V|³)` accounting,
-//! because flows travel on shortest paths, making `d'''` recoverable as the
-//! routed path's remaining length.
+//! [`DetourTable::build`] needs exactly two shortest-path runs per shop —
+//! one reverse run (distances *to* the shop) and one forward run (distances
+//! *from* the shop), kept as dense distance rows (`ShopRows`) — rather
+//! than the paper's all-pairs `O(|V|³)` accounting, because flows travel on
+//! shortest paths, making `d'''` recoverable as the routed path's remaining
+//! length. `ShopRows::detour` is the one place the identity is evaluated.
 
 use crate::error::PlacementError;
-use rap_graph::dijkstra::{Direction, ShortestPathTree};
 use rap_graph::sssp::SsspWorkspace;
 use rap_graph::tiles::TileGrid;
-use rap_graph::{Distance, NodeId, RoadGraph};
+use rap_graph::{Direction, Distance, NodeId, RoadGraph};
 use rap_traffic::{parallel, FlowId, FlowSet};
 
 /// A flow passing an intersection, with its exact detour distance there.
@@ -98,16 +98,16 @@ impl DetourTable {
         flows: &FlowSet,
         shops: &[NodeId],
     ) -> Result<Self, PlacementError> {
-        Ok(Self::build_with_trees(graph, flows, shops, 1, None)?.0)
+        Ok(Self::build_with_rows(graph, flows, shops, 1, None)?.0)
     }
 
-    /// [`DetourTable::build`], additionally returning the per-shop reverse
-    /// and forward shortest-path trees it computed. The incremental
+    /// [`DetourTable::build`], additionally returning the per-shop distance
+    /// rows it computed. The incremental
     /// [`crate::mutable::MutableScenario`] retains them so that later flow
-    /// additions cost one Dijkstra for the new flow's route instead of a full
+    /// additions cost one search for the new flow's route instead of a full
     /// table rebuild.
     ///
-    /// The per-shop tree runs fan across `threads` scoped workers (one
+    /// The per-shop runs fan across `threads` scoped workers (one
     /// reusable `SsspWorkspace` each) and the CSR entries fill is sharded
     /// over visit-mass-balanced node ranges; with `tiles` over tile-clustered
     /// node ids ([`TileGrid::id_contiguous`]) those ranges align to tile
@@ -119,13 +119,13 @@ impl DetourTable {
     /// # Panics
     ///
     /// Panics if `tiles` was built for a graph with a different node count.
-    pub(crate) fn build_with_trees(
+    pub(crate) fn build_with_rows(
         graph: &RoadGraph,
         flows: &FlowSet,
         shops: &[NodeId],
         threads: usize,
         tiles: Option<&TileGrid>,
-    ) -> Result<(Self, Vec<ShortestPathTree>, Vec<ShortestPathTree>), PlacementError> {
+    ) -> Result<(Self, ShopRows), PlacementError> {
         if let Some(tiles) = tiles {
             assert_eq!(
                 tiles.node_count(),
@@ -146,22 +146,17 @@ impl DetourTable {
         let n = graph.node_count();
         // Per shop: distances to the shop (d' at every v) and from the shop
         // (d'' at every destination).
-        let (rev_trees, fwd_trees) = shop_trees(graph, shops, threads);
+        let rows = ShopRows::build(graph, shops, threads);
+        let to_shop = rows.nearest_shop();
 
-        let to_shop = nearest_shop(rev_trees.iter().map(ShortestPathTree::distances), n);
-
-        // Per flow: min over shops of d''(shop, destination), precomputed
-        // once. Destinations were validated during routing, so the dense rows
-        // can be indexed directly (unreachable slots hold `Distance::MAX`).
-        let shop_to_dest: Vec<Vec<Distance>> = flows
-            .iter()
-            .map(|f| {
-                fwd_trees
-                    .iter()
-                    .map(|t| t.distances()[f.destination().index()])
-                    .collect()
-            })
-            .collect();
+        // Per flow: d''(shop, destination) for every shop, precomputed once
+        // into one flat `flows × shops` array. Destinations were validated
+        // during routing, so the dense rows can be indexed directly.
+        let s = shops.len();
+        let mut shop_to_dest: Vec<Distance> = Vec::with_capacity(flows.len() * s);
+        for f in flows.iter() {
+            shop_to_dest.extend(rows.to_destination(f.destination()));
+        }
 
         // Fill of one contiguous node range, in node-id order: the flat
         // entries plus per-node entry counts (the CSR offsets in delta
@@ -178,24 +173,15 @@ impl DetourTable {
                     let flow = flows.flow(visit.flow);
                     // d''' — remaining length along the routed path.
                     let remaining = flow.path().length().saturating_sub(visit.prefix);
-                    // min over shops of d'(v) + d''(dest), read from the
-                    // dense distance rows (MAX = unreachable).
-                    let mut via_shop = Distance::MAX;
-                    for (s, rev) in rev_trees.iter().enumerate() {
-                        let d1 = rev.distances()[v];
-                        let d2 = shop_to_dest[visit.flow.index()][s];
-                        if d1 == Distance::MAX || d2 == Distance::MAX {
-                            continue;
-                        }
-                        via_shop = via_shop.min(d1.saturating_add(d2));
-                    }
-                    if via_shop == Distance::MAX {
+                    let f = visit.flow.index();
+                    let to_dest = &shop_to_dest[f * s..(f + 1) * s];
+                    let Some(detour) = rows.detour(v, to_dest, remaining) else {
                         continue; // no shop reachable from here for this flow
-                    }
+                    };
                     entries.push(FlowDetour {
                         flow: visit.flow,
                         position: visit.position,
-                        detour: via_shop.saturating_sub(remaining),
+                        detour,
                     });
                 }
                 counts.push((entries.len() - before) as u32);
@@ -252,8 +238,7 @@ impl DetourTable {
                 to_shop,
                 flow_count: flows.len(),
             },
-            rev_trees,
-            fwd_trees,
+            rows,
         ))
     }
 
@@ -352,13 +337,74 @@ impl DetourTable {
     }
 }
 
+/// Every shop's dense distance rows, in shop order and indexed by raw node
+/// id (`Distance::MAX` = unreachable): `d'(v → shop)` from one reverse run
+/// and `d''(shop → v)` from one forward run. No predecessor array is kept.
+#[derive(Clone, Debug)]
+pub(crate) struct ShopRows {
+    rev: Vec<Vec<Distance>>,
+    fwd: Vec<Vec<Distance>>,
+}
+
+impl ShopRows {
+    /// Runs every shop's reverse and forward search, fanning shops across
+    /// `threads` workers (one reusable [`SsspWorkspace`] each) and merging
+    /// in shop order. Distances are exact integers, so the rows are the same
+    /// whichever worker computes them.
+    pub(crate) fn build(graph: &RoadGraph, shops: &[NodeId], threads: usize) -> Self {
+        let (rev, fwd) = per_shop(graph, shops, threads, |ws, shop| {
+            (
+                distance_row(graph, ws, shop, Direction::Reverse),
+                distance_row(graph, ws, shop, Direction::Forward),
+            )
+        })
+        .into_iter()
+        .unzip();
+        ShopRows { rev, fwd }
+    }
+
+    /// `min_s d'(v → shop_s)` for every node `v`.
+    pub(crate) fn nearest_shop(&self) -> Vec<Distance> {
+        nearest_shop(&self.rev)
+    }
+
+    /// `d''(shop → destination)` for every shop, in shop order.
+    pub(crate) fn to_destination(
+        &self,
+        destination: NodeId,
+    ) -> impl Iterator<Item = Distance> + '_ {
+        self.fwd.iter().map(move |row| row[destination.index()])
+    }
+
+    /// The detour identity `d = d' + d'' − d'''` for a flow at node `v`:
+    /// the minimum over shops of `d'(v → shop) + d''(shop → destination)`,
+    /// minus `remaining` (`d'''`, the flow's routed path left after `v`),
+    /// saturating at zero. `to_dest` holds the flow's
+    /// [`ShopRows::to_destination`] values. `None` when no shop lies on any
+    /// route from `v` to the destination: the flow gets no entry at `v`.
+    pub(crate) fn detour(
+        &self,
+        v: usize,
+        to_dest: &[Distance],
+        remaining: Distance,
+    ) -> Option<Distance> {
+        let mut via_shop = Distance::MAX;
+        for (rev, &d2) in self.rev.iter().zip(to_dest) {
+            let d1 = rev[v];
+            if d1 == Distance::MAX || d2 == Distance::MAX {
+                continue;
+            }
+            via_shop = via_shop.min(d1.saturating_add(d2));
+        }
+        (via_shop != Distance::MAX).then(|| via_shop.saturating_sub(remaining))
+    }
+}
+
 /// `min_s dist(v → shop_s)` for every node `v`, folded from one dense
 /// distance row per shop (`Distance::MAX` = unreachable): a straight
 /// columnwise min instead of per-node `Option` probing.
-pub(crate) fn nearest_shop<'a>(
-    rows: impl IntoIterator<Item = &'a [Distance]>,
-    n: usize,
-) -> Vec<Distance> {
+fn nearest_shop(rows: &[Vec<Distance>]) -> Vec<Distance> {
+    let n = rows.first().map_or(0, Vec::len);
     let mut to_shop = vec![Distance::MAX; n];
     for row in rows {
         for (slot, &d) in to_shop.iter_mut().zip(row) {
@@ -368,41 +414,28 @@ pub(crate) fn nearest_shop<'a>(
     to_shop
 }
 
-/// Grows the reverse and forward shortest-path trees of every shop, fanning
-/// shops across `threads` workers (one reusable [`SsspWorkspace`] each) and
-/// merging in shop order. The trees are bit-identical to
-/// [`rap_graph::dijkstra::reverse_shortest_path_tree`] /
-/// [`rap_graph::dijkstra::shortest_path_tree`] runs, whichever worker
-/// computes them.
-pub(crate) fn shop_trees(
+/// One full run from `shop`, as a dense distance row.
+fn distance_row(
     graph: &RoadGraph,
-    shops: &[NodeId],
-    threads: usize,
-) -> (Vec<ShortestPathTree>, Vec<ShortestPathTree>) {
-    per_shop(graph, shops, threads, |ws, shop| {
-        ws.run(graph, shop, Direction::Reverse);
-        let rev = ws.to_tree();
-        ws.run(graph, shop, Direction::Forward);
-        let fwd = ws.to_tree();
-        (rev, fwd)
-    })
-    .into_iter()
-    .unzip()
+    ws: &mut SsspWorkspace,
+    shop: NodeId,
+    direction: Direction,
+) -> Vec<Distance> {
+    ws.run(graph, shop, direction);
+    let mut row = vec![Distance::MAX; graph.node_count()];
+    ws.copy_distances_into(&mut row);
+    row
 }
 
-/// [`nearest_shop`] over the shops' reverse runs alone, fanned like
-/// [`shop_trees`]: what an immutable [`crate::Scenario`] keeps of the shop
-/// trees. Only [`crate::MutableScenario`]'s flow additions need the
-/// forward trees.
+/// [`ShopRows::nearest_shop`] over the shops' reverse runs alone, fanned
+/// like [`ShopRows::build`]: what an immutable [`crate::Scenario`] keeps of
+/// the shop rows. Only [`crate::MutableScenario`]'s flow additions need the
+/// forward rows.
 pub(crate) fn shop_distances(graph: &RoadGraph, shops: &[NodeId], threads: usize) -> Vec<Distance> {
-    let n = graph.node_count();
     let rows = per_shop(graph, shops, threads, |ws, shop| {
-        ws.run(graph, shop, Direction::Reverse);
-        let mut row = vec![Distance::MAX; n];
-        ws.copy_distances_into(&mut row);
-        row
+        distance_row(graph, ws, shop, Direction::Reverse)
     });
-    nearest_shop(rows.iter().map(Vec::as_slice), n)
+    nearest_shop(&rows)
 }
 
 /// Runs `grow` once per shop, fanning shops across `threads` workers (one
@@ -433,7 +466,7 @@ fn per_shop<T: Send>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("shop-tree worker panicked"))
+            .map(|h| h.join().expect("shop-row worker panicked"))
             .collect()
     });
     // Contiguous chunks flattened in order reconstruct shop order exactly.
@@ -593,8 +626,8 @@ mod tests {
         let shops = [NodeId::new(4), NodeId::new(8), NodeId::new(0)];
         let seq = DetourTable::build(grid.graph(), &flows, &shops).unwrap();
         for threads in [1, 2, 3, 8] {
-            let (par, _, _) =
-                DetourTable::build_with_trees(grid.graph(), &flows, &shops, threads, None).unwrap();
+            let (par, _) =
+                DetourTable::build_with_rows(grid.graph(), &flows, &shops, threads, None).unwrap();
             assert_eq!(par.entries(), seq.entries(), "threads={threads}");
             for v in 0..seq.node_count() {
                 let node = NodeId::new(v as u32);
@@ -625,9 +658,8 @@ mod tests {
         for target in [9, 1_000] {
             let tiles = rap_graph::tiles::TileGrid::build(g, target);
             for threads in [1, 2, 4] {
-                let (tiled, _, _) =
-                    DetourTable::build_with_trees(g, &flows, &shops, threads, Some(&tiles))
-                        .unwrap();
+                let (tiled, _) =
+                    DetourTable::build_with_rows(g, &flows, &shops, threads, Some(&tiles)).unwrap();
                 assert_eq!(
                     tiled.entries(),
                     seq.entries(),
@@ -650,7 +682,7 @@ mod tests {
         let tiles = rap_graph::tiles::TileGrid::build(small.graph(), 4);
         let flows = FlowSet::route(big.graph(), vec![]).unwrap();
         let _ =
-            DetourTable::build_with_trees(big.graph(), &flows, &[NodeId::new(0)], 2, Some(&tiles));
+            DetourTable::build_with_rows(big.graph(), &flows, &[NodeId::new(0)], 2, Some(&tiles));
     }
 
     #[test]

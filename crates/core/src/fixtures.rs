@@ -145,7 +145,9 @@ mod tests {
     fn fig4_graph_distances_match_paper() {
         let g = fig4_graph();
         let d = |a: u32, b: u32| {
-            rap_graph::dijkstra::distance(&g, NodeId::new(a), NodeId::new(b)).unwrap()
+            rap_graph::sssp::shortest_path(&g, NodeId::new(a), NodeId::new(b))
+                .unwrap()
+                .length()
         };
         assert_eq!(d(3, 1), Distance::from_feet(2)); // V3 to shop via V2 or V4
         assert_eq!(d(5, 1), Distance::from_feet(3));

@@ -86,7 +86,9 @@ pub use baselines::{MaxCardinality, MaxCustomers, MaxVehicles, Random};
 pub use bounds::{certified_fraction, greedy_upper_bound, singleton_upper_bound, upper_bound};
 pub use budgeted::{BudgetedGreedy, SiteCosts};
 pub use composite::{CompositeGreedy, MarginalGreedy};
-pub use construction::{build_scenario, BuildMode, BuildOptions, BuildReport};
+pub use construction::{
+    build_mutable_scenario, build_scenario, BuildMode, BuildOptions, BuildReport,
+};
 pub use detour::{DetourTable, FlowDetour};
 pub use error::PlacementError;
 pub use exhaustive::ExhaustiveOptimal;
@@ -107,9 +109,8 @@ pub use scenario::Scenario;
 pub use scheduling::{AdCampaign, Schedule, ScheduleGreedy};
 pub use snapshot::{
     decode_serving_snapshot, decode_snapshot, decode_snapshot_with_threads, encode_snapshot,
-    read_snapshot_file, restore, restore_with_threads, snapshot_crc32, verify_snapshot,
-    write_snapshot_atomic, Restored, SectionInfo, ServingSnapshot, SnapshotContents, SnapshotError,
-    SnapshotInfo,
+    read_snapshot_file, restore, snapshot_crc32, verify_snapshot, write_snapshot_atomic, Restored,
+    SectionInfo, ServingSnapshot, SnapshotContents, SnapshotError, SnapshotInfo,
 };
 pub use utility::{LinearUtility, SqrtUtility, ThresholdUtility, UtilityFunction, UtilityKind};
 pub use wal::{

@@ -10,12 +10,12 @@
 //!
 //! ## Append + tombstone + compaction
 //!
-//! * **Add** routes the new flow on the current graph (one Dijkstra from its
-//!   origin — the same [`rap_graph::dijkstra::shortest_path_tree`] call
-//!   [`FlowSet::route`] makes, so the path is identical to a from-scratch
+//! * **Add** routes the new flow on the current graph (one early-exit
+//!   [`SsspWorkspace::run_to_targets`] from its origin — the search
+//!   [`FlowSet::route`] runs, so the path is identical to a from-scratch
 //!   rebuild's), derives its first-visit detour entries from the per-shop
-//!   trees retained at construction, and *appends* them to per-node overlay
-//!   rows behind the base CSR.
+//!   distance rows retained at construction, and *appends* them to per-node
+//!   overlay rows behind the base CSR.
 //! * **Remove** marks the flow dead and zeroes its entry values in place
 //!   (a zero value can never win a best-value comparison, so the hot loops
 //!   need no liveness branch); the stale entries are *tombstones*.
@@ -78,15 +78,14 @@
 //! # }
 //! ```
 
-use crate::detour::{nearest_shop, DetourTable, FlowDetour};
+use crate::detour::{DetourTable, FlowDetour, ShopRows};
 use crate::error::PlacementError;
 use crate::kernel;
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use crate::utility::UtilityFunction;
-use rap_graph::dijkstra::{self, Direction};
 use rap_graph::sssp::SsspWorkspace;
-use rap_graph::{Distance, NodeId, Path, RoadGraph};
+use rap_graph::{Direction, Distance, NodeId, Path, RoadGraph};
 use rap_traffic::{FlowId, FlowSet, FlowSpec, TrafficError, TrafficFlow};
 use std::collections::HashMap;
 use std::fmt;
@@ -272,10 +271,9 @@ pub struct MutableScenario {
     graph: RoadGraph,
     shops: Vec<NodeId>,
     utility: Arc<dyn UtilityFunction>,
-    /// Per-shop reverse trees: `d'(v → shop)` for any `v`, cached forever.
-    rev_trees: Vec<dijkstra::ShortestPathTree>,
-    /// Per-shop forward trees: `d''(shop → dest)` for any destination.
-    fwd_trees: Vec<dijkstra::ShortestPathTree>,
+    /// Per-shop distance rows, `d'(v → shop)` and `d''(shop → v)`, cached
+    /// forever.
+    shop_rows: ShopRows,
     /// `min_s dist(v → shop_s)` — immutable, shared by every snapshot.
     to_shop: Vec<Distance>,
     /// Reusable routing scratch for `AddFlow` deltas: each addition runs one
@@ -315,9 +313,11 @@ impl fmt::Debug for MutableScenario {
 
 impl MutableScenario {
     /// Wraps an initial flow population, precomputing the base CSR and the
-    /// per-shop trees that make later additions cheap.
+    /// per-shop distance rows that make later additions cheap.
     ///
-    /// The initial flows receive stable ids `0..flows.len()`.
+    /// The initial flows receive stable ids `0..flows.len()`. To build from
+    /// unrouted demand, with the instance-size plan `rap place` uses, see
+    /// [`crate::build_mutable_scenario`].
     ///
     /// # Errors
     ///
@@ -328,26 +328,23 @@ impl MutableScenario {
         shops: Vec<NodeId>,
         utility: Arc<dyn UtilityFunction>,
     ) -> Result<Self, PlacementError> {
-        Self::new_with_threads(graph, flows, shops, utility, 1)
+        let (table, shop_rows) = DetourTable::build_with_rows(&graph, &flows, &shops, 1, None)?;
+        Ok(Self::assemble(
+            graph, &flows, shops, utility, table, shop_rows,
+        ))
     }
 
-    /// [`MutableScenario::new`] with the per-shop tree preprocessing fanned
-    /// across `threads` worker threads (clamped to the shop count by the
-    /// shared thread policy). The resulting scenario state is bit-identical
-    /// to the sequential constructor's.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scenario::new`].
-    pub fn new_with_threads(
+    /// Assembles the scenario from a detour table built over `flows` and
+    /// the shop rows that build grew: stable ids, entry values and
+    /// flow→location indexes.
+    pub(crate) fn assemble(
         graph: RoadGraph,
-        flows: FlowSet,
+        flows: &FlowSet,
         shops: Vec<NodeId>,
         utility: Arc<dyn UtilityFunction>,
-        threads: usize,
-    ) -> Result<Self, PlacementError> {
-        let (table, rev_trees, fwd_trees) =
-            DetourTable::build_with_trees(&graph, &flows, &shops, threads, None)?;
+        table: DetourTable,
+        shop_rows: ShopRows,
+    ) -> Self {
         let (offsets, entries, to_shop) = table.into_raw_parts();
         let mut states: Vec<FlowState> = flows
             .iter()
@@ -377,12 +374,11 @@ impl MutableScenario {
         let n = graph.node_count();
         let next_stable = states.len() as u64;
         let route_ws = SsspWorkspace::for_graph(&graph);
-        Ok(MutableScenario {
+        MutableScenario {
             graph,
             shops,
             utility,
-            rev_trees,
-            fwd_trees,
+            shop_rows,
             to_shop,
             route_ws,
             flows: states,
@@ -398,7 +394,7 @@ impl MutableScenario {
             epoch: 0,
             compactions: 0,
             cache: None,
-        })
+        }
     }
 
     /// Overrides the tombstone share that triggers auto-compaction
@@ -477,14 +473,10 @@ impl MutableScenario {
             })?;
         let internal = self.flows.len() as u32;
         let stable = self.next_stable;
-        // Per-shop `d''(shop → destination)`, straight from the cached trees.
-        let shop_to_dest: Vec<Distance> = self
-            .fwd_trees
-            .iter()
-            .map(|t| t.distance(destination).unwrap_or(Distance::MAX))
-            .collect();
+        // Per-shop `d''(shop → destination)`, straight from the cached rows.
+        let to_dest: Vec<Distance> = self.shop_rows.to_destination(destination).collect();
         // First-visit scan, mirroring `FlowSet::from_routed` (positions,
-        // prefixes) and `DetourTable::build` (detour arithmetic).
+        // prefixes); the detour is `DetourTable::build`'s rule.
         let nodes: Vec<NodeId> = path.nodes().to_vec();
         let mut seen: HashMap<NodeId, ()> = HashMap::new();
         let mut prefix = Distance::ZERO;
@@ -501,22 +493,9 @@ impl MutableScenario {
                 continue;
             }
             let remaining = path.length().saturating_sub(prefix);
-            let mut via_shop = Distance::MAX;
-            for (s, rev) in self.rev_trees.iter().enumerate() {
-                let d1 = match rev.distance(node) {
-                    Some(d) => d,
-                    None => continue,
-                };
-                let d2 = shop_to_dest[s];
-                if d2 == Distance::MAX {
-                    continue;
-                }
-                via_shop = via_shop.min(d1.saturating_add(d2));
-            }
-            if via_shop == Distance::MAX {
+            let Some(detour) = self.shop_rows.detour(node.index(), &to_dest, remaining) else {
                 continue; // no shop reachable from here for this flow
-            }
-            let detour = via_shop.saturating_sub(remaining);
+            };
             let value = self.utility.probability(detour, alpha) * volume;
             let row = &mut self.overlay[node.index()];
             row.push(OverlayEntry {
@@ -879,27 +858,11 @@ impl MutableScenario {
         Arc::clone(&self.utility)
     }
 
-    /// Rebuilds a scenario from a snapshot plus the valid prefix of a
-    /// write-ahead log, replaying deltas recorded after the snapshot was
-    /// taken. See [`crate::snapshot::restore`] for the full contract.
-    ///
-    /// # Errors
-    ///
-    /// Any [`crate::snapshot::SnapshotError`] the snapshot decode raises; a
-    /// torn or corrupt WAL *suffix* is not an error (replay stops cleanly at
-    /// the first bad record).
-    pub fn restore(
-        snapshot: &[u8],
-        wal: &[u8],
-    ) -> Result<crate::snapshot::Restored, crate::snapshot::SnapshotError> {
-        crate::snapshot::restore(snapshot, wal)
-    }
-
     /// The exact mutable state the snapshot codec serializes: every flow
     /// (tombstones included, so epochs and compaction trigger points survive
     /// a round trip), the base CSR, and the overlay rows flattened to CSR
     /// form. Derived state — entry values, flow→location indexes, shop
-    /// trees, the routing workspace — is *not* part of it; `from_persisted`
+    /// rows, the routing workspace — is *not* part of it; `from_persisted`
     /// recomputes all of it deterministically.
     pub(crate) fn persisted_state(&self) -> PersistedState {
         let flows = self
@@ -940,7 +903,7 @@ impl MutableScenario {
     /// has validated, recomputing all derived state: entry values via the
     /// same `f(detour, α) · volume` expression the incremental maintenance
     /// evaluates (so values are bit-identical to the never-crashed
-    /// scenario's), per-shop trees via the same Dijkstra runs the
+    /// scenario's), per-shop distance rows via the same runs the
     /// constructor makes, and the flow→location indexes by scanning the CSR
     /// arrays in their canonical order.
     pub(crate) fn from_persisted(
@@ -1007,21 +970,17 @@ impl MutableScenario {
             }
         }
 
-        // Derived shop state: the same per-shop Dijkstra trees and
-        // columnwise to-shop minimum the constructor computes (exact integer
-        // distances, so bit-identical regardless of thread count).
-        let (rev_trees, fwd_trees) = crate::detour::shop_trees(&graph, &shops, threads);
-        let to_shop = nearest_shop(
-            rev_trees.iter().map(dijkstra::ShortestPathTree::distances),
-            n,
-        );
+        // Derived shop state: the same per-shop distance rows and columnwise
+        // to-shop minimum the constructor computes (exact integer distances,
+        // so bit-identical regardless of thread count).
+        let shop_rows = ShopRows::build(&graph, &shops, threads);
+        let to_shop = shop_rows.nearest_shop();
         let route_ws = SsspWorkspace::for_graph(&graph);
         MutableScenario {
             graph,
             shops,
             utility,
-            rev_trees,
-            fwd_trees,
+            shop_rows,
             to_shop,
             route_ws,
             flows,

@@ -65,7 +65,7 @@
 //! the same compaction trigger points and produce the same entry orders.
 //! Entry *values* are never stored: they are recomputed from
 //! `f(detour, α) · volume` (the invariant the incremental maintenance
-//! preserves), as are the per-shop Dijkstra trees, the flow→location
+//! preserves), as are the per-shop distance rows, the flow→location
 //! indexes, and the routing workspace.
 
 use crate::detour::FlowDetour;
@@ -1226,11 +1226,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotContents, SnapshotError> 
     decode_snapshot_with_threads(bytes, 1)
 }
 
-/// [`decode_snapshot`] with the per-shop Dijkstra rebuild fanned across
+/// [`decode_snapshot`] with the per-shop shortest-path runs fanned across
 /// `threads` workers (bit-identical result — distances are exact integers).
 ///
 /// This is the decode a stream resume needs: the mutable state with its
-/// overlay rows, tombstones and per-shop trees. A server needs only the
+/// overlay rows, tombstones and per-shop distance rows. A server needs only the
 /// immutable scenario; [`decode_serving_snapshot`] builds that directly.
 ///
 /// # Errors
@@ -1283,8 +1283,8 @@ pub struct ServingSnapshot {
 ///   same code [`MutableScenario::snapshot`] runs;
 /// - [`rap_traffic::FlowSet::try_from_routed`] indexes the flows' first
 ///   visits, and its edge lookups are the path-hop check;
-/// - shop distances come from one reverse Dijkstra per shop, fanned across
-///   `threads` workers; the forward trees only serve flow additions;
+/// - shop distances come from one reverse search per shop, fanned across
+///   `threads` workers; the forward rows only serve flow additions;
 /// - entry values are computed once, by the scenario itself.
 ///
 /// # Errors
@@ -1430,20 +1430,7 @@ pub fn read_snapshot_file(
 /// error: it bounds the replay and is reported in [`Restored::wal_stop`] /
 /// [`Restored::replay`].
 pub fn restore(snapshot: &[u8], wal_bytes: &[u8]) -> Result<Restored, SnapshotError> {
-    restore_with_threads(snapshot, wal_bytes, 1)
-}
-
-/// [`restore`] with a threaded derived-state rebuild.
-///
-/// # Errors
-///
-/// Same contract as [`restore`].
-pub fn restore_with_threads(
-    snapshot: &[u8],
-    wal_bytes: &[u8],
-    threads: usize,
-) -> Result<Restored, SnapshotError> {
-    let contents = decode_snapshot_with_threads(snapshot, threads)?;
+    let contents = decode_snapshot(snapshot)?;
     let scan = wal::read_wal(wal_bytes);
     let mut scenario = contents.scenario;
     let replay = wal::replay(&mut scenario, &scan.records, contents.source_position);

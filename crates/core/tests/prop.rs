@@ -10,7 +10,8 @@ use rap_core::{
     InvertedIndex, LazyGreedy, MarginalGreedy, MutableScenario, Placement, PlacementAlgorithm,
     Scenario, UtilityKind,
 };
-use rap_graph::{dijkstra, Distance, GridGraph, NodeId};
+use rap_graph::apsp::DistanceMatrix;
+use rap_graph::{Distance, GridGraph, NodeId};
 use rap_traffic::{FlowId, FlowSet, FlowSpec};
 
 /// Strategy: a small grid scenario with random flows, a random shop, and a
@@ -620,14 +621,13 @@ proptest! {
     }
 
     /// The CSR detour table matches a nested-Vec reference rebuilt from the
-    /// routed flows and two independent Dijkstra trees: same per-node entry
-    /// grouping, same flows, same detour distances.
+    /// routed flows and an independent Floyd–Warshall matrix: same per-node
+    /// entry grouping, same flows, same detour distances.
     #[test]
     fn csr_matches_nested_reference(inst in arb_instance()) {
         let Some(s) = build(&inst) else { return Ok(()) };
         let shop = NodeId::new(inst.shop);
-        let rev = dijkstra::reverse_shortest_path_tree(s.graph(), shop);
-        let fwd = dijkstra::shortest_path_tree(s.graph(), shop);
+        let truth = DistanceMatrix::floyd_warshall(s.graph());
         let mut nested: Vec<Vec<(FlowId, Distance)>> =
             vec![Vec::new(); s.graph().node_count()];
         for (v, row) in nested.iter_mut().enumerate() {
@@ -635,7 +635,7 @@ proptest! {
             for visit in s.flows().visits_at(node) {
                 let flow = s.flows().flow(visit.flow);
                 let (Some(d1), Some(d2)) =
-                    (rev.distance(node), fwd.distance(flow.destination()))
+                    (truth.get(node, shop), truth.get(shop, flow.destination()))
                 else {
                     continue;
                 };

@@ -9,10 +9,9 @@
 //!   program, kept as an independent reference implementation that the test
 //!   suite cross-checks both Dijkstra kernels against.
 
-use crate::dijkstra::Direction;
 use crate::graph::RoadGraph;
 use crate::node::{Distance, NodeId};
-use crate::sssp::{SsspKernel, SsspWorkspace};
+use crate::sssp::{Direction, SsspKernel, SsspWorkspace};
 
 /// A dense matrix of exact pairwise shortest distances.
 ///

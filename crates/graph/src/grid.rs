@@ -191,7 +191,7 @@ impl GridGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra;
+    use crate::sssp::shortest_path;
 
     #[test]
     fn dimensions_and_ids() {
@@ -225,8 +225,8 @@ mod tests {
         let g = GridGraph::new(5, 6, Distance::from_feet(100));
         let a = g.node_at(GridPos::new(0, 0)).unwrap();
         let b = g.node_at(GridPos::new(4, 5)).unwrap();
-        let tree = dijkstra::shortest_path_tree(g.graph(), a);
-        assert_eq!(tree.distance(b), Some(g.street_distance(a, b)));
+        let path = shortest_path(g.graph(), a, b).unwrap();
+        assert_eq!(path.length(), g.street_distance(a, b));
         assert_eq!(g.street_distance(a, b), Distance::from_feet(900));
     }
 

@@ -25,10 +25,9 @@
 //!
 //! ([`Landmarks::upper_bound`]); the pruned search combines both bounds.
 
-use crate::dijkstra::Direction;
 use crate::graph::RoadGraph;
 use crate::node::{Distance, NodeId};
-use crate::sssp::SsspWorkspace;
+use crate::sssp::{Direction, SsspWorkspace};
 
 /// Precomputed landmark distance tables for one graph.
 ///
@@ -247,7 +246,7 @@ fn tables(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra;
+    use crate::apsp::DistanceMatrix;
     use crate::generators::{perturbed_grid, PerturbedGridParams};
     use crate::grid::GridGraph;
 
@@ -288,10 +287,10 @@ mod tests {
             9,
         );
         let lm = Landmarks::select(&g, 4);
+        let truth = DistanceMatrix::floyd_warshall(&g);
         for a in (0..g.node_count() as u32).step_by(5) {
-            let tree = dijkstra::shortest_path_tree(&g, NodeId::new(a));
             for b in (0..g.node_count() as u32).step_by(7) {
-                if let Some(true_d) = tree.distance(NodeId::new(b)) {
+                if let Some(true_d) = truth.get(NodeId::new(a), NodeId::new(b)) {
                     let lb = lm.lower_bound(NodeId::new(a), NodeId::new(b));
                     assert!(
                         lb <= true_d,
@@ -307,12 +306,12 @@ mod tests {
         let grid = GridGraph::new(6, 6, Distance::from_feet(100));
         let g = grid.graph();
         let lm = Landmarks::select(g, 3);
+        let truth = DistanceMatrix::floyd_warshall(g);
         // For v = a landmark l, d(l→t) − d(l→l) = d(l→t): the bound is
         // exact from the landmark itself.
         for &l in lm.nodes() {
-            let tree = dijkstra::shortest_path_tree(g, l);
             for t in g.nodes() {
-                let true_d = tree.distance(t).unwrap();
+                let true_d = truth.get(l, t).unwrap();
                 assert_eq!(lm.lower_bound(l, t), true_d, "landmark {l} target {t}");
             }
         }
@@ -352,11 +351,11 @@ mod tests {
             9,
         );
         let lm = Landmarks::select(&g, 4);
+        let truth = DistanceMatrix::floyd_warshall(&g);
         for a in (0..g.node_count() as u32).step_by(5) {
-            let tree = dijkstra::shortest_path_tree(&g, NodeId::new(a));
             for b in (0..g.node_count() as u32).step_by(7) {
                 let ub = lm.upper_bound(NodeId::new(a), NodeId::new(b));
-                match tree.distance(NodeId::new(b)) {
+                match truth.get(NodeId::new(a), NodeId::new(b)) {
                     Some(true_d) => assert!(
                         ub >= true_d,
                         "upper bound {ub} below true distance {true_d} ({a} -> {b})"
@@ -372,22 +371,21 @@ mod tests {
     }
 
     #[test]
-    fn bounds_row_layout_matches_reference_trees() {
+    fn bounds_row_layout_matches_exact_distances() {
         let grid = GridGraph::new(5, 4, Distance::from_feet(100));
         let g = grid.graph();
         let lm = Landmarks::select(g, 3);
         assert_eq!(lm.count(), 3);
         assert_eq!(lm.node_count(), g.node_count());
+        let truth = DistanceMatrix::floyd_warshall(g);
         for (li, &l) in lm.nodes().iter().enumerate() {
-            let fwd = dijkstra::shortest_path_tree(g, l);
-            let rev = dijkstra::reverse_shortest_path_tree(g, l);
             for v in g.nodes() {
                 let row = lm.bounds_row(v);
                 assert_eq!(row.len(), 2 * lm.count());
-                assert_eq!(row[li], rev.distance(v).unwrap_or(Distance::MAX));
+                assert_eq!(row[li], truth.get(v, l).unwrap_or(Distance::MAX));
                 assert_eq!(
                     row[lm.count() + li],
-                    fwd.distance(v).unwrap_or(Distance::MAX)
+                    truth.get(l, v).unwrap_or(Distance::MAX)
                 );
             }
         }

@@ -14,12 +14,11 @@
 //!   directions, built through [`GraphBuilder`].
 //! * [`Distance`] — exact fixed-point distances in feet (`u64`), so shortest
 //!   paths never suffer floating-point comparison hazards.
-//! * [`dijkstra`] — forward and reverse single-source shortest paths with
-//!   predecessor trees and path extraction.
-//! * [`sssp`] — the batched preprocessing kernel: Dial-style bucket-queue
-//!   Dijkstra with a reusable epoch-stamped [`SsspWorkspace`], automatic
-//!   bucket-vs-heap selection by edge-length spread, and early-exit runs for
-//!   routing workloads. Bit-identical results to [`dijkstra`].
+//! * [`sssp`] — the one shortest-path search: Dial-style bucket-queue
+//!   Dijkstra over a reusable epoch-stamped [`SsspWorkspace`], automatic
+//!   bucket-vs-heap selection by edge-length spread, forward and reverse
+//!   ([`Direction`]) runs, early exit for routing workloads, path
+//!   extraction, and [`sssp::shortest_path`] for one-off queries.
 //! * [`apsp`] — all-pairs shortest paths, one [`SsspWorkspace`] run per
 //!   node, plus a Floyd–Warshall reference used in tests.
 //! * [`grid`] — Manhattan-grid generator used by the grid scenario of the
@@ -31,7 +30,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use rap_graph::{GraphBuilder, Point, Distance};
+//! use rap_graph::{Direction, Distance, GraphBuilder, Point, SsspWorkspace};
 //!
 //! # fn main() -> Result<(), rap_graph::GraphError> {
 //! let mut b = GraphBuilder::new();
@@ -39,14 +38,16 @@
 //! let c = b.add_node(Point::new(100.0, 0.0));
 //! b.add_two_way(a, c, Distance::from_feet(100))?;
 //! let g = b.build();
-//! let tree = rap_graph::dijkstra::shortest_path_tree(&g, a);
-//! assert_eq!(tree.distance(c), Some(Distance::from_feet(100)));
+//! // One workspace serves any number of runs over the graph.
+//! let mut ws = SsspWorkspace::for_graph(&g);
+//! ws.run(&g, a, Direction::Forward);
+//! assert_eq!(ws.distance(c), Some(Distance::from_feet(100)));
+//! assert_eq!(ws.path_to(c)?.nodes(), &[a, c]);
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod apsp;
-pub mod dijkstra;
 pub mod error;
 pub mod generators;
 pub mod geometry;
@@ -65,4 +66,4 @@ pub use graph::{Edge, GraphBuilder, RoadGraph};
 pub use grid::{GridGraph, GridPos};
 pub use node::{Distance, EdgeId, NodeId};
 pub use path::Path;
-pub use sssp::{SsspKernel, SsspWorkspace};
+pub use sssp::{Direction, SsspKernel, SsspWorkspace};

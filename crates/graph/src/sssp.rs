@@ -1,12 +1,11 @@
-//! Batched single-source shortest-path engine: Dial bucket queue + reusable
-//! workspace.
+//! Single-source shortest paths: the library's one search, a Dial bucket
+//! queue or a binary heap over a reusable workspace.
 //!
-//! [`crate::dijkstra`] is the *reference* kernel: a textbook binary-heap
-//! Dijkstra that allocates fresh `dist`/`pred`/heap buffers on every call.
-//! Scenario preprocessing runs thousands of trees per build — one per
-//! distinct flow origin, two per shop, one per node for all-pairs matrices,
-//! three per landmark — so this module provides the engine those hot paths
-//! share:
+//! Every shortest-path consumer runs through [`SsspWorkspace`]: flow
+//! routing (one early-exit run per distinct origin), the detour table (two
+//! full runs per shop), all-pairs matrices (one run per node), landmark
+//! tables (three runs per landmark) and one-off queries such as the map
+//! matcher's gap bridges ([`shortest_path`]). The engine they share:
 //!
 //! * [`SsspWorkspace`] — per-graph scratch (distances, predecessors, epoch
 //!   stamps, bucket array, heap) with O(1) reset between runs, so repeated
@@ -32,10 +31,11 @@
 //!
 //! Both kernels settle nodes in exactly the same order — ascending
 //! `(distance, node id)` — so distances, predecessor links, and extracted
-//! paths are **bit-identical** to the reference kernel's (property-tested in
-//! `tests/prop.rs`). Downstream consumers (flow routing, detour tables,
-//! greedy placements) therefore cannot observe which kernel ran, only how
-//! fast it was.
+//! paths are **bit-identical** to each other and to a textbook binary-heap
+//! Dijkstra (property-tested in `tests/prop.rs`, which keeps that reference
+//! as test code). Downstream consumers (flow routing, detour tables, greedy
+//! placements) therefore cannot observe which kernel ran, only how fast it
+//! was.
 //!
 //! ## Why pruning preserves bit-identity
 //!
@@ -56,9 +56,7 @@
 //! bit for bit.
 //!
 //! ```
-//! use rap_graph::{GridGraph, Distance, NodeId};
-//! use rap_graph::sssp::SsspWorkspace;
-//! use rap_graph::dijkstra::Direction;
+//! use rap_graph::{Direction, Distance, GridGraph, NodeId, SsspWorkspace};
 //!
 //! let grid = GridGraph::new(3, 3, Distance::from_feet(10));
 //! let mut ws = SsspWorkspace::for_graph(grid.graph());
@@ -69,7 +67,6 @@
 //! assert_eq!(ws.distance(NodeId::new(0)), Some(Distance::from_feet(20)));
 //! ```
 
-use crate::dijkstra::{Direction, ShortestPathTree};
 use crate::error::GraphError;
 use crate::graph::RoadGraph;
 use crate::landmarks::{self, Landmarks};
@@ -77,6 +74,16 @@ use crate::node::{Distance, NodeId};
 use crate::path::Path;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Direction of a shortest-path computation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Direction {
+    /// Distances from the root outward along edge directions.
+    Forward,
+    /// Distances from every node toward the root along edge directions
+    /// (a forward search over the reverse adjacency).
+    Reverse,
+}
 
 /// The single-source shortest-path kernel a workspace runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,9 +93,7 @@ pub enum SsspKernel {
     /// settling order keeps every queued tentative distance within one
     /// window of the array, so the index is unambiguous.
     BucketQueue,
-    /// The classical binary-heap Dijkstra (same algorithm as the reference
-    /// implementation in [`crate::dijkstra`], minus its per-call
-    /// allocations).
+    /// The classical binary-heap Dijkstra over buffers reused across runs.
     BinaryHeap,
 }
 
@@ -152,8 +157,6 @@ pub struct SsspWorkspace {
     heap: BinaryHeap<Reverse<(Distance, u32)>>,
     root: NodeId,
     direction: Direction,
-    /// True when the last run settled every reachable node (no early exit).
-    complete: bool,
     /// Nodes settled by the last run (instrumentation for benches/tests).
     last_settled: u64,
     /// Settled nodes whose expansion the last run pruned via landmarks.
@@ -326,7 +329,6 @@ impl SsspWorkspace {
             heap: BinaryHeap::new(),
             root: NodeId::new(0),
             direction: Direction::Forward,
-            complete: false,
             last_settled: 0,
             last_pruned: 0,
         }
@@ -420,7 +422,6 @@ impl SsspWorkspace {
         self.bump_epoch();
         self.root = root;
         self.direction = direction;
-        self.complete = targets.is_none();
         self.last_settled = 0;
         self.last_pruned = 0;
         let mut remaining = 0usize;
@@ -556,8 +557,8 @@ impl SsspWorkspace {
         self.drain = drain;
     }
 
-    /// Binary-heap Dijkstra — the reference kernel's loop verbatim, minus
-    /// its per-call allocations, plus the early-exit check.
+    /// Binary-heap Dijkstra — the textbook loop over reused buffers, plus
+    /// the early-exit check.
     fn run_heap(
         &mut self,
         graph: &RoadGraph,
@@ -674,9 +675,9 @@ impl SsspWorkspace {
         }
     }
 
-    /// Extracts the shortest path between the last run's root and `node`,
-    /// with the same orientation and error semantics as
-    /// [`ShortestPathTree::path_to`].
+    /// Extracts the shortest path between the last run's root and `node`:
+    /// root → `node` after a [`Direction::Forward`] run, `node` → root
+    /// after a [`Direction::Reverse`] run.
     ///
     /// # Errors
     ///
@@ -713,50 +714,51 @@ impl SsspWorkspace {
         }
         Ok(Path::from_parts_unchecked(chain, total))
     }
+}
 
-    /// Materializes the last run as an owned [`ShortestPathTree`],
-    /// bit-identical to what the reference kernel would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last run exited early ([`SsspWorkspace::run_to_targets`]):
-    /// a truncated tree would silently misreport reachable nodes.
-    pub fn to_tree(&self) -> ShortestPathTree {
-        assert!(
-            self.complete,
-            "to_tree requires a full run; the last run exited early"
-        );
-        let dist: Vec<Distance> = (0..self.node_count)
-            .map(|v| {
-                if self.settled[v] == self.epoch {
-                    self.dist[v]
-                } else {
-                    Distance::MAX
-                }
-            })
-            .collect();
-        let pred: Vec<Option<NodeId>> = (0..self.node_count)
-            .map(|v| {
-                if self.settled[v] == self.epoch && self.pred[v] != NO_PRED {
-                    Some(NodeId::new(self.pred[v]))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        ShortestPathTree::from_raw(self.root, self.direction, dist, pred)
-    }
+/// One shortest path from `from` to `to`, for one-off queries: an
+/// early-exit [`SsspWorkspace::run_to_targets`] on a fresh workspace, then
+/// [`SsspWorkspace::path_to`]. Callers with many queries on one graph
+/// should keep a workspace instead.
+///
+/// # Errors
+///
+/// * [`GraphError::NodeOutOfBounds`] if `from` or `to` does not exist.
+/// * [`GraphError::Unreachable`] if no path exists.
+///
+/// ```
+/// use rap_graph::{sssp, Distance, GridGraph, NodeId};
+/// # fn main() -> Result<(), rap_graph::GraphError> {
+/// let grid = GridGraph::new(2, 3, Distance::from_feet(5));
+/// let path = sssp::shortest_path(grid.graph(), NodeId::new(0), NodeId::new(2))?;
+/// assert_eq!(path.nodes(), &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
+/// assert_eq!(path.length(), Distance::from_feet(10));
+/// # Ok(())
+/// # }
+/// ```
+pub fn shortest_path(graph: &RoadGraph, from: NodeId, to: NodeId) -> Result<Path, GraphError> {
+    graph.check_node(from)?;
+    let mut ws = SsspWorkspace::for_graph(graph);
+    ws.run_to_targets(graph, from, Direction::Forward, &[to]);
+    ws.path_to(to)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra;
     use crate::geometry::Point;
     use crate::graph::GraphBuilder;
     use crate::grid::GridGraph;
 
-    /// Diamond with a shortcut (same fixture as the reference kernel tests).
+    /// Diamond with a shortcut:
+    ///
+    /// ```text
+    ///     1
+    ///   /   \
+    ///  0     3 --- 4
+    ///   \   /
+    ///     2
+    /// ```
     fn diamond() -> (RoadGraph, Vec<NodeId>) {
         let mut b = GraphBuilder::new();
         let v: Vec<NodeId> = (0..5)
@@ -808,77 +810,62 @@ mod tests {
     }
 
     #[test]
-    fn both_kernels_match_reference_tree() {
+    fn shortest_path_takes_the_diamond_shortcut() {
         let (g, v) = diamond();
-        let reference = dijkstra::shortest_path_tree(&g, v[0]);
-        for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
-            let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
-            ws.run(&g, v[0], Direction::Forward);
-            let tree = ws.to_tree();
-            for &u in &v {
-                assert_eq!(tree.distance(u), reference.distance(u), "{kernel:?} {u}");
-                assert_eq!(
-                    tree.predecessor(u),
-                    reference.predecessor(u),
-                    "{kernel:?} {u}"
-                );
-            }
-            assert_eq!(
-                ws.path_to(v[4]).unwrap().nodes(),
-                reference.path_to(v[4]).unwrap().nodes()
-            );
+        let p = shortest_path(&g, v[0], v[4]).unwrap();
+        assert_eq!(p.nodes(), &[v[0], v[1], v[3], v[4]]);
+        assert_eq!(p.length(), Distance::from_feet(5));
+        assert_eq!(
+            shortest_path(&g, v[0], v[3]).unwrap().length(),
+            Distance::from_feet(4)
+        );
+        assert!(shortest_path(&g, v[2], v[2]).unwrap().is_trivial());
+    }
+
+    #[test]
+    fn shortest_path_reports_typed_errors() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(Point::new(0.0, 0.0));
+        let c = b.add_node(Point::new(1.0, 0.0));
+        let island = b.add_node(Point::new(9.0, 9.0));
+        b.add_two_way(a, c, Distance::from_feet(3)).unwrap();
+        let g = b.build();
+        assert!(matches!(
+            shortest_path(&g, a, island),
+            Err(GraphError::Unreachable { from, to }) if from == a && to == island
+        ));
+        for (from, to) in [(a, NodeId::new(99)), (NodeId::new(99), a)] {
+            assert!(matches!(
+                shortest_path(&g, from, to),
+                Err(GraphError::NodeOutOfBounds { node, .. }) if node == NodeId::new(99)
+            ));
         }
     }
 
     #[test]
-    fn reverse_runs_match_reference() {
+    fn reverse_runs_respect_one_way_edges() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(Point::new(0.0, 0.0));
+        let c = b.add_node(Point::new(1.0, 0.0));
+        b.add_edge(a, c, Distance::from_feet(3)).unwrap(); // only a -> c
+        let g = b.build();
+        let mut ws = SsspWorkspace::for_graph(&g);
+        // a can reach c...
+        ws.run(&g, c, Direction::Reverse);
+        assert_eq!(ws.distance(a), Some(Distance::from_feet(3)));
+        // ...but c cannot reach a.
+        ws.run(&g, a, Direction::Reverse);
+        assert_eq!(ws.distance(c), None);
+    }
+
+    #[test]
+    fn reverse_path_runs_from_node_to_root() {
         let (g, v) = diamond();
-        let reference = dijkstra::reverse_shortest_path_tree(&g, v[4]);
         let mut ws = SsspWorkspace::for_graph(&g);
         ws.run(&g, v[4], Direction::Reverse);
-        for &u in &v {
-            assert_eq!(ws.distance(u), reference.distance(u), "{u}");
-        }
         let p = ws.path_to(v[0]).unwrap();
-        assert_eq!(p.nodes(), reference.path_to(v[0]).unwrap().nodes());
-    }
-
-    #[test]
-    fn workspace_reuse_resets_state() {
-        let (g, v) = diamond();
-        let mut ws = SsspWorkspace::for_graph(&g);
-        ws.run(&g, v[0], Direction::Forward);
-        assert_eq!(ws.distance(v[4]), Some(Distance::from_feet(5)));
-        // A second run from a different root fully replaces the first.
-        ws.run(&g, v[4], Direction::Forward);
-        assert_eq!(ws.distance(v[0]), Some(Distance::from_feet(5)));
-        assert_eq!(ws.root(), v[4]);
-        let reference = dijkstra::shortest_path_tree(&g, v[4]);
-        for &u in &v {
-            assert_eq!(ws.distance(u), reference.distance(u));
-        }
-    }
-
-    #[test]
-    fn early_exit_settles_requested_targets_exactly() {
-        let grid = GridGraph::new(5, 5, Distance::from_feet(10));
-        let g = grid.graph();
-        let full = dijkstra::shortest_path_tree(g, NodeId::new(0));
-        let mut ws = SsspWorkspace::for_graph(g);
-        let targets = [NodeId::new(6), NodeId::new(2)];
-        ws.run_to_targets(g, NodeId::new(0), Direction::Forward, &targets);
-        for t in targets {
-            assert_eq!(ws.distance(t), full.distance(t));
-            assert_eq!(
-                ws.path_to(t).unwrap().nodes(),
-                full.path_to(t).unwrap().nodes()
-            );
-        }
-        // The far corner was never needed; early exit leaves it unsettled.
-        assert_eq!(ws.distance(NodeId::new(24)), None);
-        // A subsequent full run is unaffected by the abandoned queue.
-        ws.run(g, NodeId::new(0), Direction::Forward);
-        assert_eq!(ws.distance(NodeId::new(24)), full.distance(NodeId::new(24)));
+        assert_eq!(p.nodes(), &[v[0], v[1], v[3], v[4]]);
+        assert_eq!(p.length(), Distance::from_feet(5));
     }
 
     #[test]
@@ -917,20 +904,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "full run")]
-    fn to_tree_rejects_early_exit_runs() {
-        let grid = GridGraph::new(3, 3, Distance::from_feet(10));
-        let mut ws = SsspWorkspace::for_graph(grid.graph());
-        ws.run_to_targets(
-            grid.graph(),
-            NodeId::new(0),
-            Direction::Forward,
-            &[NodeId::new(1)],
-        );
-        let _ = ws.to_tree();
-    }
-
-    #[test]
     #[should_panic(expected = "out of bounds")]
     fn bad_root_panics() {
         let (g, _) = diamond();
@@ -945,73 +918,6 @@ mod tests {
         let other = GridGraph::new(3, 3, Distance::from_feet(10));
         let mut ws = SsspWorkspace::for_graph(&g);
         ws.run(other.graph(), NodeId::new(0), Direction::Forward);
-    }
-
-    /// 100-node two-way line, 10 ft per hop: farthest-point selection puts
-    /// landmarks at both ends, where the ALT bounds are exact.
-    fn line100() -> RoadGraph {
-        let mut b = GraphBuilder::new();
-        let v: Vec<NodeId> = (0..100)
-            .map(|i| b.add_node(Point::new(i as f64 * 10.0, 0.0)))
-            .collect();
-        for w in v.windows(2) {
-            b.add_two_way(w[0], w[1], Distance::from_feet(10)).unwrap();
-        }
-        b.build()
-    }
-
-    #[test]
-    fn pruned_targets_match_reference_and_actually_prune() {
-        let g = line100();
-        let lm = crate::landmarks::Landmarks::select(&g, 2);
-        let root = NodeId::new(50);
-        let targets = [NodeId::new(52), NodeId::new(95)];
-        let reference = dijkstra::shortest_path_tree(&g, root);
-        for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
-            let mut plain = SsspWorkspace::with_kernel_for_graph(&g, kernel);
-            plain.run_to_targets(&g, root, Direction::Forward, &targets);
-            let unpruned_settled = plain.last_run_settled();
-            assert_eq!(plain.last_run_pruned(), 0);
-
-            let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
-            ws.run_to_targets_pruned(&g, root, Direction::Forward, &targets, &lm);
-            for t in targets {
-                assert_eq!(ws.distance(t), reference.distance(t), "{kernel:?} {t}");
-                assert_eq!(
-                    ws.path_to(t).unwrap().nodes(),
-                    reference.path_to(t).unwrap().nodes(),
-                    "{kernel:?} {t}"
-                );
-            }
-            // The far target forces the frontier right; everything left of
-            // the root past the bound is provably useless and pruned.
-            assert!(ws.last_run_pruned() > 0, "{kernel:?} pruned nothing");
-            assert!(
-                ws.last_run_settled() < unpruned_settled,
-                "{kernel:?} settled {} ≥ unpruned {}",
-                ws.last_run_settled(),
-                unpruned_settled
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_reverse_run_matches_reference() {
-        let g = line100();
-        let lm = crate::landmarks::Landmarks::select(&g, 2);
-        let root = NodeId::new(60);
-        let targets = [NodeId::new(58), NodeId::new(3)];
-        let reference = dijkstra::reverse_shortest_path_tree(&g, root);
-        let mut ws = SsspWorkspace::for_graph(&g);
-        ws.run_to_targets_pruned(&g, root, Direction::Reverse, &targets, &lm);
-        for t in targets {
-            assert_eq!(ws.distance(t), reference.distance(t), "{t}");
-            assert_eq!(
-                ws.path_to(t).unwrap().nodes(),
-                reference.path_to(t).unwrap().nodes(),
-                "{t}"
-            );
-        }
     }
 
     #[test]
@@ -1038,39 +944,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "landmarks built for")]
     fn pruned_run_rejects_mismatched_landmarks() {
-        let g = line100();
+        let g = GridGraph::new(2, 5, Distance::from_feet(10));
         let other = GridGraph::new(3, 3, Distance::from_feet(10));
         let lm = crate::landmarks::Landmarks::select(other.graph(), 2);
-        let mut ws = SsspWorkspace::for_graph(&g);
+        let mut ws = SsspWorkspace::for_graph(g.graph());
         ws.run_to_targets_pruned(
-            &g,
+            g.graph(),
             NodeId::new(0),
             Direction::Forward,
             &[NodeId::new(5)],
             &lm,
         );
-    }
-
-    #[test]
-    fn max_spread_edges_still_exact_under_bucket_kernel() {
-        // Longest representable bucket edge next to a 1 ft edge: the widest
-        // spread the bucket kernel accepts.
-        let mut b = GraphBuilder::new();
-        let v: Vec<NodeId> = (0..4)
-            .map(|i| b.add_node(Point::new(i as f64, 0.0)))
-            .collect();
-        let long = Distance::from_feet(MAX_BUCKET_COUNT as u64 - 1);
-        b.add_edge(v[0], v[1], long).unwrap();
-        b.add_edge(v[0], v[2], Distance::from_feet(1)).unwrap();
-        b.add_edge(v[2], v[1], long).unwrap();
-        b.add_edge(v[1], v[3], Distance::from_feet(1)).unwrap();
-        let g = b.build();
-        let reference = dijkstra::shortest_path_tree(&g, v[0]);
-        let mut ws = SsspWorkspace::with_kernel_for_graph(&g, SsspKernel::BucketQueue);
-        ws.run(&g, v[0], Direction::Forward);
-        for &u in &v {
-            assert_eq!(ws.distance(u), reference.distance(u), "{u}");
-        }
-        assert_eq!(ws.distance(v[1]), Some(long)); // direct edge wins
     }
 }

@@ -1,11 +1,105 @@
-//! Property-based tests for the graph substrate.
+//! Property-based tests for the graph substrate, and the reference
+//! Dijkstra that the shortest-path kernels are checked against.
 
 use proptest::prelude::*;
 use rap_graph::apsp::DistanceMatrix;
-use rap_graph::dijkstra::Direction;
 use rap_graph::landmarks::Landmarks;
-use rap_graph::sssp::{SsspKernel, SsspWorkspace, MAX_BUCKET_COUNT};
-use rap_graph::{dijkstra, BoundingBox, Distance, GraphBuilder, GridGraph, NodeId, Point};
+use rap_graph::sssp::{self, SsspKernel, SsspWorkspace, MAX_BUCKET_COUNT};
+use rap_graph::{
+    BoundingBox, Direction, Distance, GraphBuilder, GraphError, GridGraph, NodeId, Path, Point,
+    RoadGraph,
+};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The textbook binary-heap Dijkstra, kept only as the oracle that both
+/// [`SsspWorkspace`] kernels must match bit for bit: fresh buffers per
+/// call, no early exit, a predecessor recorded at every improving
+/// relaxation.
+struct ReferenceTree {
+    root: NodeId,
+    direction: Direction,
+    dist: Vec<Distance>,
+    pred: Vec<Option<NodeId>>,
+}
+
+impl ReferenceTree {
+    /// Grows the full tree from `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is out of bounds.
+    fn grow(g: &RoadGraph, root: NodeId, direction: Direction) -> Self {
+        let n = g.node_count();
+        let mut dist = vec![Distance::MAX; n];
+        let mut pred: Vec<Option<NodeId>> = vec![None; n];
+        let mut heap: BinaryHeap<Reverse<(Distance, u32)>> = BinaryHeap::new();
+        dist[root.index()] = Distance::ZERO;
+        heap.push(Reverse((Distance::ZERO, root.raw())));
+        while let Some(Reverse((d, raw))) = heap.pop() {
+            let u = NodeId::new(raw);
+            if d > dist[u.index()] {
+                continue; // stale heap entry
+            }
+            let neighbors = match direction {
+                Direction::Forward => g.out_neighbors(u),
+                Direction::Reverse => g.in_neighbors(u),
+            };
+            for nb in neighbors {
+                let nd = d.saturating_add(nb.length);
+                if nd < dist[nb.node.index()] {
+                    dist[nb.node.index()] = nd;
+                    pred[nb.node.index()] = Some(u);
+                    heap.push(Reverse((nd, nb.node.raw())));
+                }
+            }
+        }
+        ReferenceTree {
+            root,
+            direction,
+            dist,
+            pred,
+        }
+    }
+
+    fn distance(&self, v: NodeId) -> Option<Distance> {
+        self.dist
+            .get(v.index())
+            .copied()
+            .filter(|&d| d != Distance::MAX)
+    }
+
+    /// The root → `v` path of a forward tree, the `v` → root path of a
+    /// reverse tree, with the errors [`SsspWorkspace::path_to`] gives.
+    fn path_to(&self, v: NodeId) -> Result<Path, GraphError> {
+        if v.index() >= self.dist.len() {
+            return Err(GraphError::NodeOutOfBounds {
+                node: v,
+                node_count: self.dist.len(),
+            });
+        }
+        let total = self.distance(v).ok_or(match self.direction {
+            Direction::Forward => GraphError::Unreachable {
+                from: self.root,
+                to: v,
+            },
+            Direction::Reverse => GraphError::Unreachable {
+                from: v,
+                to: self.root,
+            },
+        })?;
+        let mut chain = vec![v];
+        let mut cur = v;
+        while let Some(p) = self.pred[cur.index()] {
+            chain.push(p);
+            cur = p;
+        }
+        if self.direction == Direction::Forward {
+            chain.reverse();
+        }
+        Ok(Path::from_parts_unchecked(chain, total))
+    }
+}
 
 /// Strategy: a random connected-ish directed graph as (node count, edge
 /// list); edges may be dense or sparse, lengths in 1..=1000.
@@ -16,7 +110,7 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32, u64)>)> {
     })
 }
 
-fn build(n: usize, edges: &[(u32, u32, u64)]) -> rap_graph::RoadGraph {
+fn build(n: usize, edges: &[(u32, u32, u64)]) -> RoadGraph {
     let mut b = GraphBuilder::new();
     for i in 0..n {
         b.add_node(Point::new(i as f64, 0.0));
@@ -32,15 +126,9 @@ fn build(n: usize, edges: &[(u32, u32, u64)]) -> rap_graph::RoadGraph {
 /// Asserts that both SSSP kernels match the reference binary-heap tree
 /// bit-for-bit: same settled distances and, for every reachable node, the
 /// same extracted path (i.e. identical predecessor arrays).
-fn assert_kernels_match_reference(
-    g: &rap_graph::RoadGraph,
-    root: NodeId,
-) -> Result<(), TestCaseError> {
+fn assert_kernels_match_reference(g: &RoadGraph, root: NodeId) -> Result<(), TestCaseError> {
     for direction in [Direction::Forward, Direction::Reverse] {
-        let reference = match direction {
-            Direction::Forward => dijkstra::shortest_path_tree(g, root),
-            Direction::Reverse => dijkstra::reverse_shortest_path_tree(g, root),
-        };
+        let reference = ReferenceTree::grow(g, root, direction);
         let mut bucket = SsspWorkspace::with_kernel_for_graph(g, SsspKernel::BucketQueue);
         let mut heap = SsspWorkspace::with_kernel_for_graph(g, SsspKernel::BinaryHeap);
         bucket.run(g, root, direction);
@@ -72,16 +160,13 @@ fn assert_kernels_match_reference(
 /// target chains), and agreement on unreachability. Distances are
 /// additionally cross-checked against the full reference tree.
 fn assert_pruned_matches_unpruned(
-    g: &rap_graph::RoadGraph,
+    g: &RoadGraph,
     root: NodeId,
     targets: &[NodeId],
     landmarks: &Landmarks,
 ) -> Result<(), TestCaseError> {
     for direction in [Direction::Forward, Direction::Reverse] {
-        let reference = match direction {
-            Direction::Forward => dijkstra::shortest_path_tree(g, root),
-            Direction::Reverse => dijkstra::reverse_shortest_path_tree(g, root),
-        };
+        let reference = ReferenceTree::grow(g, root, direction);
         let mut plain = SsspWorkspace::for_graph(g);
         let mut pruned = SsspWorkspace::for_graph(g);
         plain.run_to_targets(g, root, direction, targets);
@@ -164,6 +249,29 @@ proptest! {
         assert_kernels_match_reference(&g, NodeId::new(0))?;
     }
 
+    /// The one-off [`sssp::shortest_path`] returns the reference tree's
+    /// path, nodes and length, or an error of the same kind, for targets in
+    /// and out of bounds.
+    #[test]
+    fn shortest_path_matches_reference(
+        (n, edges) in arb_graph(),
+        from_raw in 0usize..64,
+        to_raw in 0usize..16,
+    ) {
+        let g = build(n, &edges);
+        let from = NodeId::new((from_raw % n) as u32);
+        let to = NodeId::new(to_raw as u32);
+        let reference = ReferenceTree::grow(&g, from, Direction::Forward).path_to(to);
+        match (sssp::shortest_path(&g, from, to), reference) {
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(got.nodes(), want.nodes());
+                prop_assert_eq!(got.length(), want.length());
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => prop_assert!(false, "got {:?}, reference {:?}", got, want),
+        }
+    }
+
     /// The distance matrix satisfies the triangle inequality.
     #[test]
     fn triangle_inequality((n, edges) in arb_graph()) {
@@ -186,7 +294,8 @@ proptest! {
     fn extracted_paths_are_consistent((n, edges) in arb_graph()) {
         let g = build(n, &edges);
         let source = NodeId::new(0);
-        let tree = dijkstra::shortest_path_tree(&g, source);
+        let mut tree = SsspWorkspace::for_graph(&g);
+        tree.run(&g, source, Direction::Forward);
         for v in g.nodes() {
             if let Ok(path) = tree.path_to(v) {
                 prop_assert_eq!(path.origin(), source);
@@ -200,14 +309,16 @@ proptest! {
         }
     }
 
-    /// Reverse trees agree with forward trees run from every source.
+    /// Reverse runs agree with forward runs from every source.
     #[test]
     fn reverse_tree_agrees_with_forward((n, edges) in arb_graph()) {
         let g = build(n, &edges);
         let target = NodeId::new((n - 1) as u32);
-        let rev = dijkstra::reverse_shortest_path_tree(&g, target);
+        let mut rev = SsspWorkspace::for_graph(&g);
+        let mut fwd = SsspWorkspace::for_graph(&g);
+        rev.run(&g, target, Direction::Reverse);
         for v in g.nodes() {
-            let fwd = dijkstra::shortest_path_tree(&g, v);
+            fwd.run(&g, v, Direction::Forward);
             prop_assert_eq!(rev.distance(v), fwd.distance(target));
         }
     }
@@ -231,7 +342,8 @@ proptest! {
     #[test]
     fn grid_l1_equals_dijkstra(rows in 2u32..6, cols in 2u32..6, spacing in 1u64..500) {
         let grid = GridGraph::new(rows, cols, Distance::from_feet(spacing));
-        let tree = dijkstra::shortest_path_tree(grid.graph(), NodeId::new(0));
+        let mut tree = SsspWorkspace::for_graph(grid.graph());
+        tree.run(grid.graph(), NodeId::new(0), Direction::Forward);
         for v in grid.graph().nodes() {
             prop_assert_eq!(
                 tree.distance(v),
@@ -325,10 +437,7 @@ proptest! {
         // so only the pruned-vs-unpruned halves of the identity apply here
         // (same workspace, same order); distances stay uniquely determined.
         for direction in [Direction::Forward, Direction::Reverse] {
-            let reference = match direction {
-                Direction::Forward => dijkstra::shortest_path_tree(&g, root),
-                Direction::Reverse => dijkstra::reverse_shortest_path_tree(&g, root),
-            };
+            let reference = ReferenceTree::grow(&g, root, direction);
             let mut plain = SsspWorkspace::for_graph(&g);
             let mut pruned = SsspWorkspace::for_graph(&g);
             plain.run_to_targets(&g, root, direction, &targets);
@@ -346,4 +455,196 @@ proptest! {
             }
         }
     }
+}
+
+/// Diamond with a shortcut:
+///
+/// ```text
+///     1
+///   /   \
+///  0     3 --- 4
+///   \   /
+///     2
+/// ```
+fn diamond() -> (RoadGraph, Vec<NodeId>) {
+    let mut b = GraphBuilder::new();
+    let v: Vec<NodeId> = (0..5)
+        .map(|i| b.add_node(Point::new(i as f64, 0.0)))
+        .collect();
+    b.add_two_way(v[0], v[1], Distance::from_feet(2)).unwrap();
+    b.add_two_way(v[0], v[2], Distance::from_feet(1)).unwrap();
+    b.add_two_way(v[1], v[3], Distance::from_feet(2)).unwrap();
+    b.add_two_way(v[2], v[3], Distance::from_feet(4)).unwrap();
+    b.add_two_way(v[3], v[4], Distance::from_feet(1)).unwrap();
+    (b.build(), v)
+}
+
+/// 100-node two-way line, 10 ft per hop: farthest-point selection puts
+/// landmarks at both ends, where the ALT bounds are exact.
+fn line100() -> RoadGraph {
+    let mut b = GraphBuilder::new();
+    let v: Vec<NodeId> = (0..100)
+        .map(|i| b.add_node(Point::new(i as f64 * 10.0, 0.0)))
+        .collect();
+    for w in v.windows(2) {
+        b.add_two_way(w[0], w[1], Distance::from_feet(10)).unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn reference_tree_on_the_diamond() {
+    let (g, v) = diamond();
+    let t = ReferenceTree::grow(&g, v[0], Direction::Forward);
+    let want = [0, 2, 1, 4, 5].map(Distance::from_feet);
+    for (&u, &d) in v.iter().zip(&want) {
+        assert_eq!(t.distance(u), Some(d), "node {u}");
+    }
+    assert_eq!(t.path_to(v[4]).unwrap().nodes(), &[v[0], v[1], v[3], v[4]]);
+}
+
+#[test]
+fn both_kernels_match_reference_tree() {
+    let (g, v) = diamond();
+    let reference = ReferenceTree::grow(&g, v[0], Direction::Forward);
+    for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
+        let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
+        ws.run(&g, v[0], Direction::Forward);
+        for &u in &v {
+            assert_eq!(ws.distance(u), reference.distance(u), "{kernel:?} {u}");
+            assert_eq!(
+                ws.path_to(u).unwrap().nodes(),
+                reference.path_to(u).unwrap().nodes(),
+                "{kernel:?} {u}"
+            );
+        }
+    }
+}
+
+#[test]
+fn reverse_runs_match_reference() {
+    let (g, v) = diamond();
+    let reference = ReferenceTree::grow(&g, v[4], Direction::Reverse);
+    let mut ws = SsspWorkspace::for_graph(&g);
+    ws.run(&g, v[4], Direction::Reverse);
+    for &u in &v {
+        assert_eq!(ws.distance(u), reference.distance(u), "{u}");
+    }
+    let p = ws.path_to(v[0]).unwrap();
+    assert_eq!(p.nodes(), reference.path_to(v[0]).unwrap().nodes());
+}
+
+#[test]
+fn workspace_reuse_resets_state() {
+    let (g, v) = diamond();
+    let mut ws = SsspWorkspace::for_graph(&g);
+    ws.run(&g, v[0], Direction::Forward);
+    assert_eq!(ws.distance(v[4]), Some(Distance::from_feet(5)));
+    // A second run from a different root fully replaces the first.
+    ws.run(&g, v[4], Direction::Forward);
+    assert_eq!(ws.distance(v[0]), Some(Distance::from_feet(5)));
+    assert_eq!(ws.root(), v[4]);
+    let reference = ReferenceTree::grow(&g, v[4], Direction::Forward);
+    for &u in &v {
+        assert_eq!(ws.distance(u), reference.distance(u));
+    }
+}
+
+#[test]
+fn early_exit_settles_requested_targets_exactly() {
+    let grid = GridGraph::new(5, 5, Distance::from_feet(10));
+    let g = grid.graph();
+    let full = ReferenceTree::grow(g, NodeId::new(0), Direction::Forward);
+    let mut ws = SsspWorkspace::for_graph(g);
+    let targets = [NodeId::new(6), NodeId::new(2)];
+    ws.run_to_targets(g, NodeId::new(0), Direction::Forward, &targets);
+    for t in targets {
+        assert_eq!(ws.distance(t), full.distance(t));
+        assert_eq!(
+            ws.path_to(t).unwrap().nodes(),
+            full.path_to(t).unwrap().nodes()
+        );
+    }
+    // The far corner was never needed; early exit leaves it unsettled.
+    assert_eq!(ws.distance(NodeId::new(24)), None);
+    // A subsequent full run is unaffected by the abandoned queue.
+    ws.run(g, NodeId::new(0), Direction::Forward);
+    assert_eq!(ws.distance(NodeId::new(24)), full.distance(NodeId::new(24)));
+}
+
+#[test]
+fn pruned_targets_match_reference_and_actually_prune() {
+    let g = line100();
+    let lm = Landmarks::select(&g, 2);
+    let root = NodeId::new(50);
+    let targets = [NodeId::new(52), NodeId::new(95)];
+    let reference = ReferenceTree::grow(&g, root, Direction::Forward);
+    for kernel in [SsspKernel::BucketQueue, SsspKernel::BinaryHeap] {
+        let mut plain = SsspWorkspace::with_kernel_for_graph(&g, kernel);
+        plain.run_to_targets(&g, root, Direction::Forward, &targets);
+        let unpruned_settled = plain.last_run_settled();
+        assert_eq!(plain.last_run_pruned(), 0);
+
+        let mut ws = SsspWorkspace::with_kernel_for_graph(&g, kernel);
+        ws.run_to_targets_pruned(&g, root, Direction::Forward, &targets, &lm);
+        for t in targets {
+            assert_eq!(ws.distance(t), reference.distance(t), "{kernel:?} {t}");
+            assert_eq!(
+                ws.path_to(t).unwrap().nodes(),
+                reference.path_to(t).unwrap().nodes(),
+                "{kernel:?} {t}"
+            );
+        }
+        // The far target forces the frontier right; everything left of
+        // the root past the bound is provably useless and pruned.
+        assert!(ws.last_run_pruned() > 0, "{kernel:?} pruned nothing");
+        assert!(
+            ws.last_run_settled() < unpruned_settled,
+            "{kernel:?} settled {} ≥ unpruned {}",
+            ws.last_run_settled(),
+            unpruned_settled
+        );
+    }
+}
+
+#[test]
+fn pruned_reverse_run_matches_reference() {
+    let g = line100();
+    let lm = Landmarks::select(&g, 2);
+    let root = NodeId::new(60);
+    let targets = [NodeId::new(58), NodeId::new(3)];
+    let reference = ReferenceTree::grow(&g, root, Direction::Reverse);
+    let mut ws = SsspWorkspace::for_graph(&g);
+    ws.run_to_targets_pruned(&g, root, Direction::Reverse, &targets, &lm);
+    for t in targets {
+        assert_eq!(ws.distance(t), reference.distance(t), "{t}");
+        assert_eq!(
+            ws.path_to(t).unwrap().nodes(),
+            reference.path_to(t).unwrap().nodes(),
+            "{t}"
+        );
+    }
+}
+
+#[test]
+fn max_spread_edges_still_exact_under_bucket_kernel() {
+    // Longest representable bucket edge next to a 1 ft edge: the widest
+    // spread the bucket kernel accepts.
+    let mut b = GraphBuilder::new();
+    let v: Vec<NodeId> = (0..4)
+        .map(|i| b.add_node(Point::new(i as f64, 0.0)))
+        .collect();
+    let long = Distance::from_feet(MAX_BUCKET_COUNT as u64 - 1);
+    b.add_edge(v[0], v[1], long).unwrap();
+    b.add_edge(v[0], v[2], Distance::from_feet(1)).unwrap();
+    b.add_edge(v[2], v[1], long).unwrap();
+    b.add_edge(v[1], v[3], Distance::from_feet(1)).unwrap();
+    let g = b.build();
+    let reference = ReferenceTree::grow(&g, v[0], Direction::Forward);
+    let mut ws = SsspWorkspace::with_kernel_for_graph(&g, SsspKernel::BucketQueue);
+    ws.run(&g, v[0], Direction::Forward);
+    for &u in &v {
+        assert_eq!(ws.distance(u), reference.distance(u), "{u}");
+    }
+    assert_eq!(ws.distance(v[1]), Some(long)); // direct edge wins
 }

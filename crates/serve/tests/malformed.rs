@@ -23,12 +23,11 @@ fn scenario() -> MutableScenario {
         ],
     )
     .unwrap();
-    MutableScenario::new_with_threads(
+    MutableScenario::new(
         grid.graph().clone(),
         flows,
         vec![grid.center()],
         UtilityKind::Linear.instantiate(Distance::from_feet(2_000)),
-        1,
     )
     .unwrap()
 }

@@ -41,12 +41,11 @@ fn scenario(volume_scale: f64) -> MutableScenario {
     })
     .collect();
     let flows = FlowSet::route(grid.graph(), specs).unwrap();
-    MutableScenario::new_with_threads(
+    MutableScenario::new(
         grid.graph().clone(),
         flows,
         vec![grid.center()],
         UtilityKind::Linear.instantiate(Distance::from_feet(2_500)),
-        1,
     )
     .unwrap()
 }

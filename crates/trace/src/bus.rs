@@ -146,11 +146,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rap_graph::{dijkstra, Distance, GridGraph, NodeId};
+    use rap_graph::{sssp, Distance, GridGraph, NodeId};
 
     fn grid_path() -> (rap_graph::RoadGraph, Path) {
         let g = GridGraph::new(3, 3, Distance::from_feet(300)).into_graph();
-        let p = dijkstra::shortest_path(&g, NodeId::new(0), NodeId::new(8)).unwrap();
+        let p = sssp::shortest_path(&g, NodeId::new(0), NodeId::new(8)).unwrap();
         (g, p)
     }
 

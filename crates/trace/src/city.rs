@@ -22,9 +22,8 @@ use crate::gps::{BusId, GpsNoise, JourneyId, TraceRecord};
 use crate::map_match::{extract_flows, ExtractParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rap_graph::dijkstra::Direction;
 use rap_graph::sssp::SsspWorkspace;
-use rap_graph::{generators, Distance, NodeId, Path, Point, RoadGraph};
+use rap_graph::{generators, Direction, Distance, NodeId, Path, Point, RoadGraph};
 use rap_traffic::zones::{ZoneMap, ZoneThresholds};
 use rap_traffic::{demand, FlowSet, Zone};
 use std::collections::HashMap;

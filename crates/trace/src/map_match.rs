@@ -14,7 +14,7 @@
 
 use crate::error::TraceError;
 use crate::gps::{BusId, JourneyId, TraceRecord};
-use rap_graph::{dijkstra, NodeId, Path, RoadGraph};
+use rap_graph::{sssp, NodeId, Path, RoadGraph};
 use rap_traffic::FlowSpec;
 use std::collections::BTreeMap;
 
@@ -51,7 +51,7 @@ pub fn match_fixes(graph: &RoadGraph, records: &[TraceRecord]) -> Result<Option<
             walk.push(b);
             continue;
         }
-        let bridge = dijkstra::shortest_path(graph, a, b)
+        let bridge = sssp::shortest_path(graph, a, b)
             .map_err(|_| TraceError::UnmatchableTrace { from: a, to: b })?;
         walk.extend_from_slice(&bridge.nodes()[1..]);
     }
@@ -199,7 +199,7 @@ mod tests {
         noise: f64,
         seed: u64,
     ) -> Vec<TraceRecord> {
-        let path = dijkstra::shortest_path(graph, NodeId::new(o), NodeId::new(d)).unwrap();
+        let path = sssp::shortest_path(graph, NodeId::new(o), NodeId::new(d)).unwrap();
         drive_path(
             graph,
             &path,

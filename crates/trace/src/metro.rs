@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(m.graph().node_count(), p.node_count());
         // Two-way grid: every interior node reaches every other. Spot-check
         // via a corner-to-corner route.
-        let path = rap_graph::dijkstra::shortest_path(
+        let path = rap_graph::sssp::shortest_path(
             m.graph(),
             NodeId::new(0),
             NodeId::new(p.node_count() as u32 - 1),

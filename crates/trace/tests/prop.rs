@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rap_graph::{dijkstra, Distance, GridGraph, NodeId, Point};
+use rap_graph::{sssp, Distance, GridGraph, NodeId, Point};
 use rap_trace::{
     drive_path, extract_flows, match_fixes, read_csv, write_csv, BusId, DriveParams, ExtractParams,
     GpsNoise, GpsPoint, JourneyId, TraceRecord, TraceSchema,
@@ -51,7 +51,7 @@ proptest! {
         prop_assume!(o != d);
         let grid = GridGraph::new(6, 6, Distance::from_feet(500));
         let g = grid.graph();
-        let path = dijkstra::shortest_path(g, NodeId::new(o), NodeId::new(d)).expect("connected");
+        let path = sssp::shortest_path(g, NodeId::new(o), NodeId::new(d)).expect("connected");
         let recs = drive_path(
             g,
             &path,
@@ -77,7 +77,7 @@ proptest! {
     fn extraction_counts_buses(buses in 1u32..6, noise in 0.0..100.0f64, seed in 0u64..20) {
         let grid = GridGraph::new(5, 5, Distance::from_feet(1_000));
         let g = grid.graph();
-        let path = dijkstra::shortest_path(g, NodeId::new(0), NodeId::new(24)).expect("connected");
+        let path = sssp::shortest_path(g, NodeId::new(0), NodeId::new(24)).expect("connected");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut records = Vec::new();
         for b in 0..buses {

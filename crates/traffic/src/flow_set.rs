@@ -10,11 +10,10 @@
 use crate::error::TrafficError;
 use crate::flow::{FlowId, FlowSpec, TrafficFlow};
 use crate::parallel;
-use rap_graph::dijkstra::Direction;
 use rap_graph::landmarks::Landmarks;
 use rap_graph::sssp::SsspWorkspace;
 use rap_graph::tiles::TileGrid;
-use rap_graph::{Distance, GraphError, NodeId, RoadGraph};
+use rap_graph::{Direction, Distance, GraphError, NodeId, RoadGraph};
 use std::collections::HashMap;
 
 /// Acceleration inputs for [`FlowSet::route_with`].
@@ -25,11 +24,10 @@ use std::collections::HashMap;
 /// flow sets (see the field docs for why).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouteOptions<'a> {
-    /// Worker threads for origin-group fan-out. `None` routes sequentially;
-    /// `Some(n)` requests `n` workers clamped by
-    /// [`parallel::effective_threads`] (with a logged sequential fallback
-    /// when the clamp leaves one worker, as [`FlowSet::route_parallel`]
-    /// documents).
+    /// Worker threads for origin-group fan-out. `None` routes on the
+    /// calling thread; `Some(n)` requests `n` workers, clamped by
+    /// [`parallel::effective_threads`] to the number of distinct origins.
+    /// One worker runs on the calling thread, more on scoped threads.
     pub threads: Option<usize>,
     /// Landmark tables enabling ALT-pruned target searches
     /// ([`SsspWorkspace::run_to_targets_pruned`]). Pruning only skips node
@@ -101,49 +99,24 @@ impl FlowSet {
         Self::route_with(graph, specs, RouteOptions::default())
     }
 
-    /// [`FlowSet::route`] with the origin groups fanned across `threads`
-    /// scoped worker threads (one [`SsspWorkspace`] per worker). The result
-    /// is **bit-identical** to the sequential path — same paths, same flow
-    /// ids, same first-visit index, and on failure the same error the
-    /// sequential routing would have reported first.
-    ///
-    /// `threads` is clamped by the workspace-wide policy
-    /// ([`parallel::effective_threads`]): never more workers than distinct
-    /// origins, never fewer than one. When the clamp leaves a single worker
-    /// (one thread requested, or at most one origin group) the sequential
-    /// path runs directly and the reason is logged to stderr.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FlowSet::route`].
-    pub fn route_parallel(
-        graph: &RoadGraph,
-        specs: Vec<FlowSpec>,
-        threads: usize,
-    ) -> Result<Self, TrafficError> {
-        Self::route_with(
-            graph,
-            specs,
-            RouteOptions {
-                threads: Some(threads),
-                ..RouteOptions::default()
-            },
-        )
-    }
-
     /// [`FlowSet::route`] with opt-in accelerations ([`RouteOptions`]):
     /// worker threads, ALT-pruned target searches, and tile-batched
     /// processing order. Every combination is **bit-identical** to plain
     /// sequential routing — same paths, same flow ids, same first-visit
     /// index, and on failure the same error.
     ///
-    /// The error contract needs care under reordering: the sequential
-    /// reference stops at the first failing origin group *in original spec
-    /// order*, but tiling processes groups in tile order and threads split
-    /// them across workers. Both paths therefore tag failures with the
-    /// original group index, keep routing only groups that could still fail
-    /// *earlier* than the best candidate, and report the minimum — exactly
-    /// the error the reference loop hits first.
+    /// One routing loop serves every worker count: it routes a slice of the
+    /// processing order, on the calling thread when one worker is asked
+    /// for, on scoped threads otherwise, and the slices' flows are merged
+    /// by spec index.
+    ///
+    /// The error contract needs care under reordering: routing the groups
+    /// one by one in spec order stops at the first failing origin group,
+    /// but tiling processes groups in tile order and threads split them
+    /// across workers. Each slice therefore tags failures with the original
+    /// group index, keeps routing only groups that could still fail
+    /// *earlier* than its best candidate, and the merge reports the minimum
+    /// — exactly the error the spec-order loop hits first.
     ///
     /// # Errors
     ///
@@ -172,25 +145,21 @@ impl FlowSet {
             );
             order.sort_by_key(|&g| tiles.tile_of(groups[g].0));
         }
-        let requested = opts.threads.unwrap_or(1).max(1);
-        let workers = parallel::effective_threads(requested, groups.len());
-        if workers <= 1 {
-            if opts.threads.is_some() {
-                eprintln!(
-                    "rap-traffic: parallel routing falling back to sequential \
-                     ({requested} thread(s) requested, {} distinct origin group(s) -> \
-                     1 effective worker)",
-                    groups.len()
-                );
-            }
+        let workers = parallel::effective_threads(opts.threads.unwrap_or(1), groups.len());
+        // Each worker routes a contiguous slice of the processing order into
+        // its own (spec index, flow) list. Failures are tagged with the
+        // original group index; a worker that has already seen a failure
+        // keeps routing only groups with a smaller original index, so its
+        // report is the minimal failing index of its slice and the merge
+        // below surfaces exactly the error that routing the groups one by
+        // one in spec order hits first.
+        let route_slice = |slice: &[usize]| -> SliceOutput {
             let mut ws = SsspWorkspace::for_graph(graph);
-            let mut flows: Vec<Option<TrafficFlow>> = vec![None; specs.len()];
+            let mut routed: Vec<(usize, TrafficFlow)> = Vec::new();
             let mut first_err: Option<(usize, TrafficError)> = None;
-            for &g in &order {
-                if let Some((fg, _)) = &first_err {
-                    if g >= *fg {
-                        continue;
-                    }
+            for &g in slice {
+                if first_err.as_ref().is_some_and(|(fg, _)| g >= *fg) {
+                    continue;
                 }
                 let (origin, idxs) = &groups[g];
                 if let Err(e) = route_group(
@@ -199,72 +168,37 @@ impl FlowSet {
                     &specs,
                     *origin,
                     idxs,
-                    &mut flows,
+                    &mut routed,
                     opts.landmarks,
                 ) {
                     first_err = Some((g, e));
                 }
             }
-            if let Some((_, e)) = first_err {
-                return Err(e);
+            match first_err {
+                Some(err) => Err(err),
+                None => Ok(routed),
             }
-            return Ok(Self::from_routed(graph, collect_routed(flows)));
-        }
-        let chunk = order.len().div_ceil(workers);
-        let specs_ref = &specs;
-        let groups_ref = &groups;
-        let order_ref = &order;
-        // Each worker routes a contiguous slice of the processing order into
-        // its own (spec index, flow) list. Failures are tagged with the
-        // original group index; a worker that has already seen a failure
-        // keeps routing only groups with a smaller original index, so its
-        // report is the minimal failing index of its slice and the merge
-        // below surfaces exactly the error the sequential loop hits first.
-        type WorkerOutput = Result<Vec<(usize, TrafficFlow)>, (usize, TrafficError)>;
-        let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let landmarks = opts.landmarks;
-                    scope.spawn(move || {
-                        let start = (w * chunk).min(order_ref.len());
-                        let end = ((w + 1) * chunk).min(order_ref.len());
-                        let mut ws = SsspWorkspace::for_graph(graph);
-                        let mut routed: Vec<(usize, TrafficFlow)> = Vec::new();
-                        let mut flows: Vec<Option<TrafficFlow>> = vec![None; specs_ref.len()];
-                        let mut first_err: Option<(usize, TrafficError)> = None;
-                        for &g in &order_ref[start..end] {
-                            if let Some((fg, _)) = &first_err {
-                                if g >= *fg {
-                                    continue;
-                                }
-                            }
-                            let (origin, idxs) = &groups_ref[g];
-                            match route_group(
-                                graph, &mut ws, specs_ref, *origin, idxs, &mut flows, landmarks,
-                            ) {
-                                Ok(()) => {
-                                    for &i in idxs {
-                                        routed.push((i, flows[i].take().expect("group routed")));
-                                    }
-                                }
-                                Err(e) => first_err = Some((g, e)),
-                            }
-                        }
-                        match first_err {
-                            Some(err) => Err(err),
-                            None => Ok(routed),
-                        }
+        };
+        let outputs: Vec<SliceOutput> = if workers == 1 {
+            vec![route_slice(&order)]
+        } else {
+            let chunk = order.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = order
+                    .chunks(chunk)
+                    .map(|slice| {
+                        let route_slice = &route_slice;
+                        scope.spawn(move || route_slice(slice))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("routing worker panicked"))
-                .collect()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("routing worker panicked"))
+                    .collect()
+            })
+        };
 
-        // First failing group (by original index) wins — identical to the
-        // sequential reference, which stops at that exact group and spec.
+        // First failing group (by original index) wins.
         let mut first_err: Option<(usize, TrafficError)> = None;
         let mut flows: Vec<Option<TrafficFlow>> = vec![None; specs.len()];
         for output in outputs {
@@ -284,7 +218,11 @@ impl FlowSet {
         if let Some((_, e)) = first_err {
             return Err(e);
         }
-        Ok(Self::from_routed(graph, collect_routed(flows)))
+        let flows = flows
+            .into_iter()
+            .map(|f| f.expect("every spec was routed"))
+            .collect();
+        Ok(Self::from_routed(graph, flows))
     }
 
     /// Builds a flow set from already-routed flows (e.g. paths chosen by the
@@ -477,19 +415,26 @@ fn group_by_origin(
     Ok(groups)
 }
 
-/// Routes one origin group through the workspace: a single early-exit tree
-/// run settles every destination in the group, then each spec extracts its
-/// path. Settled distances are final, so the paths are bit-identical to a
-/// full-tree run's. With landmark tables the run additionally prunes node
-/// expansions that provably cannot improve any remaining destination, which
-/// changes nothing about settled targets (see `rap_graph::sssp`).
+/// What one routing worker returns: its slice's `(spec index, flow)` pairs,
+/// or the minimal failing original group index of the slice with its error.
+type SliceOutput = Result<Vec<(usize, TrafficFlow)>, (usize, TrafficError)>;
+
+/// Routes one origin group through the workspace, appending each spec's
+/// `(index, flow)` to `routed`: a single early-exit tree run settles every
+/// destination in the group, then each spec extracts its path. Settled
+/// distances are final, so the paths are bit-identical to a full-tree
+/// run's. With landmark tables the run additionally prunes node expansions
+/// that provably cannot improve any remaining destination, which changes
+/// nothing about settled targets (see `rap_graph::sssp`). On error, flows
+/// already appended for the group stay behind; the caller discards the
+/// whole list.
 fn route_group(
     graph: &RoadGraph,
     ws: &mut SsspWorkspace,
     specs: &[FlowSpec],
     origin: NodeId,
     idxs: &[usize],
-    flows: &mut [Option<TrafficFlow>],
+    routed: &mut Vec<(usize, TrafficFlow)>,
     landmarks: Option<&Landmarks>,
 ) -> Result<(), TrafficError> {
     let targets: Vec<NodeId> = idxs.iter().map(|&i| specs[i].destination()).collect();
@@ -505,16 +450,9 @@ fn route_group(
                 origin: spec.origin(),
                 destination: spec.destination(),
             })?;
-        flows[i] = Some(TrafficFlow::new(FlowId::new(i as u32), spec, path));
+        routed.push((i, TrafficFlow::new(FlowId::new(i as u32), spec, path)));
     }
     Ok(())
-}
-
-fn collect_routed(flows: Vec<Option<TrafficFlow>>) -> Vec<TrafficFlow> {
-    flows
-        .into_iter()
-        .map(|f| f.expect("every spec was routed"))
-        .collect()
 }
 
 impl<'a> IntoIterator for &'a FlowSet {
@@ -751,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn route_parallel_is_bit_identical_to_route() {
+    fn threaded_routing_is_bit_identical_to_route() {
         let grid = GridGraph::new(5, 5, Distance::from_feet(10));
         // Shared origins, repeated destinations, out-of-order indices.
         let specs: Vec<FlowSpec> = [(0, 24), (12, 3), (0, 7), (24, 0), (12, 3), (7, 18)]
@@ -760,13 +698,21 @@ mod tests {
             .collect();
         let seq = FlowSet::route(grid.graph(), specs.clone()).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = FlowSet::route_parallel(grid.graph(), specs.clone(), threads).unwrap();
+            let par = FlowSet::route_with(
+                grid.graph(),
+                specs.clone(),
+                RouteOptions {
+                    threads: Some(threads),
+                    ..RouteOptions::default()
+                },
+            )
+            .unwrap();
             assert_flow_sets_identical(&seq, &par);
         }
     }
 
     #[test]
-    fn route_parallel_reports_same_error_as_route() {
+    fn threaded_routing_reports_same_error_as_route() {
         let mut b = GraphBuilder::new();
         let a = b.add_node(Point::new(0.0, 0.0));
         let c = b.add_node(Point::new(1.0, 0.0));
@@ -781,7 +727,15 @@ mod tests {
             FlowSpec::new(c, island, 1.0).unwrap(),
         ];
         let seq = FlowSet::route(&g, specs.clone()).unwrap_err();
-        let par = FlowSet::route_parallel(&g, specs, 4).unwrap_err();
+        let par = FlowSet::route_with(
+            &g,
+            specs,
+            RouteOptions {
+                threads: Some(4),
+                ..RouteOptions::default()
+            },
+        )
+        .unwrap_err();
         match (&seq, &par) {
             (
                 TrafficError::UnroutableFlow {
@@ -798,16 +752,6 @@ mod tests {
             }
             other => panic!("expected matching UnroutableFlow errors, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn route_parallel_single_thread_falls_back() {
-        // One thread requested: the logged sequential fallback still routes.
-        let grid = grid3();
-        let specs = vec![FlowSpec::new(NodeId::new(0), NodeId::new(8), 2.0).unwrap()];
-        let seq = FlowSet::route(grid.graph(), specs.clone()).unwrap();
-        let par = FlowSet::route_parallel(grid.graph(), specs, 1).unwrap();
-        assert_flow_sets_identical(&seq, &par);
     }
 
     #[test]
@@ -924,8 +868,7 @@ mod tests {
         let g = grid.graph();
         let mk = |o: u32, d: u32| {
             let spec = FlowSpec::new(NodeId::new(o), NodeId::new(d), 1.0).unwrap();
-            let path =
-                rap_graph::dijkstra::shortest_path(g, NodeId::new(o), NodeId::new(d)).unwrap();
+            let path = rap_graph::sssp::shortest_path(g, NodeId::new(o), NodeId::new(d)).unwrap();
             TrafficFlow::new(FlowId::new(77), spec, path)
         };
         let fs = FlowSet::from_routed(g, vec![mk(0, 2), mk(6, 8)]);

@@ -4,8 +4,9 @@
 //! build all size and split their work here, so worker counts are clamped
 //! identically everywhere: requests are clamped to the number of
 //! independent work units (extra workers would idle), never below one, and
-//! the "use all cores" default comes from `available_parallelism()` with a
-//! logged fallback. [`mass_chunks`] cuts an index space into contiguous
+//! the "use all cores" default comes from `available_parallelism()`, with a
+//! logged fallback to 4 where the platform cannot report it.
+//! [`mass_chunks`] cuts an index space into contiguous
 //! shards balanced by per-item work.
 
 /// Worker threads used when a caller asks for the automatic thread count:

@@ -1,9 +1,10 @@
 //! Property-based tests for the traffic substrate.
 
 use proptest::prelude::*;
+use rap_graph::apsp::DistanceMatrix;
 use rap_graph::landmarks::Landmarks;
 use rap_graph::tiles::TileGrid;
-use rap_graph::{dijkstra, Distance, GridGraph, NodeId};
+use rap_graph::{Distance, GridGraph, NodeId};
 use rap_traffic::zones::{ZoneMap, ZoneThresholds};
 use rap_traffic::{FlowSet, FlowSpec, RouteOptions, Zone};
 
@@ -39,12 +40,15 @@ fn build(d: &Demand) -> (GridGraph, FlowSet) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Routed paths are always shortest paths.
+    /// Routed paths are always shortest paths, by an independent
+    /// Floyd–Warshall matrix.
     #[test]
     fn routed_paths_are_shortest(d in arb_demand()) {
         let (grid, flows) = build(&d);
+        let truth = DistanceMatrix::floyd_warshall(grid.graph());
         for f in &flows {
-            let direct = dijkstra::distance(grid.graph(), f.origin(), f.destination())
+            let direct = truth
+                .get(f.origin(), f.destination())
                 .expect("grid is connected");
             prop_assert_eq!(f.path().length(), direct);
             prop_assert_eq!(f.path().origin(), f.origin());
@@ -99,11 +103,11 @@ proptest! {
         }
     }
 
-    /// `route_parallel` is bit-identical to sequential `route` for any
+    /// Routing on worker threads is bit-identical to `route` for any
     /// thread count: same flow ids, same specs, same path node sequences,
     /// and the same first-visit index at every node.
     #[test]
-    fn route_parallel_matches_route(d in arb_demand(), threads in 1usize..6) {
+    fn threaded_routing_matches_route(d in arb_demand(), threads in 1usize..6) {
         let grid = GridGraph::new(d.rows, d.cols, Distance::from_feet(100));
         let specs: Vec<FlowSpec> = d
             .flows
@@ -114,8 +118,15 @@ proptest! {
             })
             .collect();
         let seq = FlowSet::route(grid.graph(), specs.clone()).expect("grid routes everything");
-        let par = FlowSet::route_parallel(grid.graph(), specs, threads)
-            .expect("grid routes everything");
+        let par = FlowSet::route_with(
+            grid.graph(),
+            specs,
+            RouteOptions {
+                threads: Some(threads),
+                ..RouteOptions::default()
+            },
+        )
+        .expect("grid routes everything");
         prop_assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(par.iter()) {
             prop_assert_eq!(a.id(), b.id());

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rap_vcps::graph::{dijkstra, Distance, GridGraph, NodeId};
+use rap_vcps::graph::{sssp, Distance, GridGraph, NodeId};
 use rap_vcps::placement::{GreedyCoverage, PlacementAlgorithm, Scenario, UtilityKind};
 use rap_vcps::trace::{
     drive_path, extract_flows, read_csv, write_csv, BusId, DriveParams, ExtractParams, GpsNoise,
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if o == d {
             continue;
         }
-        let path = dijkstra::shortest_path(&graph, o, d)?;
+        let path = sssp::shortest_path(&graph, o, d)?;
         for _ in 0..rng.random_range(1..=4u32) {
             records.extend(drive_path(
                 &graph,

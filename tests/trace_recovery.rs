@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rap_vcps::graph::{dijkstra, Distance, GridGraph, NodeId};
+use rap_vcps::graph::{sssp, Distance, GridGraph, NodeId};
 use rap_vcps::trace::{
     drive_path, extract_flows, BusId, DriveParams, ExtractParams, GpsNoise, JourneyId,
 };
@@ -29,7 +29,7 @@ fn roundtrip(noise_feet: f64, seed: u64) -> (OdMatrix, OdMatrix) {
         };
         let buses = rng.random_range(1..=3u32);
         truth.add(o, d, buses as f64 * 100.0);
-        let path = dijkstra::shortest_path(graph, o, d).unwrap();
+        let path = sssp::shortest_path(graph, o, d).unwrap();
         for _ in 0..buses {
             records.extend(drive_path(
                 graph,
