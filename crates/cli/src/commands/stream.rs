@@ -17,12 +17,12 @@
 use super::place::read_flows;
 use crate::args::Args;
 use crate::CliError;
-use rap_core::{build_mutable_scenario, FsyncPolicy, MutableScenario, UtilityKind};
+use rap_core::{build_mutable_scenario, FsyncPolicy, MutableScenario, UtilityKind, WalStop};
 use rap_graph::{Distance, NodeId};
 use rap_stream::{
     prepare_resume, read_ndjson, run_stream_with, Durability, DurabilityConfig, Journal,
-    Maintainer, MaintainerConfig, ResumePoint, StreamConfig, StreamDelta, StreamError,
-    StreamProgress, StreamSummary, SyntheticDrift, TraceReplay,
+    MaintainerConfig, NoJournal, ResumePoint, StreamConfig, StreamDelta, StreamError,
+    StreamSummary, SyntheticDrift, TraceReplay,
 };
 use rap_traffic::Zone;
 use std::io::{BufReader, Write};
@@ -321,48 +321,14 @@ fn durability_config(args: &Args) -> Result<(Option<DurabilityConfig>, bool), Cl
     Ok((Some(cfg), resume))
 }
 
-/// The journal for this invocation: a no-op without `--wal`, the full
-/// WAL + snapshot pipeline with it. An enum rather than a trait object
-/// because [`run_stream_with`] takes its journal as a generic parameter.
-enum CliJournal {
-    Off,
-    On(Box<Durability>),
-}
-
-impl Journal for CliJournal {
-    fn record(
-        &mut self,
-        scenario: &MutableScenario,
-        delta: &StreamDelta,
-    ) -> Result<(), StreamError> {
-        match self {
-            CliJournal::Off => Ok(()),
-            CliJournal::On(d) => d.record(scenario, delta),
-        }
-    }
-
-    fn committed(
-        &mut self,
-        scenario: &MutableScenario,
-        maintainer: &Maintainer,
-        progress: &StreamProgress,
-    ) -> Result<(), StreamError> {
-        match self {
-            CliJournal::Off => Ok(()),
-            CliJournal::On(d) => d.committed(scenario, maintainer, progress),
-        }
-    }
-
-    fn finish(
-        &mut self,
-        scenario: &MutableScenario,
-        maintainer: &Maintainer,
-        progress: &StreamProgress,
-    ) -> Result<(), StreamError> {
-        match self {
-            CliJournal::Off => Ok(()),
-            CliJournal::On(d) => d.finish(scenario, maintainer, progress),
-        }
+/// Reports on stderr the damaged WAL tail a resume dropped: the items it
+/// held are read again from the source, so the run's output is unchanged.
+fn report_wal_stop(stop: Option<WalStop>) {
+    if let Some(stop) = stop {
+        eprintln!(
+            "rap stream: resume dropped the WAL tail from byte {} ({}); its items are re-read from the source",
+            stop.offset, stop.reason
+        );
     }
 }
 
@@ -452,7 +418,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
     // Resolve the scenario, the delta source (with any WAL replay
     // prepended and already-consumed items skipped), the resume state, and
     // the journal — three shapes depending on what survives on disk.
-    let (mut scenario, source, resume_state, mut journal) = if resume {
+    let (mut scenario, source, resume_state, mut journal): (_, _, _, Box<dyn Journal>) = if resume {
         let dcfg = dur_cfg
             .clone()
             .expect("durability_config ties --resume to --wal");
@@ -466,51 +432,41 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
                 // source is rebuilt, and it skips everything the snapshot
                 // and WAL already cover.
                 let setup = *setup;
+                report_wal_stop(setup.wal_stop);
                 let rest = resume_source(args, seed, setup.consumed)?;
                 let source: DeltaSource = Box::new(setup.replay.into_iter().map(Ok).chain(rest));
                 (
                     setup.scenario,
                     source,
                     Some(setup.resume),
-                    CliJournal::On(Box::new(setup.durability)),
+                    Box::new(setup.durability),
                 )
             }
             ResumePoint::WalOnly(setup) => {
                 // Crash before the first rotation: rebuild from the
                 // original inputs, then replay the whole WAL through the
                 // normal pipeline.
+                report_wal_stop(setup.wal_stop);
                 let session = build_session(args, seed, utility, d, build_threads)?;
                 let consumed = usize::try_from(setup.consumed).map_err(|_| {
                     CliError::Usage("resume position overflows this platform".into())
                 })?;
                 let rest = session.source.skip(consumed);
                 let source: DeltaSource = Box::new(setup.replay.into_iter().map(Ok).chain(rest));
-                (
-                    session.scenario,
-                    source,
-                    None,
-                    CliJournal::On(Box::new(setup.durability)),
-                )
+                (session.scenario, source, None, Box::new(setup.durability))
             }
             ResumePoint::Fresh => {
                 let session = build_session(args, seed, utility, d, build_threads)?;
                 let dcfg = dur_cfg.expect("durability_config ties --resume to --wal");
                 let durability = Durability::start(dcfg).map_err(CliError::Stream)?;
-                (
-                    session.scenario,
-                    session.source,
-                    None,
-                    CliJournal::On(Box::new(durability)),
-                )
+                (session.scenario, session.source, None, Box::new(durability))
             }
         }
     } else {
         let session = build_session(args, seed, utility, d, build_threads)?;
-        let journal = match dur_cfg {
-            Some(dcfg) => {
-                CliJournal::On(Box::new(Durability::start(dcfg).map_err(CliError::Stream)?))
-            }
-            None => CliJournal::Off,
+        let journal: Box<dyn Journal> = match dur_cfg {
+            Some(dcfg) => Box::new(Durability::start(dcfg).map_err(CliError::Stream)?),
+            None => Box::new(NoJournal),
         };
         (session.scenario, session.source, None, journal)
     };
@@ -531,7 +487,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
                 &cfg,
                 source,
                 &mut sink,
-                &mut journal,
+                journal.as_mut(),
                 resume_state,
             )?
         }
@@ -540,7 +496,7 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
             &cfg,
             source,
             stdout,
-            &mut journal,
+            journal.as_mut(),
             resume_state,
         )?,
     };

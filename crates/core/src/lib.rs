@@ -109,11 +109,11 @@ pub use scenario::Scenario;
 pub use scheduling::{AdCampaign, Schedule, ScheduleGreedy};
 pub use snapshot::{
     decode_serving_snapshot, decode_snapshot, decode_snapshot_with_threads, encode_snapshot,
-    read_snapshot_file, restore, snapshot_crc32, verify_snapshot, write_snapshot_atomic, Restored,
-    SectionInfo, ServingSnapshot, SnapshotContents, SnapshotError, SnapshotInfo,
+    read_snapshot_file, snapshot_crc32, verify_snapshot, write_snapshot_atomic, SectionInfo,
+    ServingSnapshot, SnapshotContents, SnapshotError, SnapshotInfo,
 };
 pub use utility::{LinearUtility, SqrtUtility, ThresholdUtility, UtilityFunction, UtilityKind};
 pub use wal::{
-    encode_record, read_wal, replay, FsyncPolicy, ReplayReport, WalOp, WalRecord, WalScan, WalStop,
-    WalStopReason, WalWriter, MAX_RECORD_LEN,
+    encode_record, read_wal, FsyncPolicy, WalOp, WalRecord, WalScan, WalStop, WalStopReason,
+    WalWriter, MAX_RECORD_LEN,
 };

@@ -476,9 +476,10 @@ impl MutableScenario {
         // Per-shop `d''(shop → destination)`, straight from the cached rows.
         let to_dest: Vec<Distance> = self.shop_rows.to_destination(destination).collect();
         // First-visit scan, mirroring `FlowSet::from_routed` (positions,
-        // prefixes); the detour is `DetourTable::build`'s rule.
-        let nodes: Vec<NodeId> = path.nodes().to_vec();
-        let mut seen: HashMap<NodeId, ()> = HashMap::new();
+        // prefixes); the detour is `DetourTable::build`'s rule. `path_to`
+        // walks a predecessor tree, which has no cycles, so the path visits
+        // each node once and every position is a first visit.
+        let nodes = path.nodes();
         let mut prefix = Distance::ZERO;
         let mut overlay_locs = Vec::new();
         for (pos, &node) in nodes.iter().enumerate() {
@@ -488,9 +489,6 @@ impl MutableScenario {
                     .edge_length(nodes[pos - 1], node)
                     .expect("routed path edges exist in graph");
                 prefix = prefix.saturating_add(hop);
-            }
-            if seen.insert(node, ()).is_some() {
-                continue;
             }
             let remaining = path.length().saturating_sub(prefix);
             let Some(detour) = self.shop_rows.detour(node.index(), &to_dest, remaining) else {

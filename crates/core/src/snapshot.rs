@@ -1,7 +1,9 @@
 //! Versioned, checksummed, offset-based binary snapshots of a
-//! [`MutableScenario`], plus the recovery path that replays a write-ahead
-//! log on top ([`restore`]) and the serving decode that goes straight to
-//! an immutable [`Scenario`] ([`decode_serving_snapshot`]).
+//! [`MutableScenario`], with a resume decode back to that scenario
+//! ([`decode_snapshot`]) and a serving decode that goes straight to an
+//! immutable [`Scenario`] ([`decode_serving_snapshot`]). Replaying a
+//! write-ahead log on top of a resumed snapshot is the stream's job
+//! (`rap_stream::persist`), not this module's.
 //!
 //! ## File layout (version 1, all integers little-endian)
 //!
@@ -74,7 +76,6 @@ use crate::mutable::{live_scenario, live_spec, MutableScenario, PersistedFlow, P
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use crate::utility::{UtilityFunction, UtilityKind};
-use crate::wal::{self, ReplayReport, WalStop};
 use rap_graph::{Distance, GraphBuilder, GraphError, NodeId, Path, Point, RoadGraph};
 use rap_traffic::{FlowId, TrafficError};
 use std::collections::HashSet;
@@ -343,25 +344,6 @@ pub struct SnapshotInfo {
     pub threshold_feet: u64,
     /// The section directory, every checksum verified.
     pub sections: Vec<SectionInfo>,
-}
-
-/// A scenario restored from snapshot + WAL, with the replay accounting.
-pub struct Restored {
-    /// The recovered scenario: snapshot state plus the valid WAL prefix.
-    pub scenario: MutableScenario,
-    /// The placement recorded in the snapshot, if any.
-    pub placement: Option<Placement>,
-    /// Opaque extra bytes from the snapshot, verbatim.
-    pub extra: Vec<u8>,
-    /// What the WAL replay did.
-    pub replay: ReplayReport,
-    /// Why the on-disk WAL scan stopped early (torn/corrupt tail), if it did.
-    pub wal_stop: Option<WalStop>,
-    /// Length of the WAL's valid prefix; a resuming writer must truncate
-    /// the log here before appending.
-    pub wal_valid_len: u64,
-    /// The delta-source position to resume from.
-    pub source_position: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -1414,38 +1396,6 @@ pub fn read_snapshot_file(
     Ok(bytes)
 }
 
-// ---------------------------------------------------------------------------
-// Recovery.
-
-/// Restores a scenario from a snapshot plus a write-ahead log: decodes the
-/// snapshot, scans the log's valid prefix ([`wal::read_wal`]), skips
-/// records a newer snapshot already covers, and replays the rest. Stops
-/// cleanly at the first torn or corrupt record — the recovered scenario is
-/// bit-identical to the original at the moment the last whole record was
-/// logged.
-///
-/// # Errors
-///
-/// Any [`SnapshotError`] from the snapshot decode. WAL damage is *not* an
-/// error: it bounds the replay and is reported in [`Restored::wal_stop`] /
-/// [`Restored::replay`].
-pub fn restore(snapshot: &[u8], wal_bytes: &[u8]) -> Result<Restored, SnapshotError> {
-    let contents = decode_snapshot(snapshot)?;
-    let scan = wal::read_wal(wal_bytes);
-    let mut scenario = contents.scenario;
-    let replay = wal::replay(&mut scenario, &scan.records, contents.source_position);
-    let source_position = replay.next_source_index;
-    Ok(Restored {
-        scenario,
-        placement: contents.placement,
-        extra: contents.extra,
-        replay,
-        wal_stop: scan.stop,
-        wal_valid_len: scan.valid_len,
-        source_position,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1783,123 +1733,6 @@ mod tests {
             Err(SnapshotError::Truncated { .. })
         ));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn restore_replays_the_wal_suffix_bit_identically() {
-        use crate::wal::{encode_record, WalOp};
-        // Reference run: 5 deltas applied in memory, never crashed.
-        let deltas = [
-            FlowDelta::AddFlow {
-                origin: NodeId::new(2),
-                destination: NodeId::new(13),
-                volume: 650.0,
-                alpha: 0.2,
-            },
-            FlowDelta::RescaleFlow {
-                flow: 0,
-                factor: 1.3,
-            },
-            FlowDelta::RemoveFlow { flow: 1 },
-            FlowDelta::SetAlpha {
-                flow: 2,
-                alpha: 0.4,
-            },
-            FlowDelta::RescaleFlow {
-                flow: 2,
-                factor: 0.5,
-            },
-        ];
-        let mut reference = scenario();
-        for d in &deltas {
-            reference.apply(d).unwrap();
-        }
-        // Crashed run: snapshot after 2 deltas, WAL holds all 5 (the first
-        // two are skipped by position), process dies before delta 6.
-        let mut crashed = scenario();
-        let mut log = Vec::new();
-        for (i, d) in deltas.iter().enumerate() {
-            log.extend_from_slice(&encode_record(crashed.epoch(), i as u64, &WalOp::Delta(*d)));
-            crashed.apply(d).unwrap();
-            if i == 1 {
-                // snapshot rotation happens here; WAL not truncated (crash
-                // between rename and truncate is the worst case).
-            }
-        }
-        let mut after_two = scenario();
-        after_two.apply(&deltas[0]).unwrap();
-        after_two.apply(&deltas[1]).unwrap();
-        let snap = encode_snapshot(&after_two, None, 2, &[]).unwrap();
-        let mut restored = restore(&snap, &log).unwrap();
-        assert!(restored.wal_stop.is_none());
-        assert_eq!(restored.replay.applied, 3);
-        assert_eq!(restored.replay.skipped, 2);
-        assert_eq!(restored.source_position, 5);
-        assert_same_state(&mut reference, &mut restored.scenario);
-    }
-
-    #[test]
-    fn restore_stops_cleanly_at_a_torn_wal_tail() {
-        use crate::wal::{encode_record, WalOp, WalStopReason};
-        let mut m = scenario();
-        let snap = encode_snapshot(&m, None, 0, &[]).unwrap();
-        let d0 = FlowDelta::RescaleFlow {
-            flow: 0,
-            factor: 2.0,
-        };
-        let d1 = FlowDelta::RemoveFlow { flow: 1 };
-        let mut log = Vec::new();
-        log.extend_from_slice(&encode_record(m.epoch(), 0, &WalOp::Delta(d0)));
-        m.apply(&d0).unwrap();
-        let rec2 = encode_record(m.epoch(), 1, &WalOp::Delta(d1));
-        log.extend_from_slice(&rec2[..rec2.len() - 3]); // torn mid-write
-        let mut restored = restore(&snap, &log).unwrap();
-        assert_eq!(restored.replay.applied, 1);
-        assert_eq!(
-            restored.wal_stop.map(|s| s.reason),
-            Some(WalStopReason::TornPayload)
-        );
-        assert_eq!(restored.source_position, 1);
-        // Only d0 made it: the recovered state equals the 1-delta run.
-        let mut reference = scenario();
-        reference.apply(&d0).unwrap();
-        assert_same_state(&mut reference, &mut restored.scenario);
-    }
-
-    #[test]
-    fn restore_rejects_a_foreign_wal() {
-        use crate::wal::{encode_record, WalOp, WalStopReason};
-        let m = scenario();
-        let snap = encode_snapshot(&m, None, 0, &[]).unwrap();
-        // A record claiming epoch 40 cannot continue an epoch-0 snapshot.
-        let log = encode_record(40, 0, &WalOp::Compact);
-        let restored = restore(&snap, &log).unwrap();
-        assert_eq!(restored.replay.applied, 0);
-        assert_eq!(
-            restored.replay.stop.map(|s| s.reason),
-            Some(WalStopReason::EpochMismatch)
-        );
-    }
-
-    #[test]
-    fn restore_replays_rejections_deterministically() {
-        use crate::wal::{encode_record, WalOp};
-        let mut m = scenario();
-        let snap = encode_snapshot(&m, None, 0, &[]).unwrap();
-        let bad = FlowDelta::RemoveFlow { flow: 999 };
-        let good = FlowDelta::RescaleFlow {
-            flow: 0,
-            factor: 3.0,
-        };
-        let mut log = Vec::new();
-        log.extend_from_slice(&encode_record(m.epoch(), 0, &WalOp::Delta(bad)));
-        assert!(m.apply(&bad).is_err()); // epoch unchanged
-        log.extend_from_slice(&encode_record(m.epoch(), 1, &WalOp::Delta(good)));
-        m.apply(&good).unwrap();
-        let mut restored = restore(&snap, &log).unwrap();
-        assert_eq!(restored.replay.rejected, 1);
-        assert_eq!(restored.replay.applied, 1);
-        assert_same_state(&mut m, &mut restored.scenario);
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! Write-ahead log for streaming traffic deltas.
+//! Write-ahead log for streaming traffic deltas: the record codec and the
+//! writer. Recovery policy — which records to replay and whether a log
+//! continues a snapshot — lives with the stream that replays them
+//! (`rap_stream::persist`).
 //!
 //! Each consumed stream item — applied, rejected, or a forced compaction —
 //! is appended as one length-prefixed, CRC32-checksummed binary record
@@ -6,8 +9,8 @@
 //! most the record being written. A record carries:
 //!
 //! * `seq` — the scenario epoch immediately before the item was processed,
-//!   which lets recovery detect a WAL that does not belong to the snapshot
-//!   it is replayed against;
+//!   which lets recovery detect a log that does not continue the state it
+//!   resumes from;
 //! * `source_index` — the 0-based position of the item in the delta source,
 //!   which lets recovery resume the source exactly where the crashed
 //!   process stopped (and skip records already covered by a newer
@@ -29,7 +32,7 @@
 //! are injectable deterministically in tests.
 
 use crate::faults::{DiskFault, FaultPlan};
-use crate::mutable::{FlowDelta, MutableScenario};
+use crate::mutable::FlowDelta;
 use rap_graph::NodeId;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -52,8 +55,6 @@ pub enum WalOp {
 /// One decoded WAL record.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WalRecord {
-    /// Byte offset of the record's frame within the log.
-    pub offset: u64,
     /// Scenario epoch immediately before the item was processed.
     pub seq: u64,
     /// 0-based position of the item in the delta source.
@@ -76,9 +77,6 @@ pub enum WalStopReason {
     /// The checksummed payload does not decode to a known operation — the
     /// writer and reader disagree about the format.
     BadPayload,
-    /// During replay: the record's `seq` does not match the scenario epoch,
-    /// so the log does not continue the snapshot it was replayed against.
-    EpochMismatch,
 }
 
 impl std::fmt::Display for WalStopReason {
@@ -89,13 +87,12 @@ impl std::fmt::Display for WalStopReason {
             WalStopReason::TornPayload => "torn record payload",
             WalStopReason::Checksum => "record checksum mismatch",
             WalStopReason::BadPayload => "undecodable record payload",
-            WalStopReason::EpochMismatch => "record epoch does not continue the snapshot",
         };
         f.write_str(what)
     }
 }
 
-/// Where and why a WAL scan or replay stopped early.
+/// Where and why a WAL scan stopped early.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalStop {
     /// Byte offset of the first untrusted frame.
@@ -115,26 +112,6 @@ pub struct WalScan {
     /// log must truncate to this length first, or new records would land
     /// after garbage and be unreachable.
     pub valid_len: u64,
-}
-
-/// What replaying a WAL against a restored scenario did.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplayReport {
-    /// Deltas applied during replay.
-    pub applied: u64,
-    /// Deltas the scenario re-rejected (they were rejected in the original
-    /// run too — rejections are deterministic).
-    pub rejected: u64,
-    /// Forced compactions replayed.
-    pub forced_compactions: u64,
-    /// Records skipped because a newer snapshot already covered them.
-    pub skipped: u64,
-    /// Why replay stopped early, if it did.
-    pub stop: Option<WalStop>,
-    /// The source position the stream should resume from: one past the
-    /// last replayed record (or the snapshot's position if no record was
-    /// newer).
-    pub next_source_index: u64,
 }
 
 /// When the write-ahead log reaches the disk.
@@ -281,7 +258,6 @@ pub fn read_wal(bytes: &[u8]) -> WalScan {
             });
         };
         records.push(WalRecord {
-            offset,
             seq,
             source_index,
             op,
@@ -293,51 +269,6 @@ pub fn read_wal(bytes: &[u8]) -> WalScan {
         stop,
         valid_len: pos as u64,
     }
-}
-
-/// Replays scanned records against a scenario restored from a snapshot.
-///
-/// Records with `source_index < from_position` are skipped — the snapshot
-/// already reflects them (this is what makes a crash *between* snapshot
-/// rotation and WAL truncation harmless). Each remaining record must carry
-/// the scenario's current epoch as its `seq`; a mismatch means the log does
-/// not continue this snapshot, and replay stops cleanly there. Deltas the
-/// scenario rejects are counted and skipped — rejection is deterministic,
-/// so they were rejected in the original run too.
-pub fn replay(
-    scenario: &mut MutableScenario,
-    records: &[WalRecord],
-    from_position: u64,
-) -> ReplayReport {
-    let mut report = ReplayReport {
-        next_source_index: from_position,
-        ..ReplayReport::default()
-    };
-    for rec in records {
-        if rec.source_index < from_position {
-            report.skipped += 1;
-            continue;
-        }
-        if rec.seq != scenario.epoch() {
-            report.stop = Some(WalStop {
-                offset: rec.offset,
-                reason: WalStopReason::EpochMismatch,
-            });
-            break;
-        }
-        match rec.op {
-            WalOp::Compact => {
-                scenario.compact();
-                report.forced_compactions += 1;
-            }
-            WalOp::Delta(delta) => match scenario.apply(&delta) {
-                Ok(_) => report.applied += 1,
-                Err(_) => report.rejected += 1,
-            },
-        }
-        report.next_source_index = rec.source_index + 1;
-    }
-    report
 }
 
 /// Appends checksummed records to a log file under a configurable fsync

@@ -1,12 +1,13 @@
-//! Property tests for crash-safe persistence: snapshot round-trips and
-//! WAL recovery must be *bit-identical* to a scenario that never crashed,
-//! for arbitrary delta histories (including rejections and compactions)
-//! and arbitrary crash points.
+//! Property tests for snapshot persistence: for arbitrary delta histories
+//! (including rejections and compactions), save -> load -> save is
+//! byte-identical and the serving decode equals the resume decode bit for
+//! bit. Crash recovery from arbitrary crash points is checked where it
+//! runs, on `rap_stream::prepare_resume` (the root `tests/stream_recovery.rs`).
 
 use proptest::prelude::*;
 use rap_core::{
-    decode_serving_snapshot, decode_snapshot, encode_record, encode_snapshot, read_wal, restore,
-    snapshot_crc32, FlowDelta, MutableScenario, Placement, Scenario, UtilityKind, WalOp,
+    decode_serving_snapshot, decode_snapshot, encode_snapshot, snapshot_crc32, FlowDelta,
+    MutableScenario, Placement, Scenario, UtilityKind, WalOp,
 };
 use rap_graph::{Distance, GridGraph, NodeId};
 use rap_traffic::{FlowSet, FlowSpec};
@@ -80,13 +81,6 @@ fn apply_op(ms: &mut MutableScenario, op: &WalOp) {
             let _ = ms.apply(d);
         }
     }
-}
-
-/// The scenario's state fingerprint: its full serialized form at a fixed
-/// header position. Byte equality here is bit-identity of everything —
-/// graph, flow table (tombstones included), detour CSRs, epoch, counters.
-fn fingerprint(ms: &MutableScenario) -> Vec<u8> {
-    encode_snapshot(ms, None, 0, &[]).unwrap()
 }
 
 /// Asserts two scenarios equal field for field and bit for bit: the graph,
@@ -193,135 +187,5 @@ proptest! {
         prop_assert_eq!(decoded.source_position, ops.len() as u64);
         let again = encode_snapshot(&decoded.scenario, None, ops.len() as u64, &[7, 7]).unwrap();
         prop_assert_eq!(bytes, again);
-    }
-
-    /// Crash at an arbitrary point with a snapshot at an arbitrary earlier
-    /// point: snapshot + WAL-suffix replay reproduces the never-crashed
-    /// scenario bit for bit.
-    #[test]
-    fn snapshot_plus_wal_replay_is_bit_identical(ops in arb_ops(), cut in 0usize..24) {
-        let cut = cut % (ops.len() + 1);
-
-        // Reference: every op applied, no crash.
-        let mut reference = scenario();
-        for &raw in &ops {
-            let op = wal_op(&reference, raw);
-            apply_op(&mut reference, &op);
-        }
-
-        // Crashed run: snapshot after `cut` ops, WAL for the rest.
-        let mut crashed = scenario();
-        for &raw in &ops[..cut] {
-            let op = wal_op(&crashed, raw);
-            apply_op(&mut crashed, &op);
-        }
-        let snap = encode_snapshot(&crashed, None, cut as u64, &[]).unwrap();
-        let mut wal = Vec::new();
-        for (i, &raw) in ops[cut..].iter().enumerate() {
-            let op = wal_op(&crashed, raw);
-            wal.extend_from_slice(&encode_record(
-                crashed.epoch(),
-                (cut + i) as u64,
-                &op,
-            ));
-            apply_op(&mut crashed, &op);
-        }
-
-        let restored = restore(&snap, &wal).unwrap();
-        prop_assert!(restored.wal_stop.is_none());
-        prop_assert_eq!(restored.replay.next_source_index, ops.len() as u64);
-        prop_assert_eq!(fingerprint(&restored.scenario), fingerprint(&reference));
-    }
-
-    /// A torn WAL tail (the crash landed mid-write) bounds recovery to the
-    /// fully-recorded prefix — and the recovered state equals a clean run
-    /// of exactly that prefix.
-    #[test]
-    fn torn_wal_tail_recovers_the_recorded_prefix(
-        ops in arb_ops(),
-        cut in 0usize..24,
-        torn in 1usize..16,
-    ) {
-        let cut = cut % ops.len();
-
-        let mut crashed = scenario();
-        for &raw in &ops[..cut] {
-            let op = wal_op(&crashed, raw);
-            apply_op(&mut crashed, &op);
-        }
-        let snap = encode_snapshot(&crashed, None, cut as u64, &[]).unwrap();
-        let mut wal = Vec::new();
-        for (i, &raw) in ops[cut..].iter().enumerate() {
-            let op = wal_op(&crashed, raw);
-            wal.extend_from_slice(&encode_record(crashed.epoch(), (cut + i) as u64, &op));
-            apply_op(&mut crashed, &op);
-        }
-
-        // Tear the tail: drop the last `torn` bytes (capped so at least
-        // the empty log remains).
-        let torn_len = wal.len().saturating_sub(torn);
-        let torn_wal = &wal[..torn_len];
-        let surviving = read_wal(torn_wal).records.len();
-        prop_assert!(surviving <= ops.len() - cut);
-
-        let restored = restore(&snap, torn_wal).unwrap();
-        let replayed = restored.replay.applied
-            + restored.replay.rejected
-            + restored.replay.forced_compactions;
-        prop_assert_eq!(replayed as usize, surviving);
-
-        // Clean run of exactly the recorded prefix.
-        let mut reference = scenario();
-        for &raw in &ops[..cut + surviving] {
-            let op = wal_op(&reference, raw);
-            apply_op(&mut reference, &op);
-        }
-        prop_assert_eq!(fingerprint(&restored.scenario), fingerprint(&reference));
-    }
-
-    /// A bit flip anywhere in the WAL suffix stops replay cleanly at the
-    /// record containing the damage: everything before it is recovered,
-    /// nothing after it is, and nothing panics.
-    #[test]
-    fn wal_bit_flip_stops_replay_at_the_damaged_record(
-        ops in arb_ops(),
-        flip_at in 0usize..4096,
-        mask in 1u8..=255,
-    ) {
-        let mut crashed = scenario();
-        let snap = encode_snapshot(&crashed, None, 0, &[]).unwrap();
-        let mut wal = Vec::new();
-        let mut boundaries = Vec::new(); // record index -> starting offset
-        for (i, &raw) in ops.iter().enumerate() {
-            let op = wal_op(&crashed, raw);
-            boundaries.push(wal.len());
-            wal.extend_from_slice(&encode_record(crashed.epoch(), i as u64, &op));
-            apply_op(&mut crashed, &op);
-        }
-
-        let flip_at = flip_at % wal.len();
-        let mut corrupt = wal.clone();
-        corrupt[flip_at] ^= mask;
-        let damaged_record = boundaries
-            .iter()
-            .rposition(|&start| start <= flip_at)
-            .expect("offset 0 is a boundary");
-
-        let restored = restore(&snap, &corrupt).unwrap();
-        let replayed = (restored.replay.applied
-            + restored.replay.rejected
-            + restored.replay.forced_compactions) as usize;
-        prop_assert_eq!(
-            replayed,
-            damaged_record,
-            "flip at byte {} (record {})", flip_at, damaged_record
-        );
-
-        let mut reference = scenario();
-        for &raw in &ops[..damaged_record] {
-            let op = wal_op(&reference, raw);
-            apply_op(&mut reference, &op);
-        }
-        prop_assert_eq!(fingerprint(&restored.scenario), fingerprint(&reference));
     }
 }

@@ -8,11 +8,12 @@
 //! parser ([`http`]) over `std::net::TcpListener`, served by a worker
 //! pool ([`server`]) that respawns a panicked worker against a bounded
 //! budget. State lives in an epoch-swapped
-//! `Arc<Scenario>` ([`state`]): requests pin one immutable epoch for
-//! their whole lifetime, `POST /reload` re-reads the `RAPSNAP1` snapshot,
-//! decodes it straight to the serving scenario and swaps epochs in a
-//! pointer-sized critical section, and a corrupt or invalid replacement
-//! is rejected by the decoder while the old epoch keeps serving.
+//! `Arc<Scenario>` ([`state`]), always loaded from a snapshot file:
+//! requests pin one immutable epoch for their whole lifetime, `POST
+//! /reload` re-reads the `RAPSNAP1` snapshot, decodes it straight to the
+//! serving scenario and swaps epochs in a pointer-sized critical section,
+//! and a corrupt or invalid replacement is rejected by the decoder while
+//! the old epoch keeps serving.
 //!
 //! | Endpoint | Method | Purpose |
 //! |---|---|---|
@@ -58,8 +59,6 @@ pub enum ServeError {
     Io(std::io::Error),
     /// The snapshot failed checksum or structural validation.
     Snapshot(rap_core::SnapshotError),
-    /// `/reload` on a live-attached state with no backing file.
-    NoSnapshotPath,
 }
 
 impl fmt::Display for ServeError {
@@ -67,9 +66,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "snapshot i/o: {e}"),
             ServeError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
-            ServeError::NoSnapshotPath => {
-                write!(f, "state is live-attached; no snapshot file to reload")
-            }
         }
     }
 }

@@ -527,11 +527,6 @@ fn reload(state: &Arc<ServeState>) -> Response {
             epoch: installed.epoch,
             snapshot_crc: installed.snapshot_crc,
         }),
-        Err(crate::ServeError::NoSnapshotPath) => (
-            409,
-            "Conflict",
-            error_body("state is live-attached; no snapshot file to reload".into()),
-        ),
         Err(e) => {
             // The old epoch keeps serving; report the rejection.
             let epoch = state.current();

@@ -5,13 +5,14 @@
 //! the request's whole lifetime. Start-up and `/reload` load an epoch the
 //! same way: one file read, then [`decode_serving_snapshot`], which turns
 //! the bytes straight into the immutable [`Scenario`] and folds the file's
-//! CRC from the section checksums it verifies. No `MutableScenario` is
-//! built; only a live-attached state ([`ServeState::from_scenario`])
-//! materializes one. `/reload` builds the replacement epoch *outside* the
-//! lock, then swaps the `Arc` in one short write-lock critical section.
-//! In-flight requests keep their old epoch alive through their own `Arc`
-//! until they finish; a corrupt or invalid replacement snapshot is
-//! rejected by the decoder and the old epoch keeps serving untouched.
+//! CRC from the section checksums it verifies; none of the stream's
+//! mutable state is built. Every state is file-backed: there is no other
+//! way to make one.
+//! `/reload` builds the replacement epoch *outside* the lock, then swaps
+//! the `Arc` in one short write-lock critical section. In-flight requests
+//! keep their old epoch alive through their own `Arc` until they finish;
+//! a corrupt or invalid replacement snapshot is rejected by the decoder
+//! and the old epoch keeps serving untouched.
 //!
 //! `/topk` answers from one resumable CELF run per epoch
 //! ([`EpochState::topk`]): the greedy is nested in its budget, so every
@@ -20,8 +21,7 @@
 
 use crate::ServeError;
 use rap_core::{
-    decode_serving_snapshot, read_snapshot_file, CelfRun, FaultPlan, MutableScenario, Placement,
-    Scenario,
+    decode_serving_snapshot, read_snapshot_file, CelfRun, FaultPlan, Placement, Scenario,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,8 +40,7 @@ pub struct EpochState {
     pub scenario: Arc<Scenario>,
     /// Placement recorded in the snapshot, if any (`GET /placement`).
     pub placement: Option<Placement>,
-    /// CRC32 of the snapshot bytes this epoch was loaded from (0 for
-    /// live-attached scenarios).
+    /// CRC32 of the snapshot bytes this epoch was loaded from.
     pub snapshot_crc: u32,
     /// The scenario's internal delta epoch (diagnostic).
     pub scenario_epoch: u64,
@@ -66,19 +65,6 @@ pub struct TopkAnswer {
 }
 
 impl EpochState {
-    /// Epoch `epoch` over a live-attached scenario.
-    fn build(mut scenario: MutableScenario, placement: Option<Placement>, epoch: u64) -> Self {
-        EpochState {
-            epoch,
-            scenario: scenario.snapshot(),
-            placement,
-            snapshot_crc: 0,
-            scenario_epoch: scenario.epoch(),
-            live_flows: scenario.live_flows() as u64,
-            topk_run: Mutex::new(None),
-        }
-    }
-
     /// Epoch `epoch` read from the snapshot file at `path`: the one load
     /// path of start-up and `/reload`.
     fn load(path: &Path, threads: usize, epoch: u64) -> Result<Self, ServeError> {
@@ -137,7 +123,8 @@ pub struct ServeState {
     /// Serializes reloads so concurrent `/reload`s cannot interleave their
     /// read-decode-swap sequences (readers are never blocked by this).
     reload_gate: Mutex<()>,
-    snapshot_path: Option<PathBuf>,
+    /// The snapshot file start-up loaded and every reload re-reads.
+    snapshot_path: PathBuf,
     /// Threads a reload's decode fans its per-shop Dijkstra runs across.
     threads: usize,
     reloads_ok: AtomicU64,
@@ -167,37 +154,17 @@ impl ServeState {
         Ok(ServeState {
             current: RwLock::new(Arc::new(epoch)),
             reload_gate: Mutex::new(()),
-            snapshot_path: Some(path.to_path_buf()),
+            snapshot_path: path.to_path_buf(),
             threads: threads.max(1),
             reloads_ok: AtomicU64::new(0),
             reloads_failed: AtomicU64::new(0),
         })
     }
 
-    /// Attaches live to an in-process scenario (the `rap-stream`
-    /// maintainer hand-off, also the test/bench path). `/reload` on such a
-    /// state fails with [`ServeError::NoSnapshotPath`].
-    pub fn from_scenario(scenario: MutableScenario, placement: Option<Placement>) -> Self {
-        let epoch = EpochState::build(scenario, placement, 1);
-        ServeState {
-            current: RwLock::new(Arc::new(epoch)),
-            reload_gate: Mutex::new(()),
-            snapshot_path: None,
-            threads: 1,
-            reloads_ok: AtomicU64::new(0),
-            reloads_failed: AtomicU64::new(0),
-        }
-    }
-
     /// The current epoch. Requests call this once and hold the `Arc` for
     /// their whole lifetime.
     pub fn current(&self) -> Arc<EpochState> {
         Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Path reloads re-read, if this state is file-backed.
-    pub fn snapshot_path(&self) -> Option<&Path> {
-        self.snapshot_path.as_deref()
     }
 
     /// Successful reload count.
@@ -221,14 +188,9 @@ impl ServeState {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoSnapshotPath`] for live-attached states; otherwise
     /// I/O or corruption errors, in which case the current epoch is left
     /// untouched and keeps serving.
     pub fn reload(&self) -> Result<Arc<EpochState>, ServeError> {
-        let path = self
-            .snapshot_path
-            .as_deref()
-            .ok_or(ServeError::NoSnapshotPath)?;
         // A panic while holding either lock leaves its data intact (the
         // gate guards nothing, the epoch slot is swapped in one store), so
         // a poisoned guard is recovered rather than propagated.
@@ -237,7 +199,7 @@ impl ServeState {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let next = self.current().epoch + 1;
-        match EpochState::load(path, self.threads, next) {
+        match EpochState::load(&self.snapshot_path, self.threads, next) {
             Ok(epoch) => {
                 let installed = Arc::new(epoch);
                 *self.current.write().unwrap_or_else(PoisonError::into_inner) =
@@ -260,17 +222,18 @@ mod tests {
     use rap_core::{LazyGreedy, UtilityKind};
     use rap_graph::Distance;
 
+    /// Epoch 1 over the small grid fixture, as a load would build it.
     fn epoch() -> EpochState {
-        let threshold = Distance::from_feet(400);
-        let s = small_grid_scenario(UtilityKind::Linear, threshold);
-        let scenario = MutableScenario::new(
-            s.graph().clone(),
-            s.flows().clone(),
-            s.shops().to_vec(),
-            UtilityKind::Linear.instantiate(threshold),
-        )
-        .unwrap();
-        EpochState::build(scenario, None, 1)
+        let scenario = small_grid_scenario(UtilityKind::Linear, Distance::from_feet(400));
+        EpochState {
+            epoch: 1,
+            live_flows: scenario.flows().len() as u64,
+            scenario: Arc::new(scenario),
+            placement: None,
+            snapshot_crc: 0,
+            scenario_epoch: 0,
+            topk_run: Mutex::new(None),
+        }
     }
 
     fn fresh(epoch: &EpochState, k: usize) -> (Placement, u64) {

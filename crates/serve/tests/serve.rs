@@ -654,19 +654,6 @@ fn reload_under_concurrent_load_drops_nothing() {
 }
 
 #[test]
-fn live_attached_state_serves_but_rejects_reload() {
-    let state = Arc::new(ServeState::from_scenario(scenario(1.0), None));
-    assert!(matches!(state.reload(), Err(ServeError::NoSnapshotPath)));
-
-    let handle = serve(Arc::clone(&state), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = Client::new(handle.addr()).with_timeout(Duration::from_secs(20));
-    assert_eq!(client.get("/healthz").unwrap().status, 200);
-    let response = client.post("/reload", "").unwrap();
-    assert_eq!(response.status, 409);
-    handle.shutdown();
-}
-
-#[test]
 fn graceful_shutdown_drains_and_joins() {
     let bytes = snapshot_bytes(1.0, None);
     let path = temp_snapshot("shutdown", &bytes);

@@ -24,10 +24,10 @@
 //!    ([`events`]) are NDJSON too, so the daemon's output is scriptable.
 //! 4. **Durability** ([`persist`]) — a write-ahead log for every source
 //!    item plus periodic checksummed snapshots (`rap_core::snapshot`),
-//!    rotated atomically; after a crash, [`prepare_resume`] restores the
-//!    scenario, maintainer, and counters and replays the WAL suffix
-//!    through the full pipeline, reproducing the uninterrupted trajectory
-//!    bit-identically.
+//!    rotated atomically; after a crash, [`prepare_resume`] — the one
+//!    recovery path — restores the scenario, maintainer, and counters and
+//!    replays the WAL suffix through the full pipeline, reproducing the
+//!    uninterrupted trajectory bit-identically.
 //!
 //! Everything is deterministic under a seed: the synthetic source, the
 //! maintainer's escalation engine, and the maintenance policy itself contain

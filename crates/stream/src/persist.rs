@@ -22,19 +22,27 @@
 //!   events — so the resumed trajectory is bit-identical to a run that
 //!   never crashed; the journal skips re-appending items it already holds.
 //!
-//! Torn or corrupt WAL tails stop the replay cleanly at the last whole
-//! record, and the writer reopens the log truncated to that valid prefix
-//! so new appends never land after garbage.
+//! This is the crate graph's one recovery path: `rap_core` supplies the
+//! snapshot and WAL codecs, and the policy of which records to replay
+//! lives here. The first replayed record must continue the resume point
+//! (the snapshot, or item 0 at epoch 0 without one), so a log that belongs
+//! to another stream or to a snapshot that is gone is refused rather than
+//! replayed onto the wrong state. Torn or corrupt WAL tails stop the
+//! replay cleanly at the last whole record, the setup reports where and
+//! why (`wal_stop`), and the writer reopens the log truncated to that
+//! valid prefix so new appends never land after garbage. The tier-1
+//! proptest `tests/stream_recovery.rs` crashes journaled runs at arbitrary
+//! items, damages their logs, and resumes them through this path.
 
 use crate::delta::{StreamDelta, StreamError};
 use crate::maintain::{Maintainer, MaintainerState, MaintainerStats};
 use crate::service::{Journal, ResumeState, StreamProgress};
 use rap_core::{
     decode_snapshot_with_threads, encode_snapshot, read_snapshot_file, read_wal,
-    write_snapshot_atomic, FaultPlan, FsyncPolicy, MutableScenario, SnapshotError, WalOp,
-    WalWriter,
+    write_snapshot_atomic, FaultPlan, FsyncPolicy, MutableScenario, SnapshotError, WalOp, WalScan,
+    WalStop, WalWriter,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where and how the stream persists its state.
 #[derive(Clone, Debug)]
@@ -300,6 +308,9 @@ pub struct ResumeSetup {
     /// The journal, reopened on the WAL's valid prefix with the replayed
     /// window marked as already logged.
     pub durability: Durability,
+    /// Where and why the WAL scan stopped before the end of the log: the
+    /// damaged tail this resume dropped. `None` for a whole log.
+    pub wal_stop: Option<WalStop>,
 }
 
 /// A resume without a snapshot: the caller cold-builds the initial
@@ -312,6 +323,9 @@ pub struct WalReplaySetup {
     pub consumed: u64,
     /// The journal, reopened on the WAL's valid prefix.
     pub durability: Durability,
+    /// Where and why the WAL scan stopped before the end of the log: the
+    /// damaged tail this resume dropped. `None` for a whole log.
+    pub wal_stop: Option<WalStop>,
 }
 
 /// What [`prepare_resume`] found on disk.
@@ -326,14 +340,28 @@ pub enum ResumePoint {
 }
 
 /// Inspects the configured WAL/snapshot paths and assembles everything a
-/// resumed stream needs. Corrupt WAL tails bound the replay silently (that
-/// is what crash recovery *is*); a corrupt snapshot is an error — the
-/// operator must decide whether to delete it and fall back to the log.
+/// resumed stream needs. This is the one recovery path, and its policy is:
+///
+/// - resume from the snapshot if there is one, else from the cold-built
+///   initial scenario (epoch 0, source position 0);
+/// - skip WAL records the resume point already covers (a crash between
+///   the snapshot's rename and the WAL truncate leaves them in the log);
+/// - require the first remaining record to continue the resume point, in
+///   epoch and in source position;
+/// - stop at the first damaged record: a torn or corrupt tail bounds the
+///   replay (that is what crash recovery *is*), is reported in
+///   `wal_stop`, and is cut off before the journal appends again.
+///
+/// A corrupt snapshot is an error. Deleting it does not fall back to the
+/// log: once a snapshot has rotated, the log no longer starts at the
+/// stream's first item, so the resume without it is refused too, and the
+/// stream must start fresh.
 ///
 /// # Errors
 ///
 /// Snapshot read/decode failures, malformed resume metadata, or a WAL that
-/// does not continue the snapshot's epoch (a foreign log).
+/// does not continue the resume point (a foreign log, or the log of a
+/// snapshot that is gone).
 pub fn prepare_resume(cfg: DurabilityConfig, threads: usize) -> Result<ResumePoint, StreamError> {
     let snapshot_path = cfg.snapshot.clone().filter(|p| p.exists());
     let wal_exists = cfg.wal.exists();
@@ -346,32 +374,56 @@ pub fn prepare_resume(cfg: DurabilityConfig, threads: usize) -> Result<ResumePoi
         Vec::new()
     };
     let scan = read_wal(&wal_bytes);
-    let as_delta = |op: &WalOp| match op {
-        WalOp::Delta(d) => StreamDelta::Flow(*d),
-        WalOp::Compact => StreamDelta::Compact,
+    let snapshot = match &snapshot_path {
+        Some(path) => Some(load_resume_snapshot(path, &cfg.faults, threads)?),
+        None => None,
     };
-
-    let Some(path) = snapshot_path else {
-        let replay: Vec<StreamDelta> = scan.records.iter().map(|r| as_delta(&r.op)).collect();
-        let wal = WalWriter::open_truncated(&cfg.wal, scan.valid_len, cfg.fsync)
-            .map_err(persist_io)?
-            .with_faults(cfg.faults.clone());
-        let consumed = replay.len() as u64;
-        return Ok(ResumePoint::WalOnly(Box::new(WalReplaySetup {
+    let (epoch, position) = snapshot.as_ref().map_or((0, 0), |(scenario, _, position)| {
+        (scenario.epoch(), *position)
+    });
+    let replay = replay_after(&scan, epoch, position, snapshot.is_some())?;
+    let wal = if wal_exists {
+        WalWriter::open_truncated(&cfg.wal, scan.valid_len, cfg.fsync)
+    } else {
+        WalWriter::create(&cfg.wal, cfg.fsync)
+    }
+    .map_err(persist_io)?
+    .with_faults(cfg.faults.clone());
+    let skip = replay.len() as u64;
+    let durability = Durability {
+        cfg,
+        wal,
+        source_index: position,
+        since_snapshot: 0,
+        journaled: 0,
+        skip,
+    };
+    Ok(match snapshot {
+        Some((scenario, resume, position)) => ResumePoint::Snapshot(Box::new(ResumeSetup {
+            scenario,
+            resume,
             replay,
-            consumed,
-            durability: Durability {
-                cfg,
-                wal,
-                source_index: 0,
-                since_snapshot: 0,
-                journaled: 0,
-                skip: consumed,
-            },
-        })));
-    };
+            consumed: position + skip,
+            durability,
+            wal_stop: scan.stop,
+        })),
+        None => ResumePoint::WalOnly(Box::new(WalReplaySetup {
+            replay,
+            consumed: skip,
+            durability,
+            wal_stop: scan.stop,
+        })),
+    })
+}
 
-    let bytes = read_snapshot_file(&path, &cfg.faults).map_err(StreamError::Persist)?;
+/// Reads and decodes a stream snapshot: the scenario, the resume state
+/// from its placement and extra section, and its source position.
+fn load_resume_snapshot(
+    path: &Path,
+    faults: &FaultPlan,
+    threads: usize,
+) -> Result<(MutableScenario, ResumeState, u64), StreamError> {
+    let bytes = read_snapshot_file(path, faults).map_err(StreamError::Persist)?;
     let contents = decode_snapshot_with_threads(&bytes, threads).map_err(StreamError::Persist)?;
     let placement = contents
         .placement
@@ -385,54 +437,56 @@ pub fn prepare_resume(cfg: DurabilityConfig, threads: usize) -> Result<ResumePoi
             detail,
         })
     })?;
-    let position = contents.source_position;
-    let suffix: Vec<_> = scan
+    let resume = ResumeState {
+        placement,
+        maintainer,
+        applied: progress.applied,
+        rejected: progress.rejected,
+        forced_compactions: progress.forced_compactions,
+    };
+    Ok((contents.scenario, resume, contents.source_position))
+}
+
+/// The WAL records past the resume point at (`epoch`, `position`), as
+/// pipeline deltas. Records before `position` are skipped; the first one
+/// kept must be exactly the item the resume point continues with.
+fn replay_after(
+    scan: &WalScan,
+    epoch: u64,
+    position: u64,
+    from_snapshot: bool,
+) -> Result<Vec<StreamDelta>, StreamError> {
+    let mut suffix = scan
         .records
         .iter()
         .filter(|r| r.source_index >= position)
-        .collect();
-    if let Some(first) = suffix.first() {
-        if first.seq != contents.scenario.epoch() {
+        .peekable();
+    if let Some(first) = suffix.peek() {
+        if (first.seq, first.source_index) != (epoch, position) {
+            let (point, hint) = if from_snapshot {
+                ("the snapshot ends", "")
+            } else {
+                (
+                    "with no snapshot a resume starts",
+                    " (is its snapshot missing?)",
+                )
+            };
             return Err(StreamError::Persist(SnapshotError::Malformed {
-                section: "extra",
+                section: "wal",
                 detail: format!(
-                    "WAL continues epoch {} but the snapshot is at epoch {} — not this stream's log",
-                    first.seq,
-                    contents.scenario.epoch()
+                    "the log continues from source item {} at epoch {}, but {point} at item \
+                     {position}, epoch {epoch}: not this stream's log{hint}",
+                    first.source_index, first.seq
                 ),
             }));
         }
     }
-    let replay: Vec<StreamDelta> = suffix.iter().map(|r| as_delta(&r.op)).collect();
-    let wal = if wal_exists {
-        WalWriter::open_truncated(&cfg.wal, scan.valid_len, cfg.fsync)
-    } else {
-        WalWriter::create(&cfg.wal, cfg.fsync)
-    }
-    .map_err(persist_io)?
-    .with_faults(cfg.faults.clone());
-    let skip = replay.len() as u64;
-    let consumed = position + skip;
-    Ok(ResumePoint::Snapshot(Box::new(ResumeSetup {
-        scenario: contents.scenario,
-        resume: ResumeState {
-            placement,
-            maintainer,
-            applied: progress.applied,
-            rejected: progress.rejected,
-            forced_compactions: progress.forced_compactions,
-        },
-        replay,
-        consumed,
-        durability: Durability {
-            cfg,
-            wal,
-            source_index: position,
-            since_snapshot: 0,
-            journaled: 0,
-            skip,
-        },
-    })))
+    Ok(suffix
+        .map(|r| match r.op {
+            WalOp::Delta(d) => StreamDelta::Flow(d),
+            WalOp::Compact => StreamDelta::Compact,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -719,9 +773,67 @@ mod tests {
         match prepare_resume(cfg.clone(), 2).unwrap() {
             ResumePoint::WalOnly(setup) => {
                 assert_eq!(setup.replay.len(), 29, "torn record must be dropped");
+                let stop = setup.wal_stop.expect("the torn tail is reported");
+                assert_eq!(stop.reason, rap_core::WalStopReason::TornPayload);
+                assert_eq!(
+                    std::fs::metadata(&cfg.wal).unwrap().len(),
+                    stop.offset,
+                    "the journal cut the torn tail off"
+                );
             }
             _ => panic!("no snapshot configured"),
         }
+        cleanup(&cfg);
+    }
+
+    #[test]
+    fn wal_of_a_missing_snapshot_is_refused() {
+        // Rotation every 20 items and a crash at 45: the snapshot holds
+        // items 0..40 and the WAL items 40..45.
+        let all = deltas(60);
+        let cfg = durability_cfg("orphan", 20);
+        cleanup(&cfg);
+        let mut m = scenario();
+        let mut journal = Durability::start(cfg.clone()).unwrap();
+        let source = all
+            .iter()
+            .copied()
+            .map(Ok)
+            .take(45)
+            .chain(std::iter::once(Err(StreamError::Io(
+                std::io::Error::other("simulated crash"),
+            ))));
+        run_stream_with(
+            &mut m,
+            &config(),
+            source,
+            &mut Vec::new(),
+            &mut journal,
+            None,
+        )
+        .unwrap_err();
+        drop(journal);
+        // Without its snapshot the log does not start at item 0: replaying
+        // it onto the cold-built scenario would apply items 40..45 to the
+        // state of item 0.
+        std::fs::remove_file(cfg.snapshot.as_ref().unwrap()).unwrap();
+        let log = std::fs::read(&cfg.wal).unwrap();
+        let err = match prepare_resume(cfg.clone(), 2) {
+            Err(e) => e,
+            Ok(_) => panic!("the log of a missing snapshot must not resume"),
+        };
+        match &err {
+            StreamError::Persist(SnapshotError::Malformed { section, detail }) => {
+                assert_eq!(*section, "wal");
+                assert!(detail.contains("source item 40"), "{detail}");
+            }
+            other => panic!("expected a malformed-log error, got {other}"),
+        }
+        assert_eq!(
+            std::fs::read(&cfg.wal).unwrap(),
+            log,
+            "a refusal leaves the log"
+        );
         cleanup(&cfg);
     }
 

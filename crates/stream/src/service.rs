@@ -304,7 +304,7 @@ pub fn run_stream_with<I, W, J>(
 where
     I: IntoIterator<Item = Result<StreamDelta, StreamError>>,
     W: Write,
-    J: Journal,
+    J: Journal + ?Sized,
 {
     let mut progress = StreamProgress::default();
     let (mut maintainer, start_action) = match resume {
