@@ -5,7 +5,7 @@ use crate::CliError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    build_scenario, CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage,
+    build_scenario, BuildReport, CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage,
     GreedyWithSwaps, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MaxCardinality,
     MaxCustomers, MaxVehicles, Placement, PlacementAlgorithm, PlacementReport, Random, Scenario,
 };
@@ -30,10 +30,11 @@ rap place --graph FILE --flows FILE --shop NODE --k N
                  thread). Placements are bit-identical at any value.
 --lenient        quarantine malformed flow rows (with a count in the
                  report) instead of aborting on the first one
---json           emit one machine-readable JSON report (placement,
-                 objective, inverted-engine work counters) instead of the
-                 text report — the same format family the `rap stream`
-                 events use
+--json           emit one machine-readable JSON report (the scenario
+                 build's plan and phase timings, then per algorithm the
+                 placement, objective and inverted-engine work counters)
+                 instead of the text report — the same format family the
+                 `rap stream` events use
 Prints the chosen placement(s) and quality reports.";
 
 /// Parses the flow summary CSV written by `rap generate` (shared with
@@ -113,6 +114,43 @@ struct JsonAlgorithm {
     engine: Option<EngineReport>,
 }
 
+/// The scenario build in the `--json` report: the plan `build_scenario`
+/// chose and how long each phase took.
+#[derive(Debug, Serialize)]
+struct JsonBuild {
+    /// Worker threads for routing and table builds.
+    threads: usize,
+    /// Whether routing ran goal-directed over landmark tables.
+    use_alt: bool,
+    /// Whether routing and the detour fill ran over a tile grid.
+    use_tiles: bool,
+    /// Tiles in the spatial partition (0 when tiling was off).
+    tile_count: usize,
+    /// Milliseconds selecting landmarks and building the tile grid.
+    landmark_ms: f64,
+    /// Milliseconds routing all flows.
+    routing_ms: f64,
+    /// Milliseconds building the detour table.
+    detour_ms: f64,
+    /// Milliseconds for the whole build.
+    total_ms: f64,
+}
+
+impl From<&BuildReport> for JsonBuild {
+    fn from(r: &BuildReport) -> Self {
+        JsonBuild {
+            threads: r.plan.threads,
+            use_alt: r.plan.use_alt,
+            use_tiles: r.plan.use_tiles,
+            tile_count: r.tile_count,
+            landmark_ms: r.landmark_ms,
+            routing_ms: r.routing_ms,
+            detour_ms: r.detour_ms,
+            total_ms: r.total_ms,
+        }
+    }
+}
+
 /// The whole `--json` report.
 #[derive(Debug, Serialize)]
 struct JsonReport {
@@ -121,6 +159,7 @@ struct JsonReport {
     d_feet: u64,
     k: usize,
     quarantined_rows: usize,
+    build: JsonBuild,
     algorithms: Vec<JsonAlgorithm>,
 }
 
@@ -165,7 +204,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let graph = rap_graph::io::read_text(std::fs::File::open(graph_path)?)?;
     let (specs, quarantined) = read_flows(flows_path, lenient)?;
-    let (scenario, _) = build_scenario(
+    let (scenario, build) = build_scenario(
         graph,
         specs,
         vec![NodeId::new(shop)],
@@ -216,6 +255,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             d_feet: d,
             k,
             quarantined_rows: quarantined,
+            build: JsonBuild::from(&build),
             algorithms: json_algorithms,
         };
         return serde_json::to_string_pretty(&payload)
@@ -456,6 +496,71 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    #[test]
+    fn json_report_carries_the_build_plan_and_phase_timings() {
+        // The 121-node Seattle model sits far below every `RoutePlan::auto`
+        // floor, so the build runs sequentially without landmarks or tiles.
+        let dir = crate::TestDir::new("place_json_report_carries_the_build_plan_and_phase_timings");
+        let gp = dir.path("seattle.txt");
+        let fp = dir.path("seattle.csv");
+        crate::dispatch([
+            "generate",
+            "--city",
+            "seattle",
+            "--journeys",
+            "40",
+            "--out-graph",
+            gp.to_str().unwrap(),
+            "--out-flows",
+            fp.to_str().unwrap(),
+        ])
+        .unwrap();
+        let args = Args::parse([
+            "--graph",
+            gp.to_str().unwrap(),
+            "--flows",
+            fp.to_str().unwrap(),
+            "--shop",
+            "60",
+            "--k",
+            "5",
+            "--threads",
+            "4",
+            "--json",
+            "true",
+        ])
+        .unwrap();
+        let report: serde::Value = serde_json::from_str(&run(&args).unwrap()).unwrap();
+        let build = &report["build"];
+        let keys: Vec<&str> = match build {
+            serde::Value::Map(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("build not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "threads",
+                "use_alt",
+                "use_tiles",
+                "tile_count",
+                "landmark_ms",
+                "routing_ms",
+                "detour_ms",
+                "total_ms"
+            ]
+        );
+        assert_eq!(build["threads"], 1u64);
+        assert_eq!(build["use_alt"], serde::Value::Bool(false));
+        assert_eq!(build["use_tiles"], serde::Value::Bool(false));
+        assert_eq!(build["tile_count"], 0u64);
+        let ms = |field: &str| build[field].as_f64().unwrap();
+        for field in ["landmark_ms", "routing_ms", "detour_ms"] {
+            assert!(ms(field) >= 0.0, "{field}: {}", ms(field));
+        }
+        assert!(ms("routing_ms") > 0.0);
+        assert!(ms("total_ms") >= ms("landmark_ms") + ms("routing_ms") + ms("detour_ms"));
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //!   one thread, no landmark tables, no tiling. This is the fix for the
 //!   historical small-city regression, where thread plumbing and setup work
 //!   cost more than the entire sequential build.
-//! * **Large instances** route with worker threads, ALT-pruned target
-//!   searches ([`rap_graph::landmarks::Landmarks`]), and tile-batched
-//!   processing order ([`rap_graph::tiles::TileGrid`]), and fill the detour
-//!   table over tile-aligned shards.
+//! * **Large instances** route with worker threads, goal-directed ALT
+//!   searches over landmark tables ([`rap_graph::landmarks::Landmarks`]),
+//!   and tile-batched processing order ([`rap_graph::tiles::TileGrid`]), and
+//!   fill the detour table over tile-aligned shards.
 //!
 //! Every combination produces a **bit-identical** scenario — the
-//! accelerations only reorder independent work or skip provably useless
-//! node expansions — so callers pick a [`BuildMode`] by performance, never
-//! by semantics. The returned [`BuildReport`] records what was chosen and
+//! accelerations either reorder independent work or settle fewer nodes on
+//! the way to the plain search's predecessor chains (see `rap_graph::sssp`)
+//! — so callers pick a [`BuildMode`] by performance, never by semantics. The returned [`BuildReport`] records what was chosen and
 //! how long each phase took.
 
 use crate::detour::{DetourTable, ShopRows};
@@ -180,7 +180,7 @@ fn build_with<S>(
     });
     let landmark_ms = phase.elapsed().as_secs_f64() * 1e3;
 
-    // Phase 2 — route every spec (tile-batched, ALT-pruned, threaded as
+    // Phase 2 — route every spec (tile-batched, goal-directed, threaded as
     // planned).
     let phase = Instant::now();
     let flows = FlowSet::route_with(

@@ -12,18 +12,12 @@
 //! ```
 //!
 //! Landmarks are chosen by farthest-point selection, which puts them on the
-//! periphery where the bounds are tight. The batched routing engine
-//! ([`crate::sssp::SsspWorkspace::run_to_targets_pruned`]) uses the tables
-//! to prune one-to-many target searches.
-//!
-//! The triangle inequality also yields *upper* bounds — routing through a
-//! landmark is a real (if indirect) path:
-//!
-//! ```text
-//! d(v, t) ≤ min_l  d(v, l) + d(l, t)
-//! ```
-//!
-//! ([`Landmarks::upper_bound`]); the pruned search combines both bounds.
+//! periphery where the bounds are tight. Selection grows one forward tree
+//! from every landmark it picks, and those trees are the `from` table; the
+//! table phase then grows only the reverse trees, `2·L` full trees in all.
+//! The goal-directed routing run
+//! ([`crate::sssp::SsspWorkspace::run_to_target_guided`]) keys its heap by
+//! distance plus this bound.
 
 use crate::graph::RoadGraph;
 use crate::node::{Distance, NodeId};
@@ -48,7 +42,8 @@ pub struct Landmarks {
 
 impl Landmarks {
     /// Selects `count` landmarks by farthest-point traversal seeded at node
-    /// 0 and precomputes both distance tables (`2 × count` Dijkstras).
+    /// 0 and precomputes both distance tables (`2 × count` Dijkstras: the
+    /// selection's forward trees, then one reverse tree per landmark).
     ///
     /// # Panics
     ///
@@ -57,12 +52,12 @@ impl Landmarks {
         Self::select_parallel(graph, count, 1)
     }
 
-    /// [`Landmarks::select`] with the table phase (two tree runs per
+    /// [`Landmarks::select`] with the table phase (one reverse tree per
     /// landmark) fanned across `threads` worker threads, each with its own
     /// reusable [`SsspWorkspace`]. The farthest-point *selection* phase is
     /// inherently sequential (each pick depends on the previous tree), so it
-    /// always runs on the calling thread. Identical tables to the sequential
-    /// path.
+    /// always runs on the calling thread; its forward trees are the `from`
+    /// table. Identical tables to the sequential path.
     ///
     /// # Panics
     ///
@@ -74,8 +69,8 @@ impl Landmarks {
             "cannot select landmarks on an empty graph"
         );
         let mut ws = SsspWorkspace::for_graph(graph);
-        let nodes = choose_nodes(graph, count, &mut ws);
-        let (from, to) = tables(graph, &nodes, threads, ws);
+        let (nodes, from) = choose_nodes(graph, count, &mut ws);
+        let to = reverse_tables(graph, &nodes, threads, ws);
         // Interleave the per-landmark rows into the node-major layout.
         let n = graph.node_count();
         let l = nodes.len();
@@ -128,27 +123,11 @@ impl Landmarks {
     pub fn lower_bound(&self, v: NodeId, t: NodeId) -> Distance {
         lower_bound_rows(self.bounds_row(v), self.bounds_row(t), self.count)
     }
-
-    /// An upper bound on `d(v → t)`: the cheapest route through some
-    /// landmark, `min_l d(v → l) + d(l → t)`; `Distance::MAX` when no
-    /// landmark connects the pair.
-    pub fn upper_bound(&self, v: NodeId, t: NodeId) -> Distance {
-        let (rv, rt) = (self.bounds_row(v), self.bounds_row(t));
-        let l = self.count;
-        let mut best = Distance::MAX;
-        for k in 0..l {
-            let (vl, lt) = (rv[k], rt[l + k]);
-            if vl != Distance::MAX && lt != Distance::MAX {
-                best = best.min(vl.saturating_add(lt));
-            }
-        }
-        best
-    }
 }
 
 /// [`Landmarks::lower_bound`] on raw bound rows: `max_l max(to_v − to_t,
-/// from_t − from_v)`. Shared with the pruned target search, which snapshots
-/// target rows once per run.
+/// from_t − from_v)`. Shared with the guided search, which reads the
+/// target's row once per run.
 pub(crate) fn lower_bound_rows(row_v: &[Distance], row_t: &[Distance], l: usize) -> Distance {
     let mut best = Distance::ZERO;
     for k in 0..l {
@@ -168,17 +147,23 @@ pub(crate) fn lower_bound_rows(row_v: &[Distance], row_t: &[Distance], l: usize)
 
 /// Farthest-point landmark selection: each pick maximizes the minimum
 /// distance to all landmarks chosen so far, pushing landmarks to the
-/// periphery. One full tree per pick, grown in the shared workspace and read
-/// through its dense distance row.
-fn choose_nodes(graph: &RoadGraph, count: usize, ws: &mut SsspWorkspace) -> Vec<NodeId> {
+/// periphery. One full forward tree per pick, grown in the shared workspace;
+/// its dense distance row is kept as the landmark's `from` row.
+fn choose_nodes(
+    graph: &RoadGraph,
+    count: usize,
+    ws: &mut SsspWorkspace,
+) -> (Vec<NodeId>, Vec<Vec<Distance>>) {
     let n = graph.node_count();
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(count);
+    let picks = count.min(n);
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(picks);
+    let mut from: Vec<Vec<Distance>> = Vec::with_capacity(picks);
     let mut min_dist = vec![Distance::MAX; n];
-    let mut row = vec![Distance::MAX; n];
     let mut current = NodeId::new(0);
-    for _ in 0..count.min(n) {
+    for _ in 0..picks {
         nodes.push(current);
         ws.run(graph, current, Direction::Forward);
+        let mut row = vec![Distance::MAX; n];
         ws.copy_distances_into(&mut row);
         let mut farthest = current;
         let mut far_d = Distance::ZERO;
@@ -194,38 +179,36 @@ fn choose_nodes(graph: &RoadGraph, count: usize, ws: &mut SsspWorkspace) -> Vec<
                 farthest = v;
             }
         }
+        from.push(row);
         current = farthest;
     }
-    nodes
+    (nodes, from)
 }
 
-/// Fills both landmark distance tables — `from[l][v]` via a forward tree,
-/// `to[l][v]` via a reverse tree — fanning landmarks across workers. Takes
-/// ownership of the selection workspace so the sequential path reuses it.
-/// The clamp mirrors the workspace-wide thread policy: never more workers
-/// than landmarks, never fewer than one.
-fn tables(
+/// Fills the `to` table, `to[l][v]` via a reverse tree from each landmark,
+/// fanning landmarks across workers. Takes ownership of the selection
+/// workspace so the sequential path reuses it. The clamp mirrors the
+/// workspace-wide thread policy: never more workers than landmarks, never
+/// fewer than one.
+fn reverse_tables(
     graph: &RoadGraph,
     nodes: &[NodeId],
     threads: usize,
     mut ws: SsspWorkspace,
-) -> (Vec<Vec<Distance>>, Vec<Vec<Distance>>) {
+) -> Vec<Vec<Distance>> {
     let n = graph.node_count();
     let grow = |ws: &mut SsspWorkspace, l: NodeId| {
-        let mut from_row = vec![Distance::MAX; n];
-        ws.run(graph, l, Direction::Forward);
-        ws.copy_distances_into(&mut from_row);
         let mut to_row = vec![Distance::MAX; n];
         ws.run(graph, l, Direction::Reverse);
         ws.copy_distances_into(&mut to_row);
-        (from_row, to_row)
+        to_row
     };
     let workers = threads.min(nodes.len()).max(1);
     if workers <= 1 {
-        return nodes.iter().map(|&l| grow(&mut ws, l)).unzip();
+        return nodes.iter().map(|&l| grow(&mut ws, l)).collect();
     }
     let chunk = nodes.len().div_ceil(workers);
-    let per_worker: Vec<Vec<(Vec<Distance>, Vec<Distance>)>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = nodes
             .chunks(chunk)
             .map(|shard| {
@@ -237,10 +220,9 @@ fn tables(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("landmark table worker panicked"))
+            .flat_map(|h| h.join().expect("landmark table worker panicked"))
             .collect()
-    });
-    per_worker.into_iter().flatten().unzip()
+    })
 }
 
 #[cfg(test)]
@@ -334,38 +316,6 @@ mod tests {
                     grid.street_distance(a, b) >= Distance::from_feet(800),
                     "landmarks {a} and {b} too close"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn upper_bound_never_below_true_distance() {
-        let g = perturbed_grid(
-            PerturbedGridParams {
-                rows: 7,
-                cols: 7,
-                spacing: Distance::from_feet(250),
-                delete_probability: 0.1,
-                diagonal_probability: 0.05,
-            },
-            9,
-        );
-        let lm = Landmarks::select(&g, 4);
-        let truth = DistanceMatrix::floyd_warshall(&g);
-        for a in (0..g.node_count() as u32).step_by(5) {
-            for b in (0..g.node_count() as u32).step_by(7) {
-                let ub = lm.upper_bound(NodeId::new(a), NodeId::new(b));
-                match truth.get(NodeId::new(a), NodeId::new(b)) {
-                    Some(true_d) => assert!(
-                        ub >= true_d,
-                        "upper bound {ub} below true distance {true_d} ({a} -> {b})"
-                    ),
-                    // Either truly disconnected or merely unseen by every
-                    // landmark; the bound must stay saturated only if no
-                    // landmark connects the pair, which disconnection implies
-                    // on this connected generator.
-                    None => assert_eq!(ub, Distance::MAX),
-                }
             }
         }
     }

@@ -2,10 +2,12 @@
 //! queue or a binary heap over a reusable workspace.
 //!
 //! Every shortest-path consumer runs through [`SsspWorkspace`]: flow
-//! routing (one early-exit run per distinct origin), the detour table (two
-//! full runs per shop), all-pairs matrices (one run per node), landmark
-//! tables (three runs per landmark) and one-off queries such as the map
-//! matcher's gap bridges ([`shortest_path`]). The engine they share:
+//! routing (one early-exit run per distinct origin, or one guided run per
+//! distinct origin–destination pair), the detour table (two full runs per
+//! shop), all-pairs matrices (one run per node), landmark tables (one
+//! forward run per landmark while choosing them, one reverse run per
+//! landmark after) and one-off queries such as the map matcher's gap
+//! bridges ([`shortest_path`]). The engine they share:
 //!
 //! * [`SsspWorkspace`] — per-graph scratch (distances, predecessors, epoch
 //!   stamps, bucket array, heap) with O(1) reset between runs, so repeated
@@ -22,12 +24,11 @@
 //!   stops as soon as every requested destination is settled, which on
 //!   uniformly random origin–destination demand roughly halves the settled
 //!   region per tree;
-//! * **ALT-pruned early exit**
-//!   ([`SsspWorkspace::run_to_targets_pruned`]): with precomputed
-//!   [`crate::landmarks::Landmarks`] tables the search additionally skips
-//!   expanding any settled node that *provably* cannot lie on a shortest
-//!   path to any still-unsettled target, shrinking the settled disc toward
-//!   an ellipse around the root–target corridor.
+//! * a **goal-directed run** to one target
+//!   ([`SsspWorkspace::run_to_target_guided`]): an A* over precomputed
+//!   [`crate::landmarks::Landmarks`] tables (ALT, Goldberg & Harrelson) that
+//!   settles an ellipse around the root–target corridor instead of the
+//!   whole disc out to the target's distance.
 //!
 //! Both kernels settle nodes in exactly the same order — ascending
 //! `(distance, node id)` — so distances, predecessor links, and extracted
@@ -37,23 +38,37 @@
 //! placements) therefore cannot observe which kernel ran, only how fast it
 //! was.
 //!
-//! ## Why pruning preserves bit-identity
+//! ## Why the guided run walks the plain chain
 //!
-//! A node `u` is pruned at its settle time only if, for **every** remaining
-//! target `t`, `d(u) + lb(u, t) > U(t)`, where `lb` is the landmark lower
-//! bound on the remaining distance and `U(t)` is a proven upper bound on the
-//! root–`t` distance (the cheapest landmark route, tightened by `t`'s
-//! tentative distance once the frontier has touched it). Pruning skips the
-//! node's edge expansion but never reorders the queue, so the surviving
-//! settle order is a subsequence of the reference order. Every node on a
-//! reference predecessor chain of a target `t` satisfies
-//! `d(u) + lb(u, t) ≤ d(u) + d(u → t) = d(root, t) ≤ U(t)` — and settles
-//! strictly before `t` does (predecessors are assigned at the relaxer's
-//! settle), so `t` is still an unsettled target when `u` is tested and the
-//! strict inequality fails. Chain nodes are therefore never pruned, their
-//! relaxations happen exactly as in the reference run, and the distances,
-//! predecessors, and extracted paths of all reached targets are unchanged
-//! bit for bit.
+//! With positive edge lengths, the plain search settles in ascending
+//! `(distance, id)` and records a predecessor only on a strict improvement,
+//! so the predecessor of `v` is its *canonical* in-neighbour: among the
+//! tight ones (`d(u) + w(u, v) = d(v)`), the one with the least
+//! `(d(u), id)`. The guided run pops by key `d(u) + lb(u, t)`, where `lb`
+//! is the landmark lower bound on the remaining distance to the target `t`,
+//! and keeps popping until the least key exceeds `d(t)`. It reopens a
+//! popped node whose distance later improves (a node that cannot reach `t`
+//! may carry an inconsistent key), and on an equal-distance relaxation it
+//! keeps the predecessor with the smaller `(distance, id)`. Three facts make
+//! `path_to(t)` walk exactly the plain chain:
+//!
+//! * every node `x` on a shortest root→`t` path has key
+//!   `d(x) + lb(x, t) ≤ d(x) + d(x, t) = d(t)`, so the run pops it at its
+//!   final distance before it stops (until then, the first such node of
+//!   the path not yet popped at its final distance sits in the heap with a
+//!   key at most `d(t)`);
+//! * a tight in-neighbour of such a node lies on a shortest root→`t` path
+//!   itself, so it is popped at its final distance too and relaxes the node
+//!   with exactly its final distance;
+//! * the tie rule then leaves the least `(distance, id)` of those relaxers
+//!   as the predecessor — the canonical one — whatever order they came in.
+//!
+//! The tie rule needs positive lengths: across a zero-length edge a tight
+//! in-neighbour can settle *after* the node in the plain order, so the
+//! plain predecessor is no longer always the least `(distance, id)` one.
+//! A workspace over a graph with a zero-length edge (only the doc-hidden
+//! `GraphBuilder::add_edge_allow_zero` builds one) therefore runs the plain
+//! early-exit search instead.
 //!
 //! ```
 //! use rap_graph::{Direction, Distance, GridGraph, NodeId, SsspWorkspace};
@@ -69,7 +84,7 @@
 
 use crate::error::GraphError;
 use crate::graph::RoadGraph;
-use crate::landmarks::{self, Landmarks};
+use crate::landmarks::{lower_bound_rows, Landmarks};
 use crate::node::{Distance, NodeId};
 use crate::path::Path;
 use std::cmp::Reverse;
@@ -155,107 +170,17 @@ pub struct SsspWorkspace {
     /// Drain scratch for one bucket, kept to reuse its allocation.
     drain: Vec<u32>,
     heap: BinaryHeap<Reverse<(Distance, u32)>>,
+    /// The guided run's heap: `(key, distance, node)`, where the key adds
+    /// the landmark bound to the distance and the carried distance is the
+    /// staleness check.
+    guided: BinaryHeap<Reverse<(Distance, Distance, u32)>>,
+    /// True when some edge has length zero; guided runs then fall back to
+    /// the plain early-exit search (see the module docs).
+    zero_edges: bool,
     root: NodeId,
     direction: Direction,
     /// Nodes settled by the last run (instrumentation for benches/tests).
     last_settled: u64,
-    /// Settled nodes whose expansion the last run pruned via landmarks.
-    last_pruned: u64,
-}
-
-/// Per-run ALT pruning state: one bound-row snapshot and one upper bound per
-/// still-unsettled target. Lives on the kernel's stack, not in the
-/// workspace, so unpruned runs pay nothing.
-struct Pruner<'a> {
-    lm: &'a Landmarks,
-    /// `2·L` (row stride in the snapshots below).
-    stride: usize,
-    /// True for [`Direction::Reverse`] runs, where the remaining search
-    /// distance from settled `u` to target `t` is the forward `d(t → u)`.
-    reverse: bool,
-    /// Raw id and static landmark upper bound of each unsettled target.
-    active: Vec<(u32, Distance)>,
-    /// Bound-row snapshots, `stride` entries per active target, kept in sync
-    /// with `active` under swap-removal.
-    rows: Vec<Distance>,
-}
-
-impl<'a> Pruner<'a> {
-    fn new(lm: &'a Landmarks, reverse: bool) -> Self {
-        Pruner {
-            lm,
-            stride: 2 * lm.count(),
-            reverse,
-            active: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Registers a (distinct, in-bounds) target of the current run.
-    fn add_target(&mut self, root: NodeId, t: NodeId) {
-        // Upper bound on the search distance root..t: route via the best
-        // landmark. Forward searches need d(root → t), reverse searches
-        // d(t → root).
-        let upper = if self.reverse {
-            self.lm.upper_bound(t, root)
-        } else {
-            self.lm.upper_bound(root, t)
-        };
-        self.active.push((t.raw(), upper));
-        self.rows.extend_from_slice(self.lm.bounds_row(t));
-    }
-
-    /// Drops a just-settled target from the active set.
-    fn target_settled(&mut self, raw: u32) {
-        if let Some(i) = self.active.iter().position(|&(r, _)| r == raw) {
-            self.active.swap_remove(i);
-            let last = self.rows.len() - self.stride;
-            if i * self.stride < last {
-                let (head, tail) = self.rows.split_at_mut(last);
-                head[i * self.stride..(i + 1) * self.stride].copy_from_slice(tail);
-            }
-            self.rows.truncate(last);
-        }
-    }
-
-    /// True when settled node `u` at distance `d` provably cannot improve
-    /// (or lie on a shortest path to) any remaining target: for **every**
-    /// active `t`, `d + lb(u, t)` strictly exceeds the best proven upper
-    /// bound on `t`'s final distance — the static landmark route, tightened
-    /// by `t`'s tentative distance once stamped (a tentative distance only
-    /// ever shrinks toward the final one, so it is always a valid upper
-    /// bound).
-    fn should_prune(
-        &self,
-        u: usize,
-        d: Distance,
-        dist: &[Distance],
-        stamp: &[u32],
-        epoch: u32,
-    ) -> bool {
-        let row_u = self.lm.bounds_row(NodeId::new(u as u32));
-        let l = self.lm.count();
-        for (i, &(raw, static_upper)) in self.active.iter().enumerate() {
-            let t = raw as usize;
-            let mut upper = static_upper;
-            if stamp[t] == epoch {
-                upper = upper.min(dist[t]);
-            }
-            if upper == Distance::MAX {
-                return false; // no bound on this target yet
-            }
-            let row_t = &self.rows[i * self.stride..(i + 1) * self.stride];
-            let lb = if self.reverse {
-                landmarks::lower_bound_rows(row_t, row_u, l)
-            } else {
-                landmarks::lower_bound_rows(row_u, row_t, l)
-            };
-            if d.saturating_add(lb) <= upper {
-                return false; // u may still matter for this target
-            }
-        }
-        true
-    }
 }
 
 impl SsspWorkspace {
@@ -327,10 +252,11 @@ impl SsspWorkspace {
             buckets,
             drain: Vec::new(),
             heap: BinaryHeap::new(),
+            guided: BinaryHeap::new(),
+            zero_edges: graph.edges().any(|e| e.length == Distance::ZERO),
             root: NodeId::new(0),
             direction: Direction::Forward,
             last_settled: 0,
-            last_pruned: 0,
         }
     }
 
@@ -347,7 +273,7 @@ impl SsspWorkspace {
     /// Panics if `root` is out of bounds or the graph does not match the one
     /// the workspace was built for.
     pub fn run(&mut self, graph: &RoadGraph, root: NodeId, direction: Direction) {
-        self.run_inner(graph, root, direction, None, None);
+        self.run_inner(graph, root, direction, None);
     }
 
     /// Like [`SsspWorkspace::run`], but stops as soon as every node in
@@ -365,28 +291,32 @@ impl SsspWorkspace {
         direction: Direction,
         targets: &[NodeId],
     ) {
-        self.run_inner(graph, root, direction, Some(targets), None);
+        self.run_inner(graph, root, direction, Some(targets));
     }
 
-    /// [`SsspWorkspace::run_to_targets`] with ALT pruning: beyond the early
-    /// exit, every settled node is tested against the landmark bounds and
-    /// its edge expansion skipped when it provably cannot improve any
-    /// remaining target (see the module docs for the bit-identity argument).
-    /// Settled targets carry exactly the distance, predecessor chain, and
-    /// extracted path the unpruned run would give them; unreachable targets
-    /// disable pruning for the run (no upper bound ever forms) and behave as
-    /// in [`SsspWorkspace::run_to_targets`].
+    /// A goal-directed run from `root` to the one node `target`: an A* on a
+    /// binary heap (whatever the workspace's kernel) keyed by distance plus
+    /// the `landmarks` lower bound on the remaining distance. It stops once
+    /// the least key exceeds the target's distance.
+    ///
+    /// Afterwards only `target` counts as settled: it carries exactly the
+    /// distance, predecessor chain and extracted path that
+    /// [`SsspWorkspace::run_to_targets`] gives it (see the module docs for
+    /// why), and every other node reports unreachable. An unreachable
+    /// target exhausts the root's component, as the plain run does; an
+    /// out-of-bounds one is ignored. Over a graph with a zero-length edge
+    /// this is the plain early-exit run to `target`.
     ///
     /// # Panics
     ///
     /// Panics if `landmarks` was built for a graph with a different node
     /// count, or under the same conditions as [`SsspWorkspace::run`].
-    pub fn run_to_targets_pruned(
+    pub fn run_to_target_guided(
         &mut self,
         graph: &RoadGraph,
         root: NodeId,
         direction: Direction,
-        targets: &[NodeId],
+        target: NodeId,
         landmarks: &Landmarks,
     ) {
         assert!(
@@ -395,17 +325,81 @@ impl SsspWorkspace {
             landmarks.node_count(),
             graph.node_count()
         );
-        self.run_inner(graph, root, direction, Some(targets), Some(landmarks));
+        if self.zero_edges {
+            self.run_inner(graph, root, direction, Some(&[target]));
+            return;
+        }
+        self.begin(graph, root, direction);
+        let t = target.index();
+        if t >= self.node_count {
+            return;
+        }
+        let l = landmarks.count();
+        let row_t = landmarks.bounds_row(target);
+        // Lower bound on the search distance left from `v` to the target:
+        // d(v → t) forward, d(t → v) for a reverse run.
+        let bound = |v: u32| {
+            let row_v = landmarks.bounds_row(NodeId::new(v));
+            match direction {
+                Direction::Forward => lower_bound_rows(row_v, row_t, l),
+                Direction::Reverse => lower_bound_rows(row_t, row_v, l),
+            }
+        };
+        let epoch = self.epoch;
+        let mut heap = std::mem::take(&mut self.guided);
+        heap.push(Reverse((bound(root.raw()), Distance::ZERO, root.raw())));
+        while let Some(Reverse((key, d, raw))) = heap.pop() {
+            let u = raw as usize;
+            if d > self.dist[u] {
+                continue; // stale: improved since it was pushed
+            }
+            if self.stamp[t] == epoch && key > self.dist[t] {
+                break; // every later key exceeds the target's distance
+            }
+            self.last_settled += 1;
+            if u == t {
+                continue; // nothing beyond the target can lie on its chain
+            }
+            let node = NodeId::new(raw);
+            let neighbors = match direction {
+                Direction::Forward => graph.out_neighbors(node),
+                Direction::Reverse => graph.in_neighbors(node),
+            };
+            for nb in neighbors {
+                let v = nb.node.index();
+                let nd = d.saturating_add(nb.length);
+                if nd == Distance::MAX {
+                    continue;
+                }
+                if self.stamp[v] != epoch || nd < self.dist[v] {
+                    self.stamp[v] = epoch;
+                    self.dist[v] = nd;
+                    self.pred[v] = raw;
+                    heap.push(Reverse((
+                        nd.saturating_add(bound(nb.node.raw())),
+                        nd,
+                        nb.node.raw(),
+                    )));
+                } else if nd == self.dist[v] {
+                    // Equal-distance relaxation: keep the canonical
+                    // predecessor, the least (distance, id).
+                    let p = self.pred[v];
+                    if p != NO_PRED && (d, raw) < (self.dist[p as usize], p) {
+                        self.pred[v] = raw;
+                    }
+                }
+            }
+        }
+        heap.clear();
+        self.guided = heap;
+        if self.stamp[t] == epoch {
+            self.settled[t] = epoch;
+        }
     }
 
-    fn run_inner(
-        &mut self,
-        graph: &RoadGraph,
-        root: NodeId,
-        direction: Direction,
-        targets: Option<&[NodeId]>,
-        landmarks: Option<&Landmarks>,
-    ) {
+    /// Checks that `graph` and `root` fit the workspace, then starts a new
+    /// run: a fresh epoch, the root at distance zero.
+    fn begin(&mut self, graph: &RoadGraph, root: NodeId, direction: Direction) {
         assert!(
             graph.node_count() == self.node_count && graph.edge_count() == self.edge_count,
             "workspace built for a {}-node/{}-edge graph used with a {}-node/{}-edge graph",
@@ -423,18 +417,25 @@ impl SsspWorkspace {
         self.root = root;
         self.direction = direction;
         self.last_settled = 0;
-        self.last_pruned = 0;
+        self.stamp[root.index()] = self.epoch;
+        self.dist[root.index()] = Distance::ZERO;
+        self.pred[root.index()] = NO_PRED;
+    }
+
+    fn run_inner(
+        &mut self,
+        graph: &RoadGraph,
+        root: NodeId,
+        direction: Direction,
+        targets: Option<&[NodeId]>,
+    ) {
+        self.begin(graph, root, direction);
         let mut remaining = 0usize;
-        let mut pruner =
-            landmarks.map(|lm| Pruner::new(lm, matches!(direction, Direction::Reverse)));
         if let Some(ts) = targets {
             for &t in ts {
                 if t.index() < self.node_count && self.target_stamp[t.index()] != self.epoch {
                     self.target_stamp[t.index()] = self.epoch;
                     remaining += 1;
-                    if let Some(p) = pruner.as_mut() {
-                        p.add_target(root, t);
-                    }
                 }
             }
             if remaining == 0 {
@@ -442,16 +443,9 @@ impl SsspWorkspace {
             }
         }
         let early = targets.is_some();
-        self.stamp[root.index()] = self.epoch;
-        self.dist[root.index()] = Distance::ZERO;
-        self.pred[root.index()] = NO_PRED;
         match self.kernel {
-            SsspKernel::BucketQueue => {
-                self.run_bucket(graph, root, direction, early, remaining, pruner)
-            }
-            SsspKernel::BinaryHeap => {
-                self.run_heap(graph, root, direction, early, remaining, pruner)
-            }
+            SsspKernel::BucketQueue => self.run_bucket(graph, root, direction, early, remaining),
+            SsspKernel::BinaryHeap => self.run_heap(graph, root, direction, early, remaining),
         }
     }
 
@@ -466,7 +460,6 @@ impl SsspWorkspace {
         direction: Direction,
         early: bool,
         mut remaining: usize,
-        mut pruner: Option<Pruner<'_>>,
     ) {
         // An edgeless graph gets a single bucket (`max_edge + 1 == 1`): the
         // root settles out of bucket 0 and there is nothing to relax, so the
@@ -498,9 +491,6 @@ impl SsspWorkspace {
                     self.last_settled += 1;
                     if early && self.target_stamp[u] == self.epoch {
                         remaining -= 1;
-                        if let Some(p) = pruner.as_mut() {
-                            p.target_settled(raw);
-                        }
                         if remaining == 0 {
                             // Remaining queue entries are abandoned; clear
                             // every bucket so the next run starts clean.
@@ -508,18 +498,6 @@ impl SsspWorkspace {
                                 bucket.clear();
                             }
                             break 'scan;
-                        }
-                    }
-                    if let Some(p) = pruner.as_ref() {
-                        if p.should_prune(
-                            u,
-                            Distance::from_feet(d),
-                            &self.dist,
-                            &self.stamp,
-                            self.epoch,
-                        ) {
-                            self.last_pruned += 1;
-                            continue; // settled, but provably never expanded
                         }
                     }
                     let node = NodeId::new(raw);
@@ -566,7 +544,6 @@ impl SsspWorkspace {
         direction: Direction,
         early: bool,
         mut remaining: usize,
-        mut pruner: Option<Pruner<'_>>,
     ) {
         self.heap.clear();
         self.heap.push(Reverse((Distance::ZERO, root.raw())));
@@ -579,18 +556,9 @@ impl SsspWorkspace {
             self.last_settled += 1;
             if early && self.target_stamp[u] == self.epoch {
                 remaining -= 1;
-                if let Some(p) = pruner.as_mut() {
-                    p.target_settled(raw);
-                }
                 if remaining == 0 {
                     self.heap.clear();
                     break;
-                }
-            }
-            if let Some(p) = pruner.as_ref() {
-                if p.should_prune(u, dd, &self.dist, &self.stamp, self.epoch) {
-                    self.last_pruned += 1;
-                    continue; // settled, but provably never expanded
                 }
             }
             let node = NodeId::new(raw);
@@ -634,16 +602,12 @@ impl SsspWorkspace {
         self.direction
     }
 
-    /// Number of nodes the last run settled (instrumentation; benches use
-    /// the reduction under pruning as the headline metric).
+    /// Number of nodes the last run settled (instrumentation). A guided
+    /// run counts every pop of a current heap entry, so a reopened node
+    /// counts once per pop; comparing the count against the plain run's is
+    /// how tests see that the landmark bound is doing its work.
     pub fn last_run_settled(&self) -> u64 {
         self.last_settled
-    }
-
-    /// Of the last run's settled nodes, how many had their expansion pruned
-    /// by the landmark bounds. Zero for unpruned runs.
-    pub fn last_run_pruned(&self) -> u64 {
-        self.last_pruned
     }
 
     /// Exact shortest distance between the last run's root and `node`, or
@@ -921,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_run_with_unreachable_target_degrades_gracefully() {
+    fn guided_run_to_unreachable_target_reports_unreachable() {
         let mut b = GraphBuilder::new();
         let a = b.add_node(Point::new(0.0, 0.0));
         let c = b.add_node(Point::new(10.0, 0.0));
@@ -930,29 +894,51 @@ mod tests {
         let g = b.build();
         let lm = crate::landmarks::Landmarks::select(&g, 2);
         let mut ws = SsspWorkspace::for_graph(&g);
-        // The island never gets an upper bound, so pruning stays disabled
-        // and the run exhausts the reachable component.
-        ws.run_to_targets_pruned(&g, a, Direction::Forward, &[island, c], &lm);
-        assert_eq!(ws.distance(c), Some(Distance::from_feet(3)));
+        // The island is never reached, so the run exhausts the reachable
+        // component and reports the target unreachable.
+        ws.run_to_target_guided(&g, a, Direction::Forward, island, &lm);
         assert!(matches!(
             ws.path_to(island),
             Err(GraphError::Unreachable { .. })
         ));
-        assert_eq!(ws.last_run_pruned(), 0);
+        assert_eq!(ws.last_run_settled(), 2);
+        // The next guided run reaches its target; only the target settles.
+        ws.run_to_target_guided(&g, a, Direction::Forward, c, &lm);
+        assert_eq!(ws.distance(c), Some(Distance::from_feet(3)));
+        assert_eq!(ws.path_to(c).unwrap().nodes(), &[a, c]);
+        assert_eq!(ws.distance(a), None);
+        // Out-of-bounds targets are ignored, then error on query.
+        ws.run_to_target_guided(&g, a, Direction::Forward, NodeId::new(99), &lm);
+        assert!(matches!(
+            ws.path_to(NodeId::new(99)),
+            Err(GraphError::NodeOutOfBounds { .. })
+        ));
+        assert_eq!(ws.last_run_settled(), 0);
+    }
+
+    #[test]
+    fn guided_run_from_the_target_is_trivial() {
+        let (g, v) = diamond();
+        let lm = crate::landmarks::Landmarks::select(&g, 2);
+        let mut ws = SsspWorkspace::for_graph(&g);
+        ws.run_to_target_guided(&g, v[3], Direction::Reverse, v[3], &lm);
+        assert_eq!(ws.distance(v[3]), Some(Distance::ZERO));
+        assert!(ws.path_to(v[3]).unwrap().is_trivial());
+        assert_eq!(ws.last_run_settled(), 1);
     }
 
     #[test]
     #[should_panic(expected = "landmarks built for")]
-    fn pruned_run_rejects_mismatched_landmarks() {
+    fn guided_run_rejects_mismatched_landmarks() {
         let g = GridGraph::new(2, 5, Distance::from_feet(10));
         let other = GridGraph::new(3, 3, Distance::from_feet(10));
         let lm = crate::landmarks::Landmarks::select(other.graph(), 2);
         let mut ws = SsspWorkspace::for_graph(g.graph());
-        ws.run_to_targets_pruned(
+        ws.run_to_target_guided(
             g.graph(),
             NodeId::new(0),
             Direction::Forward,
-            &[NodeId::new(5)],
+            NodeId::new(5),
             &lm,
         );
     }

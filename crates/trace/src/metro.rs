@@ -5,9 +5,9 @@
 //! evaluation substrates — hundreds of intersections, hundreds of journeys.
 //! The metro model is the scale target beyond them: a 1000×1000 street grid
 //! (≈75 × 75 miles of 400 ft blocks) with 500k flows, sized to exercise the
-//! routing hierarchy (ALT pruning, spatial tiling) rather than the trace
-//! pipeline, so it generates demand specs directly instead of round-tripping
-//! GPS fixes.
+//! routing hierarchy (goal-directed ALT routing, spatial tiling) rather
+//! than the trace pipeline, so it generates demand specs directly instead
+//! of round-tripping GPS fixes.
 //!
 //! Two properties are deliberate:
 //!

@@ -29,10 +29,11 @@ pub struct RouteOptions<'a> {
     /// [`parallel::effective_threads`] to the number of distinct origins.
     /// One worker runs on the calling thread, more on scoped threads.
     pub threads: Option<usize>,
-    /// Landmark tables enabling ALT-pruned target searches
-    /// ([`SsspWorkspace::run_to_targets_pruned`]). Pruning only skips node
-    /// expansions that provably cannot improve any remaining target, so
-    /// settled distances and predecessors on destinations are unchanged.
+    /// Landmark tables enabling goal-directed routing: one
+    /// [`SsspWorkspace::run_to_target_guided`] per distinct origin–
+    /// destination pair instead of one early-exit run per origin. The
+    /// guided run's predecessor chain to its target is exactly the plain
+    /// run's, so every path is unchanged.
     pub landmarks: Option<&'a Landmarks>,
     /// Spatial tiling: origin groups are *processed* in tile order so
     /// consecutive shortest-path trees start in the same cache-local shard.
@@ -100,7 +101,7 @@ impl FlowSet {
     }
 
     /// [`FlowSet::route`] with opt-in accelerations ([`RouteOptions`]):
-    /// worker threads, ALT-pruned target searches, and tile-batched
+    /// worker threads, goal-directed (ALT) searches, and tile-batched
     /// processing order. Every combination is **bit-identical** to plain
     /// sequential routing — same paths, same flow ids, same first-visit
     /// index, and on failure the same error.
@@ -420,12 +421,13 @@ fn group_by_origin(
 type SliceOutput = Result<Vec<(usize, TrafficFlow)>, (usize, TrafficError)>;
 
 /// Routes one origin group through the workspace, appending each spec's
-/// `(index, flow)` to `routed`: a single early-exit tree run settles every
-/// destination in the group, then each spec extracts its path. Settled
-/// distances are final, so the paths are bit-identical to a full-tree
-/// run's. With landmark tables the run additionally prunes node expansions
-/// that provably cannot improve any remaining destination, which changes
-/// nothing about settled targets (see `rap_graph::sssp`). On error, flows
+/// `(index, flow)` to `routed`. Without landmark tables, a single early-exit
+/// tree run settles every destination in the group, then each spec extracts
+/// its path; settled distances are final, so the paths are bit-identical to
+/// a full-tree run's. With landmark tables, each distinct destination gets
+/// its own goal-directed run, whose chain to the destination is the plain
+/// run's (see `rap_graph::sssp`). Either way the error names the first spec,
+/// in group order, whose destination is unreachable. On error, flows
 /// already appended for the group stay behind; the caller discards the
 /// whole list.
 fn route_group(
@@ -437,22 +439,44 @@ fn route_group(
     routed: &mut Vec<(usize, TrafficFlow)>,
     landmarks: Option<&Landmarks>,
 ) -> Result<(), TrafficError> {
-    let targets: Vec<NodeId> = idxs.iter().map(|&i| specs[i].destination()).collect();
-    match landmarks {
-        Some(lm) => ws.run_to_targets_pruned(graph, origin, Direction::Forward, &targets, lm),
-        None => ws.run_to_targets(graph, origin, Direction::Forward, &targets),
+    let unroutable = |i: usize| TrafficError::UnroutableFlow {
+        origin: specs[i].origin(),
+        destination: specs[i].destination(),
+    };
+    let Some(lm) = landmarks else {
+        let targets: Vec<NodeId> = idxs.iter().map(|&i| specs[i].destination()).collect();
+        ws.run_to_targets(graph, origin, Direction::Forward, &targets);
+        for &i in idxs {
+            let path = ws
+                .path_to(specs[i].destination())
+                .map_err(|_| unroutable(i))?;
+            routed.push((i, TrafficFlow::new(FlowId::new(i as u32), specs[i], path)));
+        }
+        return Ok(());
+    };
+    // One guided run per distinct destination: sorting by (destination,
+    // spec index) puts each destination's specs together, lowest index
+    // first, so the first failing spec in group order is the least first
+    // index over the unreachable destinations.
+    let mut by_dest: Vec<(NodeId, usize)> =
+        idxs.iter().map(|&i| (specs[i].destination(), i)).collect();
+    by_dest.sort_unstable();
+    let mut first_failure: Option<usize> = None;
+    for run in by_dest.chunk_by(|a, b| a.0 == b.0) {
+        let (dest, first) = run[0];
+        ws.run_to_target_guided(graph, origin, Direction::Forward, dest, lm);
+        for &(_, i) in run {
+            let Ok(path) = ws.path_to(dest) else {
+                first_failure = Some(first_failure.map_or(first, |f| f.min(first)));
+                break;
+            };
+            routed.push((i, TrafficFlow::new(FlowId::new(i as u32), specs[i], path)));
+        }
     }
-    for &i in idxs {
-        let spec = specs[i];
-        let path = ws
-            .path_to(spec.destination())
-            .map_err(|_| TrafficError::UnroutableFlow {
-                origin: spec.origin(),
-                destination: spec.destination(),
-            })?;
-        routed.push((i, TrafficFlow::new(FlowId::new(i as u32), spec, path)));
+    match first_failure {
+        Some(i) => Err(unroutable(i)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 impl<'a> IntoIterator for &'a FlowSet {
@@ -790,6 +814,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn guided_routing_reports_the_first_unroutable_spec_in_group_order() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node(Point::new(0.0, 0.0));
+        let c = b.add_node(Point::new(1.0, 0.0));
+        let island = b.add_node(Point::new(9.0, 9.0));
+        let far_island = b.add_node(Point::new(19.0, 19.0));
+        b.add_two_way(a, c, Distance::from_feet(1)).unwrap();
+        let g = b.build();
+        let lm = rap_graph::landmarks::Landmarks::select(&g, 2);
+        // One origin group whose first failing spec has the larger
+        // destination id, so the guided runs (in destination order) meet
+        // the other failure first.
+        let specs = vec![
+            FlowSpec::new(a, c, 1.0).unwrap(),
+            FlowSpec::new(a, far_island, 1.0).unwrap(),
+            FlowSpec::new(a, island, 1.0).unwrap(),
+        ];
+        let err = FlowSet::route_with(
+            &g,
+            specs,
+            RouteOptions {
+                landmarks: Some(&lm),
+                ..RouteOptions::default()
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TrafficError::UnroutableFlow { origin, destination }
+                    if origin == a && destination == far_island
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!   whole sequential pass on a hundred-node city (the Seattle model spent
 //!   ~1.7x its sequential build time on thread plumbing before this policy
 //!   existed).
-//! * **ALT pruning** — landmark tables cost `2·L` full Dijkstra trees up
-//!   front and one lower-bound scan per settled node thereafter; on small
-//!   graphs the unpruned search finishes before the tables are even built.
+//! * **Goal-directed (ALT) routing** — landmark tables cost `2·L` full
+//!   Dijkstra trees up front, and routing then runs one guided search per
+//!   origin–destination pair (one lower-bound scan per heap push) instead
+//!   of one early-exit tree per origin; on small graphs the plain search
+//!   finishes before the tables are even built.
 //! * **Spatial tiling** — tile partitions only matter once a single
 //!   shortest-path tree stops fitting in cache.
 //!
@@ -32,12 +34,12 @@ use crate::parallel;
 pub const SMALL_INSTANCE_WORK: u128 = 50_000_000;
 
 /// Minimum node count before ALT landmark tables pay for themselves.
-/// Below this a full Dijkstra tree is cache-resident and pruning saves
-/// nothing measurable.
+/// Below this a full Dijkstra tree is cache-resident and the guided search
+/// saves nothing measurable.
 pub const ALT_MIN_NODES: usize = 30_000;
 
 /// Minimum flow count before ALT pays: the `2·L` table trees amortize over
-/// per-flow target searches, so few flows means few searches to speed up.
+/// the guided searches, so few flows means few searches to speed up.
 pub const ALT_MIN_FLOWS: usize = 5_000;
 
 /// Minimum node count before spatial tiling is worth building. Tracks
@@ -63,7 +65,7 @@ pub const TARGET_NODES_PER_TILE: usize = 4_096;
 pub struct RoutePlan {
     /// Worker threads for routing and table builds (1 = sequential).
     pub threads: usize,
-    /// Build landmark tables and route with ALT-pruned target searches.
+    /// Build landmark tables and route with goal-directed (ALT) searches.
     pub use_alt: bool,
     /// Build a [`TileGrid`](rap_graph::tiles::TileGrid) and batch flows /
     /// shard table fills by tile.

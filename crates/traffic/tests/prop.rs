@@ -141,11 +141,11 @@ proptest! {
     }
 
     /// Tile-batched routing — any tile granularity, any worker count, with
-    /// and without ALT pruning — is bit-identical to plain sequential
-    /// `route`: same flow ids, same path node sequences, and the same
-    /// first-visit index at every node. The tile order only permutes
-    /// independent origin groups; pruning only skips provably useless
-    /// expansions.
+    /// and without goal-directed ALT searches — is bit-identical to plain
+    /// sequential `route`: same flow ids, same path node sequences, and the
+    /// same first-visit index at every node. The tile order only permutes
+    /// independent origin groups; a guided search walks the plain search's
+    /// predecessor chain to its destination.
     #[test]
     fn tiled_routing_matches_untiled(
         d in arb_demand(),

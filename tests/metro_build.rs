@@ -1,17 +1,22 @@
 //! Tier-1 coverage of the accelerated construction path on the metro
-//! layout: `build_scenario` with threads, ALT pruning and a tile grid whose
-//! cells coincide with the generator's numbering blocks, so the detour fill
-//! walks tile-aligned id-range shards. Every artifact and the greedy
-//! placement must match the plain sequential build bit for bit.
+//! layout: `build_scenario` with threads, goal-directed (ALT) routing and a
+//! tile grid whose cells coincide with the generator's numbering blocks, so
+//! the detour fill walks tile-aligned id-range shards. Every artifact and
+//! the greedy placement must match the plain sequential build bit for bit,
+//! and the guided searches must actually settle far fewer nodes.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rap_vcps::graph::landmarks::Landmarks;
+use rap_vcps::graph::sssp::SsspWorkspace;
 use rap_vcps::graph::tiles::TileGrid;
-use rap_vcps::graph::Distance;
+use rap_vcps::graph::{Direction, Distance, NodeId};
 use rap_vcps::placement::{
     build_scenario, BuildMode, BuildOptions, MarginalGreedy, PlacementAlgorithm, UtilityKind,
 };
 use rap_vcps::trace::{metro, MetroParams};
+use rap_vcps::traffic::plan::LANDMARK_COUNT;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[test]
 fn tile_aligned_metro_build_matches_the_plain_build() {
@@ -69,4 +74,47 @@ fn tile_aligned_metro_build_matches_the_plain_build() {
     assert_eq!(pf.len(), 10);
     assert_eq!(pf, pp, "greedy placement diverged under acceleration");
     assert_eq!(fast.evaluate(&pf).to_bits(), plain.evaluate(&pp).to_bits());
+}
+
+/// A landmark bound that silently read zero would still route every path
+/// exactly, so no identity check can see it; the settled count can. The
+/// searches mirror accelerated routing: one guided run per distinct
+/// origin–destination pair, against one plain early-exit run per origin.
+#[test]
+fn guided_routing_settles_at_least_five_times_fewer_nodes_than_plain() {
+    let (graph, specs, _) = metro(MetroParams::smoke(), 2015).into_parts();
+    let landmarks = Landmarks::select(&graph, LANDMARK_COUNT);
+    let mut ws = SsspWorkspace::for_graph(&graph);
+
+    let mut by_origin: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for s in &specs {
+        by_origin
+            .entry(s.origin())
+            .or_default()
+            .push(s.destination());
+    }
+    let mut plain = 0u64;
+    for (&origin, targets) in &by_origin {
+        ws.run_to_targets(&graph, origin, Direction::Forward, targets);
+        plain += ws.last_run_settled();
+    }
+
+    let pairs: BTreeSet<(NodeId, NodeId)> = specs
+        .iter()
+        .map(|s| (s.origin(), s.destination()))
+        .collect();
+    let mut guided = 0u64;
+    for &(origin, destination) in &pairs {
+        ws.run_to_target_guided(&graph, origin, Direction::Forward, destination, &landmarks);
+        assert!(
+            ws.distance(destination).is_some(),
+            "{origin} -> {destination}"
+        );
+        guided += ws.last_run_settled();
+    }
+    assert!(
+        plain >= 5 * guided,
+        "guided runs settled {guided} nodes, plain runs {plain}: only {:.1}x fewer",
+        plain as f64 / guided as f64
+    );
 }
