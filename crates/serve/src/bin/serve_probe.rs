@@ -1,7 +1,9 @@
 //! CI smoke probe: hits a running `rap serve` instance and asserts the
 //! JSON contract of every endpoint, exiting nonzero on the first failure.
 //! `/topk` is checked for the prefix property on the epoch it starts on and
-//! again on the epoch its own `/reload` swaps in.
+//! again on the epoch its own `/reload` swaps in. `/evaluate` must score an
+//! empty placement at a positive zero over no flow, and a placement with a
+//! repeated RAP at the deduplicated placement's bits.
 //!
 //! ```text
 //! serve_probe ADDR [--min-epoch N] [--skip-reload] [--expect-crc CRC]
@@ -48,6 +50,18 @@ fn raps_of(body: &Value, what: &str) -> Vec<u64> {
     }
 }
 
+/// `/evaluate` of `raps`, which must answer 200. Returns the body.
+fn evaluate(client: &mut Client, raps: &[u64]) -> Value {
+    let what = format!("/evaluate {raps:?}");
+    let list: Vec<String> = raps.iter().map(u64::to_string).collect();
+    let body = format!(r#"{{"raps": [{}]}}"#, list.join(", "));
+    let evaluated = client
+        .post("/evaluate", &body)
+        .unwrap_or_else(|e| fail(&format!("{what}: {e}")));
+    check(evaluated.status == 200, &format!("{what} status"));
+    evaluated.body
+}
+
 /// `/topk` at `k`, whose objective must be bit-identical to `/evaluate` of
 /// its RAPs (same scenario epoch, same arithmetic). Returns the RAPs.
 fn topk(client: &mut Client, k: usize) -> Vec<u64> {
@@ -63,12 +77,9 @@ fn topk(client: &mut Client, k: usize) -> Vec<u64> {
     );
     let objective = num(&topk.body, "objective");
     check(objective > 0.0, &format!("{what} objective > 0"));
-    let rap_list: Vec<String> = raps.iter().map(u64::to_string).collect();
-    let body = format!(r#"{{"raps": [{}]}}"#, rap_list.join(", "));
-    let evaluated = client.post("/evaluate", &body).expect("/evaluate");
-    check(evaluated.status == 200, "/evaluate status");
+    let evaluated = evaluate(client, &raps);
     check(
-        num(&evaluated.body, "objective").to_bits() == objective.to_bits(),
+        num(&evaluated, "objective").to_bits() == objective.to_bits(),
         &format!("/evaluate objective bit-identical to {what}"),
     );
     raps
@@ -76,15 +87,39 @@ fn topk(client: &mut Client, k: usize) -> Vec<u64> {
 
 /// `/topk` at k = 8, then k = 3: both answers come from the epoch's one
 /// greedy run, so the shorter must be a prefix of the longer. Returns the
-/// k = 3 RAP count.
-fn check_topk_prefix(client: &mut Client) -> usize {
+/// k = 3 RAPs.
+fn check_topk_prefix(client: &mut Client) -> Vec<u64> {
     let long = topk(client, 8);
     let short = topk(client, 3);
     check(
         long.starts_with(&short),
         &format!("/topk k=3 {short:?} is a prefix of k=8 {long:?}"),
     );
-    short.len()
+    short
+}
+
+/// `/evaluate` edge cases: the empty placement scores a positive zero over
+/// no flow, and `raps` with its first RAP repeated scores the deduplicated
+/// list's bits.
+fn check_evaluate_edges(client: &mut Client, raps: &[u64]) {
+    let empty = evaluate(client, &[]);
+    check(
+        num(&empty, "objective").to_bits() == 0.0f64.to_bits(),
+        "/evaluate [] objective is a positive zero",
+    );
+    check(
+        num(&empty, "covered_flows") == 0.0,
+        "/evaluate [] covers no flow",
+    );
+    let mut repeated = raps.to_vec();
+    repeated.push(raps[0]);
+    let once = evaluate(client, raps);
+    let twice = evaluate(client, &repeated);
+    check(
+        num(&twice, "objective").to_bits() == num(&once, "objective").to_bits()
+            && num(&twice, "covered_flows") == num(&once, "covered_flows"),
+        &format!("/evaluate {repeated:?} scores the bits of {raps:?}"),
+    );
 }
 
 /// Parses a CRC32 written as `rap snapshot info` prints it: `0x` and hex.
@@ -186,6 +221,7 @@ fn main() {
     check(placement.status == 200, "/placement status");
 
     let raps = check_topk_prefix(&mut client);
+    check_evaluate_edges(&mut client, &raps);
 
     // Malformed input must be 4xx, never a dropped connection.
     let bad = client.post("/topk", "not json").expect("malformed /topk");
@@ -212,5 +248,5 @@ fn main() {
         check_topk_prefix(&mut client);
     }
 
-    println!("serve_probe: OK (epoch {epoch}, {raps} raps)");
+    println!("serve_probe: OK (epoch {epoch}, {} raps)", raps.len());
 }

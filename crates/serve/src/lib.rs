@@ -20,7 +20,7 @@
 //! | `/healthz` | GET | liveness + current epoch |
 //! | `/metrics` | GET | counters, p50/p99 latencies, epoch, snapshot CRC |
 //! | `/placement` | GET | placement recorded in the snapshot (if any) |
-//! | `/evaluate` | POST | score an arbitrary placement `{"raps": [..]}` |
+//! | `/evaluate` | POST | score an arbitrary placement `{"raps": [..]}` ([`rap_core::Scenario::coverage`]) |
 //! | `/topk` | POST | `{"k": n}`: a prefix of the epoch's one resumable CELF run |
 //! | `/reload` | POST | atomic snapshot re-read + epoch bump |
 //!

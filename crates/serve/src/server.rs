@@ -10,7 +10,7 @@
 
 use crate::http::{self, HttpError, Method, Request};
 use crate::state::ServeState;
-use rap_core::{LatencyHistogram, Placement, PlacementReport};
+use rap_core::{LatencyHistogram, Placement};
 use rap_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::io::BufReader;
@@ -480,13 +480,14 @@ fn evaluate(request: &Request, state: &Arc<ServeState>) -> Response {
         return bad_request(format!("rap {bad} out of range (graph has {nodes} nodes)"));
     }
     let placement = Placement::new(parsed.raps.iter().copied().map(NodeId::new).collect());
-    let report = PlacementReport::compute(&epoch.scenario, &placement);
+    // The sparse fold: no detour and no flow record is read.
+    let (objective, covered_flows) = epoch.scenario.coverage(&placement);
     json(&EvaluateResponse {
         epoch: epoch.epoch,
         raps: placement.raps().iter().map(|r| r.raw()).collect(),
-        objective: report.attracted,
-        covered_flows: report.covered_flows,
-        total_flows: report.total_flows,
+        objective,
+        covered_flows,
+        total_flows: epoch.scenario.flows().len(),
     })
 }
 

@@ -118,3 +118,17 @@ fn guided_routing_settles_at_least_five_times_fewer_nodes_than_plain() {
         plain as f64 / guided as f64
     );
 }
+
+/// Every node of the metro reaches every other, so farthest-point
+/// selection never falls back to an unreached node there: the picks are
+/// pinned to the list the selection has always made on this city.
+#[test]
+fn metro_landmark_picks_are_pinned() {
+    let (graph, _, _) = metro(MetroParams::smoke(), 2015).into_parts();
+    let picks: Vec<u32> = Landmarks::select(&graph, LANDMARK_COUNT)
+        .nodes()
+        .iter()
+        .map(|v| v.raw())
+        .collect();
+    assert_eq!(picks, [0, 14399, 3279, 11160, 7179, 12779, 1621, 8839]);
+}

@@ -6,7 +6,10 @@
 //! generation. Every `/evaluate` body must carry the offline
 //! `PlacementReport::compute` figures and every `/topk` body the offline
 //! `MarginalGreedy` placement, objective bits included, for the epoch that
-//! served it. `/metrics` must count no 4xx and no 5xx.
+//! served it. Five `/evaluate` requests on three edge cases (an empty
+//! placement, a repeated RAP, a node no flow passes) must answer with
+//! pinned body bytes.
+//! `/metrics` must count no 4xx and no 5xx.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,6 +27,33 @@ use std::time::Duration;
 /// `/evaluate` and `/topk` requests sent; the `/reload` goes after half.
 const QUERIES: usize = 140;
 const MAX_K: usize = 6;
+
+/// The one node of the first generation that no flow passes.
+const IDLE_NODE: u32 = 27;
+
+/// `/evaluate` edge cases on the first generation, with their bodies.
+const EDGE_CASES: [(&str, &str); 5] = [
+    (
+        "[]",
+        r#"{"epoch":1,"raps":[],"objective":0.0,"covered_flows":0,"total_flows":30}"#,
+    ),
+    (
+        "[0,24,48,0]",
+        r#"{"epoch":1,"raps":[0,24,48],"objective":45.47083923602093,"covered_flows":8,"total_flows":30}"#,
+    ),
+    (
+        "[0,24,48]",
+        r#"{"epoch":1,"raps":[0,24,48],"objective":45.47083923602093,"covered_flows":8,"total_flows":30}"#,
+    ),
+    (
+        "[24,27]",
+        r#"{"epoch":1,"raps":[24,27],"objective":42.02555371943763,"covered_flows":7,"total_flows":30}"#,
+    ),
+    (
+        "[24]",
+        r#"{"epoch":1,"raps":[24],"objective":42.02555371943763,"covered_flows":7,"total_flows":30}"#,
+    ),
+];
 
 /// A seeded 7×7 grid scenario; `volume_scale` tells the two snapshot
 /// generations apart.
@@ -96,6 +126,29 @@ fn served_bodies_match_offline_engines_across_rotation_and_reload() {
     let mut epoch = 1.0;
     let mut rng = StdRng::seed_from_u64(11);
     let mut sent = 0;
+
+    // Edge cases, each pinned to the body bytes the server has always sent
+    // for it: an empty placement scores a positive zero over no flow, a
+    // repeated RAP scores the deduplicated placement's bits, and a node no
+    // flow passes adds nothing.
+    let idle = reference
+        .graph()
+        .nodes()
+        .find(|&v| reference.flows().visits_at(v).is_empty())
+        .expect("the fixture has a node no flow passes");
+    assert_eq!(idle.raw(), IDLE_NODE);
+    for (raps, body) in EDGE_CASES {
+        let response = client
+            .post("/evaluate", &format!("{{\"raps\":{raps}}}"))
+            .unwrap();
+        sent += 1;
+        assert_eq!(response.status, 200, "{:?}", response.body);
+        assert_eq!(
+            serde_json::to_string(&response.body).unwrap(),
+            body,
+            "/evaluate {raps}"
+        );
+    }
     for i in 0..QUERIES {
         if i == QUERIES / 2 {
             write_snapshot_atomic(&path, &generations[1], &FaultPlan::none()).unwrap();
