@@ -2,15 +2,15 @@
 
 use crate::args::Args;
 use crate::CliError;
-use rap_experiments::Settings;
+use rap_experiments::{Settings, EXPERIMENTS};
 
 /// Options accepted by `rap figures`.
 pub const USAGE: &str = "\
-rap figures --which <fig10|fig11|fig12|fig13|ablation|sensitivity|all>
+rap figures --which <fig10|fig11|fig12|fig13|ablation|sensitivity|robustness|drift|complexity|all>
             [--trials N] [--seed N]
 
-Regenerates the requested figure series (tables to stdout, JSON to
-results/<name>.json).";
+Regenerates the requested experiment (tables to stdout, JSON to
+results/<name>.json); `all` runs every one.";
 
 /// Runs the command; returns the rendered tables.
 ///
@@ -23,32 +23,23 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let seed: u64 = args.get_or("seed", "integer", 2015)?;
     let settings = Settings { trials, seed };
 
-    let figures = match which {
-        "fig10" => vec![rap_experiments::fig10(&settings)],
-        "fig11" => vec![rap_experiments::fig11(&settings)],
-        "fig12" => vec![rap_experiments::fig12(&settings)],
-        "fig13" => vec![rap_experiments::fig13(&settings)],
-        "ablation" => vec![rap_experiments::ablation(&settings)],
-        "sensitivity" => vec![rap_experiments::sensitivity(&settings)],
-        "all" => vec![
-            rap_experiments::fig10(&settings),
-            rap_experiments::fig11(&settings),
-            rap_experiments::fig12(&settings),
-            rap_experiments::fig13(&settings),
-            rap_experiments::ablation(&settings),
-            rap_experiments::sensitivity(&settings),
-        ],
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown figure `{other}` (expected fig10..fig13, ablation, sensitivity, or all)"
-            )))
-        }
-    };
+    let runs: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| which == "all" || *name == which)
+        .collect();
+    if runs.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        return Err(CliError::Usage(format!(
+            "unknown figure `{which}` (expected {} or all)",
+            names.join(", ")
+        )));
+    }
 
     let mut out = String::new();
-    for figure in &figures {
+    for (_, run) in runs {
+        let figure = run(&settings);
         out.push_str(&figure.render());
-        match rap_experiments::save_results(figure) {
+        match rap_experiments::save_results(&figure) {
             Ok(path) => out.push_str(&format!("json written to {}\n\n", path.display())),
             Err(e) => out.push_str(&format!("could not write results: {e}\n\n")),
         }
@@ -71,6 +62,11 @@ mod tests {
     #[test]
     fn unknown_figure_is_usage_error() {
         let args = Args::parse(["--which", "fig99"]).unwrap();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+        let Err(CliError::Usage(msg)) = run(&args) else {
+            panic!("fig99 must be a usage error");
+        };
+        for (name, _) in EXPERIMENTS {
+            assert!(msg.contains(name), "{msg}");
+        }
     }
 }

@@ -5,9 +5,9 @@ use crate::CliError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{
-    build_scenario, BuildReport, CompositeGreedy, EngineReport, ExhaustiveOptimal, GreedyCoverage,
-    GreedyWithSwaps, InvertedGainEngine, InvertedIndex, LazyGreedy, MarginalGreedy, MaxCardinality,
-    MaxCustomers, MaxVehicles, Placement, PlacementAlgorithm, PlacementReport, Random, Scenario,
+    build_scenario, BuildReport, CompositeGreedy, ExhaustiveOptimal, GreedyCoverage,
+    GreedyWithSwaps, LazyGreedy, MarginalGreedy, MaxCardinality, MaxCustomers, MaxVehicles,
+    PlacementAlgorithm, PlacementReport, Random,
 };
 use rap_graph::{Distance, NodeId};
 use rap_traffic::FlowSpec;
@@ -17,7 +17,7 @@ use serde::Serialize;
 pub const USAGE: &str = "\
 rap place --graph FILE --flows FILE --shop NODE --k N
           [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
-          [--algorithm alg1|alg2|marginal|lazy|inverted|swaps|maxcard|maxveh|maxcust|random|optimal|all]
+          [--algorithm alg1|alg2|marginal|lazy|swaps|maxcard|maxveh|maxcust|random|optimal|all]
           [--lenient true] [--json true] [--threads N]
 
 --graph  street network in the rap-graph text format (see `rap generate`)
@@ -25,16 +25,14 @@ rap place --graph FILE --flows FILE --shop NODE --k N
 --threads        worker threads for the scenario build on large instances
                  (flow routing and detour-table preprocessing; 0, the
                  default, uses every core, and small instances always
-                 build on one) and for the inverted engine's index build
-                 (0 builds on one; the greedy itself always runs on one
-                 thread). Placements are bit-identical at any value.
+                 build on one); the algorithms run on one thread.
+                 Placements are bit-identical at any value.
 --lenient        quarantine malformed flow rows (with a count in the
                  report) instead of aborting on the first one
 --json           emit one machine-readable JSON report (the scenario
                  build's plan and phase timings, then per algorithm the
-                 placement, objective and inverted-engine work counters)
-                 instead of the text report — the same format family the
-                 `rap stream` events use
+                 placement and objective) instead of the text report —
+                 the same format family the `rap stream` events use
 Prints the chosen placement(s) and quality reports.";
 
 /// Parses the flow summary CSV written by `rap generate` (shared with
@@ -80,25 +78,6 @@ fn parse_flow_row(line: &str, line_no: usize) -> Result<FlowSpec, CliError> {
         .map_err(|e| CliError::Usage(format!("flows file line {line_no}: {e}")))
 }
 
-/// Runs one algorithm. The inverted engine also returns its work counters,
-/// with its index built over `threads` workers (0 = one); placements are
-/// thread-count invariant.
-fn place_with_counters(
-    name: &str,
-    alg: &dyn PlacementAlgorithm,
-    scenario: &Scenario,
-    k: usize,
-    threads: usize,
-    rng: &mut StdRng,
-) -> (Placement, Option<EngineReport>) {
-    if name == "inverted" {
-        let index = InvertedIndex::build_with_threads(scenario, threads.max(1));
-        let (placement, report) = InvertedGainEngine.place_with_index(scenario, &index, k);
-        return (placement, Some(report));
-    }
-    (alg.place(scenario, k, rng), None)
-}
-
 /// One algorithm's entry in the `--json` report.
 #[derive(Debug, Serialize)]
 struct JsonAlgorithm {
@@ -110,8 +89,6 @@ struct JsonAlgorithm {
     raps: Vec<u32>,
     /// Expected customers/day of the placement.
     objective: f64,
-    /// Work counters (the inverted engine only).
-    engine: Option<EngineReport>,
 }
 
 /// The scenario build in the `--json` report: the plan `build_scenario`
@@ -169,7 +146,6 @@ fn algorithm_by_name(name: &str) -> Option<Box<dyn PlacementAlgorithm>> {
         "alg2" => Box::new(CompositeGreedy),
         "marginal" => Box::new(MarginalGreedy),
         "lazy" => Box::new(LazyGreedy),
-        "inverted" => Box::new(InvertedGainEngine),
         "swaps" => Box::new(GreedyWithSwaps),
         "maxcard" => Box::new(MaxCardinality),
         "maxveh" => Box::new(MaxVehicles),
@@ -180,9 +156,8 @@ fn algorithm_by_name(name: &str) -> Option<Box<dyn PlacementAlgorithm>> {
     })
 }
 
-const ALL_ALGORITHMS: [&str; 10] = [
-    "alg1", "alg2", "marginal", "lazy", "inverted", "swaps", "maxcard", "maxveh", "maxcust",
-    "random",
+const ALL_ALGORITHMS: [&str; 9] = [
+    "alg1", "alg2", "marginal", "lazy", "swaps", "maxcard", "maxveh", "maxcust", "random",
 ];
 
 /// Runs the command; returns the human-readable report.
@@ -232,16 +207,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         let alg = algorithm_by_name(name).ok_or_else(|| {
             CliError::Usage(format!("unknown algorithm `{name}` (try --algorithm all)"))
         })?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (placement, engine_report) =
-            place_with_counters(name, alg.as_ref(), &scenario, k, threads, &mut rng);
+        let placement = alg.place(&scenario, k, &mut StdRng::seed_from_u64(seed));
         if json {
             json_algorithms.push(JsonAlgorithm {
                 algorithm: name.to_string(),
                 name: alg.name().to_string(),
                 raps: placement.iter().map(|v| v.raw()).collect(),
                 objective: scenario.evaluate(&placement),
-                engine: engine_report,
             });
             continue;
         }
@@ -330,7 +302,6 @@ mod tests {
             "MaxVehicles",
             "Random",
             "CELF",
-            "inverted delta-propagation greedy",
         ] {
             assert!(report.contains(needle), "missing {needle}: {report}");
         }
@@ -364,10 +335,8 @@ mod tests {
     }
 
     #[test]
-    fn json_report_carries_placement_objective_and_engine_counters() {
-        let dir = crate::TestDir::new(
-            "place_json_report_carries_placement_objective_and_engine_counters",
-        );
+    fn json_rows_carry_placement_and_objective_and_the_greedy_variants_agree() {
+        let dir = crate::TestDir::new("place_json_rows_carry_placement_and_objective");
         let (gp, fp) = fixture(&dir);
         let json_for = |algorithm: &str| {
             let args = Args::parse([
@@ -391,32 +360,44 @@ mod tests {
             v
         };
 
-        // The inverted engine reports its gain-fold and delta-push counters.
-        let v = json_for("inverted");
+        let v = json_for("marginal");
         assert_eq!(v["shop"], 4u64);
         assert_eq!(v["k"], 2u64);
-        let alg = &v["algorithms"][0];
-        assert_eq!(alg["algorithm"], "inverted");
-        assert_eq!(alg["name"], "inverted delta-propagation greedy");
-        assert!(alg["objective"].as_f64().unwrap() > 0.0);
-        let raps: Vec<_> = match &alg["raps"] {
+        let marginal = &v["algorithms"][0];
+        assert_eq!(marginal["algorithm"], "marginal");
+        assert!(marginal["objective"].as_f64().unwrap() > 0.0);
+        let raps: Vec<_> = match &marginal["raps"] {
             serde::Value::Seq(items) => items.clone(),
             other => panic!("raps not an array: {other:?}"),
         };
         assert_eq!(raps.len(), 2);
-        assert!(alg["engine"]["gain_evals"].as_f64().unwrap() > 0.0);
-        assert!(alg["engine"]["delta_pushes"].as_f64().is_some());
 
-        // Every other engine carries no counter object, and the greedy
-        // variants agree with the inverted engine exactly.
-        for name in ["alg2", "marginal", "lazy"] {
-            let other = json_for(name);
-            let row = &other["algorithms"][0];
-            assert_eq!(row["engine"], serde::Value::Null, "{name}");
-            if name != "alg2" {
-                assert_eq!(row["raps"], alg["raps"], "{name}");
-                assert_eq!(row["objective"], alg["objective"], "{name}");
-            }
+        // Every row holds exactly its placement and objective, and the lazy
+        // greedy agrees with the marginal one in RAPs and objective bits.
+        let all = json_for("all");
+        let rows = match &all["algorithms"] {
+            serde::Value::Seq(rows) => rows.clone(),
+            other => panic!("algorithms not an array: {other:?}"),
+        };
+        assert_eq!(rows.len(), ALL_ALGORITHMS.len());
+        for row in &rows {
+            let keys: Vec<&str> = match row {
+                serde::Value::Map(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+                other => panic!("row not an object: {other:?}"),
+            };
+            assert_eq!(keys, ["algorithm", "name", "raps", "objective"], "{row:?}");
+        }
+        for name in ["marginal", "lazy"] {
+            let row = rows
+                .iter()
+                .find(|r| r["algorithm"] == name)
+                .expect("every greedy variant runs under `all`");
+            assert_eq!(row["raps"], marginal["raps"], "{name}");
+            assert_eq!(
+                row["objective"].as_f64().unwrap().to_bits(),
+                marginal["objective"].as_f64().unwrap().to_bits(),
+                "{name}"
+            );
         }
     }
 
@@ -606,12 +587,18 @@ mod tests {
             run(&Args::parse(bad_utility).unwrap()),
             Err(CliError::Usage(_))
         ));
-        let mut bad_alg: Vec<&str> = base.to_vec();
-        bad_alg.extend(["--algorithm", "magic"]);
-        assert!(matches!(
-            run(&Args::parse(bad_alg).unwrap()),
-            Err(CliError::Usage(_))
-        ));
+        // `inverted` names an engine `rap place` no longer runs.
+        for name in ["magic", "inverted"] {
+            let mut bad_alg: Vec<&str> = base.to_vec();
+            bad_alg.extend(["--algorithm", name]);
+            assert!(
+                matches!(
+                    run(&Args::parse(bad_alg).unwrap()),
+                    Err(CliError::Usage(ref m)) if m.contains(&format!("`{name}`"))
+                ),
+                "--algorithm {name}"
+            );
+        }
     }
 
     #[test]

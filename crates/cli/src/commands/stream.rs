@@ -52,12 +52,11 @@ rap stream --k N [--utility threshold|linear|sqrt] [--d FEET] [--seed N]
                    --shop defaults to the first city-center candidate
 --threshold        certified staleness that triggers a repair (default 0.05)
 --check-interval   applied deltas between staleness checks (default 32)
---threads          worker threads for the inverted-index build behind the
-                   initial solve and each escalation (default 4), for the
-                   scenario build (large instances only, as in `rap
-                   place`) and for a resume's snapshot decode (default:
-                   every core); the greedy runs on one thread. Placements
-                   are identical at any value
+--threads          worker threads for the scenario build (large instances
+                   only, as in `rap place`) and for a resume's snapshot
+                   decode; 0, the default, uses every core. Maintenance
+                   runs on one thread. Placements are identical at any
+                   value
 --metrics-interval applied deltas between metrics events (default 1000)
 --strict           stop at the first rejected delta instead of skipping it
 --out              write NDJSON events here instead of to stdout
@@ -404,7 +403,6 @@ fn run_with_stdout<W: Write>(args: &Args, stdout: &mut W) -> Result<String, CliE
                 defaults.staleness_threshold,
             )?,
             check_interval: args.get_or("check-interval", "integer", defaults.check_interval)?,
-            threads: args.get_or("threads", "integer", defaults.threads)?,
             seed,
             ..defaults
         },
@@ -656,6 +654,66 @@ mod tests {
         let report = run_quietly(&Args::parse(argv).unwrap()).unwrap();
         assert!(report.contains("stream done:"), "{report}");
         assert!(report.contains("\"deltas_rejected\": 0"), "{report}");
+    }
+
+    #[test]
+    fn escalating_seattle_stream_is_the_same_at_any_thread_count() {
+        let dir = crate::TestDir::new("stream_escalating_seattle_stream_is_the_same");
+        let gp = dir.path("seattle.txt");
+        let fp = dir.path("seattle.csv");
+        crate::dispatch([
+            "generate",
+            "--city",
+            "seattle",
+            "--journeys",
+            "40",
+            "--out-graph",
+            gp.to_str().unwrap(),
+            "--out-flows",
+            fp.to_str().unwrap(),
+        ])
+        .unwrap();
+        let run_with = |threads: &str| {
+            let out = dir.path(&format!("events_{threads}.ndjson"));
+            let argv = [
+                "--graph",
+                gp.to_str().unwrap(),
+                "--flows",
+                fp.to_str().unwrap(),
+                "--shop",
+                "60",
+                "--k",
+                "5",
+                "--synthetic",
+                "1000",
+                "--seed",
+                "7",
+                "--threads",
+                threads,
+                "--out",
+                out.to_str().unwrap(),
+            ];
+            let report = run(&Args::parse(argv).unwrap()).unwrap();
+            let events: Vec<String> = std::fs::read_to_string(&out)
+                .unwrap()
+                .lines()
+                .map(|l| l.split(",\"latency_us\"").next().unwrap().to_string())
+                .collect();
+            let summary: Vec<String> = report
+                .lines()
+                .filter(|l| !l.contains("\"max_intervention_us\""))
+                .map(str::to_string)
+                .collect();
+            (events, summary)
+        };
+        let one = run_with("1");
+        let resolves = one
+            .1
+            .iter()
+            .find_map(|l| l.trim().strip_prefix("\"resolves\": "))
+            .expect("summary names its resolves");
+        assert_ne!(resolves.trim_end_matches(','), "0", "{:?}", one.1);
+        assert_eq!(run_with("3"), one);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * **Large instances** route with worker threads, goal-directed ALT
 //!   searches over landmark tables ([`rap_graph::landmarks::Landmarks`]),
 //!   and tile-batched processing order ([`rap_graph::tiles::TileGrid`]), and
-//!   fill the detour table over tile-aligned shards.
+//!   fill the detour table over visit-mass-balanced node ranges.
 //!
 //! Every combination produces a **bit-identical** scenario — the
 //! accelerations either reorder independent work or settle fewer nodes on
@@ -60,12 +60,11 @@ pub struct BuildOptions {
     pub threads: Option<usize>,
     /// Acceleration selection.
     pub mode: BuildMode,
-    /// Natural tile cell size in coordinate units, when the graph's
-    /// generator knows it (the metro generator exposes its block pitch as
-    /// `MetroModel::tile_cell`). Cells aligned to the
-    /// generator's layout make node ids tile-clustered, which upgrades the
-    /// detour fill to tile-aligned shards; `None` falls back to
-    /// density-derived cells ([`TileGrid::build`]).
+    /// Tile cell size in coordinate units for the tiles that order routing
+    /// (the metro generator exposes its block pitch as
+    /// `MetroModel::tile_cell`); `None` derives the cell from node density
+    /// ([`TileGrid::build`]). It only sizes those tiles: the scenario is
+    /// the same at any value.
     pub tile_cell: Option<f64>,
 }
 
@@ -194,10 +193,9 @@ fn build_with<S>(
     )?;
     let routing_ms = phase.elapsed().as_secs_f64() * 1e3;
 
-    // Phase 3 — detour table, walking tile-aligned shards when available.
+    // Phase 3 — detour table.
     let phase = Instant::now();
-    let (detours, rows) =
-        DetourTable::build_with_rows(&graph, &flows, &shops, plan.threads, tiles.as_ref())?;
+    let (detours, rows) = DetourTable::build_with_rows(&graph, &flows, &shops, plan.threads)?;
     let detour_ms = phase.elapsed().as_secs_f64() * 1e3;
 
     let tile_count = tiles.as_ref().map_or(0, TileGrid::tile_count);

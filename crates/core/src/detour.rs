@@ -22,7 +22,6 @@
 
 use crate::error::PlacementError;
 use rap_graph::sssp::SsspWorkspace;
-use rap_graph::tiles::TileGrid;
 use rap_graph::{Direction, Distance, NodeId, RoadGraph};
 use rap_traffic::{parallel, FlowId, FlowSet};
 
@@ -98,7 +97,7 @@ impl DetourTable {
         flows: &FlowSet,
         shops: &[NodeId],
     ) -> Result<Self, PlacementError> {
-        Ok(Self::build_with_rows(graph, flows, shops, 1, None)?.0)
+        Ok(Self::build_with_rows(graph, flows, shops, 1)?.0)
     }
 
     /// [`DetourTable::build`], additionally returning the per-shop distance
@@ -109,32 +108,15 @@ impl DetourTable {
     ///
     /// The per-shop runs fan across `threads` scoped workers (one
     /// reusable `SsspWorkspace` each) and the CSR entries fill is sharded
-    /// over visit-mass-balanced node ranges; with `tiles` over tile-clustered
-    /// node ids ([`TileGrid::id_contiguous`]) those ranges align to tile
-    /// boundaries, so each worker walks whole spatial cells. `threads` is
-    /// clamped by the shared thread policy, and the output is bit-identical
-    /// at any `threads` and with or without `tiles`: shards are contiguous
-    /// id ranges merged in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles` was built for a graph with a different node count.
+    /// over visit-mass-balanced node ranges. `threads` is clamped by the
+    /// shared thread policy, and the output is bit-identical at any
+    /// `threads`: shards are contiguous id ranges merged in order.
     pub(crate) fn build_with_rows(
         graph: &RoadGraph,
         flows: &FlowSet,
         shops: &[NodeId],
         threads: usize,
-        tiles: Option<&TileGrid>,
     ) -> Result<(Self, ShopRows), PlacementError> {
-        if let Some(tiles) = tiles {
-            assert_eq!(
-                tiles.node_count(),
-                graph.node_count(),
-                "tile grid built for a {}-node graph used with a {}-node graph",
-                tiles.node_count(),
-                graph.node_count()
-            );
-        }
         if shops.is_empty() {
             return Err(PlacementError::NoShops);
         }
@@ -193,13 +175,9 @@ impl DetourTable {
             vec![fill(0, n)]
         } else {
             // Contiguous node ranges balanced by visit mass, each filled
-            // privately and merged in order. With a tile grid over
-            // tile-clustered ids the ranges additionally align to tile
-            // boundaries, so each worker walks whole spatial cells.
-            let mass = |v: usize| flows.visits_at(NodeId::new(v as u32)).len();
-            let shards = tiles
-                .and_then(|t| t.shard_ranges(workers, mass))
-                .unwrap_or_else(|| parallel::mass_chunks(n, mass, workers));
+            // privately and merged in order.
+            let shards =
+                parallel::mass_chunks(n, |v| flows.visits_at(NodeId::new(v as u32)).len(), workers);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .iter()
@@ -627,7 +605,7 @@ mod tests {
         let seq = DetourTable::build(grid.graph(), &flows, &shops).unwrap();
         for threads in [1, 2, 3, 8] {
             let (par, _) =
-                DetourTable::build_with_rows(grid.graph(), &flows, &shops, threads, None).unwrap();
+                DetourTable::build_with_rows(grid.graph(), &flows, &shops, threads).unwrap();
             assert_eq!(par.entries(), seq.entries(), "threads={threads}");
             for v in 0..seq.node_count() {
                 let node = NodeId::new(v as u32);
@@ -635,54 +613,6 @@ mod tests {
                 assert_eq!(par.shop_distance(node), seq.shop_distance(node));
             }
         }
-    }
-
-    #[test]
-    fn tiled_build_matches_sequential_exactly() {
-        // 6x6 grid: square tiles on a row-major grid are not id-contiguous,
-        // so this also exercises the documented fallback; a single-tile grid
-        // exercises the aligned path.
-        let grid = GridGraph::new(6, 6, Distance::from_feet(10));
-        let g = grid.graph();
-        let flows = FlowSet::route(
-            g,
-            vec![
-                FlowSpec::new(NodeId::new(0), NodeId::new(35), 10.0).unwrap(),
-                FlowSpec::new(NodeId::new(30), NodeId::new(5), 4.0).unwrap(),
-                FlowSpec::new(NodeId::new(14), NodeId::new(21), 2.5).unwrap(),
-            ],
-        )
-        .unwrap();
-        let shops = [NodeId::new(14), NodeId::new(0)];
-        let seq = DetourTable::build(g, &flows, &shops).unwrap();
-        for target in [9, 1_000] {
-            let tiles = rap_graph::tiles::TileGrid::build(g, target);
-            for threads in [1, 2, 4] {
-                let (tiled, _) =
-                    DetourTable::build_with_rows(g, &flows, &shops, threads, Some(&tiles)).unwrap();
-                assert_eq!(
-                    tiled.entries(),
-                    seq.entries(),
-                    "target={target} threads={threads}"
-                );
-                for v in 0..seq.node_count() {
-                    let node = NodeId::new(v as u32);
-                    assert_eq!(tiled.entry_range(node), seq.entry_range(node));
-                    assert_eq!(tiled.shop_distance(node), seq.shop_distance(node));
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "tile grid built for")]
-    fn tiled_build_rejects_mismatched_grid() {
-        let small = GridGraph::new(3, 3, Distance::from_feet(10));
-        let big = GridGraph::new(5, 5, Distance::from_feet(10));
-        let tiles = rap_graph::tiles::TileGrid::build(small.graph(), 4);
-        let flows = FlowSet::route(big.graph(), vec![]).unwrap();
-        let _ =
-            DetourTable::build_with_rows(big.graph(), &flows, &[NodeId::new(0)], 2, Some(&tiles));
     }
 
     #[test]

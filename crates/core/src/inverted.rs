@@ -44,21 +44,30 @@
 //! [`MarginalGreedy`](crate::composite::MarginalGreedy) (and hence to
 //! [`LazyGreedy`](crate::lazy::LazyGreedy)); each round costs
 //! O(candidates + affected entries) instead of O(total entries).
+//!
+//! ## Status
+//!
+//! No production path runs this engine: the stream maintainer, `rap place`
+//! and the ablation run CELF, which is faster on every measured instance
+//! even against a prebuilt index. The module stays while the pipeline
+//! benchmark's traced serve layer still times
+//! [`InvertedIndex::build_with_threads`] and
+//! [`InvertedGainEngine::place_with_index`]; the identity proptests hold it
+//! to `MarginalGreedy` until then.
 
 use crate::algorithms::PlacementAlgorithm;
+use crate::kernel;
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rap_graph::NodeId;
-use rap_traffic::parallel::{effective_threads, mass_chunks};
-use serde::Serialize;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// Work counters of one [`InvertedGainEngine`] solve.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineReport {
     /// Gain folds performed: one per candidate up front, plus one per
     /// stale heap top re-folded (the ablation metric).
@@ -69,9 +78,8 @@ pub struct EngineReport {
 
 /// The flow→candidate inverted CSR with coalesced flow groups.
 ///
-/// Built once per [`Scenario`] (O(total entries)); reusable across any
-/// number of `place` calls and any `k`. The `rap-serve` epoch state builds
-/// one per loaded snapshot, so every `/topk` on that epoch reuses it.
+/// Built once per [`Scenario`] (O(total entries)), on the calling thread;
+/// reusable across any number of `place` calls and any `k`.
 #[derive(Clone, Debug)]
 pub struct InvertedIndex {
     /// The scenario's candidate set, ascending node id (shared, not copied).
@@ -92,11 +100,6 @@ pub struct InvertedIndex {
     fwd_group: Vec<u32>,
     fwd_value: Vec<f64>,
 }
-
-/// Below this many node→entries CSR entries the parallel build's spawn and
-/// merge overhead outweighs the scatter work; small instances take the
-/// sequential path unconditionally.
-const PARALLEL_BUILD_CUTOFF: usize = 32_768;
 
 /// FNV-1a over a signature row's (candidate-index, value-bits) pairs.
 fn hash_row(cs: &[u32], vs: &[f64]) -> u64 {
@@ -163,140 +166,6 @@ where
     (group_of, group_weight, rep_flow)
 }
 
-/// One shard's private CSR from the first pass of [`two_pass_scatter`].
-struct LocalCsr {
-    offsets: Vec<u32>,
-    tags: Vec<u32>,
-    values: Vec<f64>,
-}
-
-/// Two-pass parallel counting sort into a CSR, safe-Rust throughout.
-///
-/// `emit(lo, hi, push)` walks source items `[lo, hi)` and pushes each
-/// `(key, tag, value)` entry in the order it should appear within its key's
-/// row. Pass 1 shards the items by `mass_of` and has every shard build a
-/// complete *local* CSR (histogram, exclusive prefix-sum, scatter — no
-/// shared writes). Pass 2 prefix-sums the per-key totals and merge-copies
-/// the local rows in shard order, parallel over key ranges — each range
-/// owns a contiguous disjoint span of the output, so the split is plain
-/// `split_at_mut`. Because shards are contiguous and ascending, the merged
-/// row order is exactly the order a sequential scatter over all items would
-/// produce — the outputs are bit-identical to the sequential build's.
-fn two_pass_scatter<M, E>(
-    workers: usize,
-    key_count: usize,
-    item_count: usize,
-    mass_of: M,
-    emit: &E,
-) -> (Vec<u32>, Vec<u32>, Vec<f64>)
-where
-    M: Fn(usize) -> usize,
-    E: Fn(usize, usize, &mut dyn FnMut(u32, u32, f64)) + Sync,
-{
-    let shards = mass_chunks(item_count, mass_of, workers);
-    let locals: Vec<LocalCsr> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|&(lo, hi)| {
-                scope.spawn(move || {
-                    let mut counts = vec![0u32; key_count + 1];
-                    emit(lo as usize, hi as usize, &mut |key, _, _| {
-                        counts[key as usize + 1] += 1;
-                    });
-                    for i in 1..counts.len() {
-                        counts[i] += counts[i - 1];
-                    }
-                    let offsets = counts.clone();
-                    let mut cursor = counts;
-                    let total = offsets[key_count] as usize;
-                    let mut tags = vec![0u32; total];
-                    let mut values = vec![0.0f64; total];
-                    emit(lo as usize, hi as usize, &mut |key, tag, v| {
-                        let slot = cursor[key as usize] as usize;
-                        tags[slot] = tag;
-                        values[slot] = v;
-                        cursor[key as usize] += 1;
-                    });
-                    LocalCsr {
-                        offsets,
-                        tags,
-                        values,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scatter worker panicked"))
-            .collect()
-    });
-
-    let mut offsets = vec![0u32; key_count + 1];
-    for l in &locals {
-        for k in 0..key_count {
-            offsets[k + 1] += l.offsets[k + 1] - l.offsets[k];
-        }
-    }
-    for k in 1..=key_count {
-        offsets[k] += offsets[k - 1];
-    }
-    let total = offsets[key_count] as usize;
-
-    let mut tags = vec![0u32; total];
-    let mut values = vec![0.0f64; total];
-    let key_ranges = mass_chunks(
-        key_count,
-        |k| (offsets[k + 1] - offsets[k]) as usize,
-        workers,
-    );
-    std::thread::scope(|scope| {
-        let mut tag_rest: &mut [u32] = &mut tags;
-        let mut val_rest: &mut [f64] = &mut values;
-        for &(lo, hi) in &key_ranges {
-            let span = (offsets[hi as usize] - offsets[lo as usize]) as usize;
-            let (tag_mine, tr) = tag_rest.split_at_mut(span);
-            let (val_mine, vr) = val_rest.split_at_mut(span);
-            tag_rest = tr;
-            val_rest = vr;
-            let locals = &locals;
-            scope.spawn(move || {
-                let mut out = 0usize;
-                for k in lo as usize..hi as usize {
-                    for l in locals {
-                        let r = l.offsets[k] as usize..l.offsets[k + 1] as usize;
-                        let len = r.len();
-                        tag_mine[out..out + len].copy_from_slice(&l.tags[r.clone()]);
-                        val_mine[out..out + len].copy_from_slice(&l.values[r]);
-                        out += len;
-                    }
-                }
-                debug_assert_eq!(out, tag_mine.len());
-            });
-        }
-    });
-    (offsets, tags, values)
-}
-
-/// Bitwise index equality (f64 lanes compared by bits): the contract the
-/// parallel build is tested against — `build_with_threads` at any thread
-/// count must equal the sequential [`InvertedIndex::build`] exactly.
-impl PartialEq for InvertedIndex {
-    fn eq(&self, other: &Self) -> bool {
-        let bits = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        *self.candidates == *other.candidates
-            && self.group_of == other.group_of
-            && self.group_weight == other.group_weight
-            && self.inv_offsets == other.inv_offsets
-            && self.inv_cand == other.inv_cand
-            && bits(&self.inv_value, &other.inv_value)
-            && self.fwd_offsets == other.fwd_offsets
-            && self.fwd_group == other.fwd_group
-            && bits(&self.fwd_value, &other.fwd_value)
-    }
-}
-
 impl InvertedIndex {
     /// Inverts the scenario's node→entries CSR and coalesces flows with
     /// byte-identical (candidate, value-bits) signatures into groups.
@@ -304,37 +173,7 @@ impl InvertedIndex {
     /// Group ids are assigned in first-member flow order, so the index is
     /// fully deterministic (no hash-iteration order leaks out).
     pub fn build(scenario: &Scenario) -> Self {
-        Self::build_with_threads(scenario, 1)
-    }
-
-    /// [`build`](InvertedIndex::build) with the scatter passes parallelized
-    /// over `threads` workers (two-pass counting sort: per-shard histograms,
-    /// exclusive prefix-sum, parallel merge copy). Output is bit-identical
-    /// to the sequential build at every thread count; instances below a
-    /// size cutoff take the sequential path so small builds never regress.
-    pub fn build_with_threads(scenario: &Scenario, threads: usize) -> Self {
         let candidates = scenario.candidates_arc();
-        let total: usize = candidates
-            .iter()
-            .map(|&n| scenario.value_entries_at(n).0.len())
-            .sum();
-        let workers = effective_threads(threads, candidates.len());
-        if workers <= 1 || total < PARALLEL_BUILD_CUTOFF {
-            Self::build_seq(scenario, candidates)
-        } else {
-            Self::build_par(scenario, candidates, workers)
-        }
-    }
-
-    /// Test-only entry point: the parallel counting-sort build regardless of
-    /// the size cutoff, so property tests can exercise it on small random
-    /// instances. Not part of the supported API.
-    #[doc(hidden)]
-    pub fn build_parallel_uncut(scenario: &Scenario, workers: usize) -> Self {
-        Self::build_par(scenario, scenario.candidates_arc(), workers.max(2))
-    }
-
-    fn build_seq(scenario: &Scenario, candidates: Arc<[NodeId]>) -> Self {
         let flow_count = scenario.flows().len();
 
         // Per-flow signature rows as one flat CSR (count, prefix-sum,
@@ -433,135 +272,10 @@ impl InvertedIndex {
         }
     }
 
-    /// The parallel build: both counting-sort scatters (flow-keyed
-    /// signatures, candidate-keyed forward rows) go through
-    /// [`two_pass_scatter`], row hashing and the inverted-CSR copy
-    /// parallelize over mass-balanced ranges, and only the group
-    /// assignment — a hash-map walk in flow order that *defines* the
-    /// deterministic group numbering — stays sequential.
-    fn build_par(scenario: &Scenario, candidates: Arc<[NodeId]>, workers: usize) -> Self {
-        let flow_count = scenario.flows().len();
-        let n = candidates.len();
-
-        let cand_ref = &candidates;
-        let (sig_offsets, sig_cand, sig_value) = two_pass_scatter(
-            workers,
-            flow_count,
-            n,
-            |i| scenario.value_entries_at(candidates[i]).0.len(),
-            &|lo, hi, push| {
-                for ci in lo..hi {
-                    let (flows, values) = scenario.value_entries_at(cand_ref[ci]);
-                    for (&f, &v) in flows.iter().zip(values) {
-                        push(f, ci as u32, v);
-                    }
-                }
-            },
-        );
-        let row = |f: usize| {
-            let range = sig_offsets[f] as usize..sig_offsets[f + 1] as usize;
-            (&sig_cand[range.clone()], &sig_value[range])
-        };
-
-        // Row hashing over mass-balanced flow ranges (disjoint output
-        // sub-slices, so plain split_at_mut).
-        let mut hashes = vec![0u64; flow_count];
-        let flow_ranges = mass_chunks(
-            flow_count,
-            |f| (sig_offsets[f + 1] - sig_offsets[f]) as usize,
-            workers,
-        );
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u64] = &mut hashes;
-            for &(lo, hi) in &flow_ranges {
-                let (mine, tail) = rest.split_at_mut((hi - lo) as usize);
-                rest = tail;
-                let row = &row;
-                scope.spawn(move || {
-                    for (slot, f) in mine.iter_mut().zip(lo as usize..hi as usize) {
-                        let (cs, vs) = row(f);
-                        *slot = hash_row(cs, vs);
-                    }
-                });
-            }
-        });
-
-        let (group_of, group_weight, rep_flow) = assign_groups(&hashes, row);
-
-        // Inverted CSR: offsets by prefix over the representative rows'
-        // lengths, then a parallel copy over mass-balanced group ranges.
-        let groups = group_weight.len();
-        let mut inv_offsets = Vec::with_capacity(groups + 1);
-        inv_offsets.push(0u32);
-        let mut acc = 0u32;
-        for &rep in &rep_flow {
-            acc += sig_offsets[rep as usize + 1] - sig_offsets[rep as usize];
-            inv_offsets.push(acc);
-        }
-        let mut inv_cand = vec![0u32; acc as usize];
-        let mut inv_value = vec![0.0f64; acc as usize];
-        let group_ranges = mass_chunks(
-            groups,
-            |g| (inv_offsets[g + 1] - inv_offsets[g]) as usize,
-            workers,
-        );
-        std::thread::scope(|scope| {
-            let mut cand_rest: &mut [u32] = &mut inv_cand;
-            let mut val_rest: &mut [f64] = &mut inv_value;
-            for &(lo, hi) in &group_ranges {
-                let span = (inv_offsets[hi as usize] - inv_offsets[lo as usize]) as usize;
-                let (cand_mine, cr) = cand_rest.split_at_mut(span);
-                let (val_mine, vr) = val_rest.split_at_mut(span);
-                cand_rest = cr;
-                val_rest = vr;
-                let row = &row;
-                let rep_flow = &rep_flow;
-                scope.spawn(move || {
-                    let mut out = 0usize;
-                    for &rep in &rep_flow[lo as usize..hi as usize] {
-                        let (cs, vs) = row(rep as usize);
-                        cand_mine[out..out + cs.len()].copy_from_slice(cs);
-                        val_mine[out..out + vs.len()].copy_from_slice(vs);
-                        out += cs.len();
-                    }
-                });
-            }
-        });
-
-        // Forward grouped CSR: the same two-pass scatter, keyed by
-        // candidate over the inverted rows.
-        let inv_offsets_ref = &inv_offsets;
-        let inv_cand_ref = &inv_cand;
-        let inv_value_ref = &inv_value;
-        let (fwd_offsets, fwd_group, fwd_value) = two_pass_scatter(
-            workers,
-            n,
-            groups,
-            |g| (inv_offsets[g + 1] - inv_offsets[g]) as usize,
-            &|lo, hi, push| {
-                for g in lo..hi {
-                    let range = inv_offsets_ref[g] as usize..inv_offsets_ref[g + 1] as usize;
-                    for (&c, &v) in inv_cand_ref[range.clone()]
-                        .iter()
-                        .zip(&inv_value_ref[range])
-                    {
-                        push(c, g as u32, v);
-                    }
-                }
-            },
-        );
-
-        InvertedIndex {
-            candidates,
-            group_of,
-            group_weight,
-            inv_offsets,
-            inv_cand,
-            inv_value,
-            fwd_offsets,
-            fwd_group,
-            fwd_value,
-        }
+    /// [`build`](InvertedIndex::build); `threads` is ignored. The index
+    /// always builds on the calling thread.
+    pub fn build_with_threads(scenario: &Scenario, _threads: usize) -> Self {
+        Self::build(scenario)
     }
 
     /// The candidate set the index was built over, ascending node id.
@@ -614,10 +328,7 @@ impl InvertedIndex {
             };
             let (groups, values) = self.fwd_row(ci);
             for (&g, &v) in groups.iter().zip(values) {
-                let slot = &mut group_best[g as usize];
-                if v > *slot {
-                    *slot = v;
-                }
+                kernel::raise(&mut group_best[g as usize], v);
             }
         }
         self.group_of.iter().map(|&g| group_best[g as usize]).sum()
@@ -915,8 +626,10 @@ mod tests {
 
     #[test]
     fn index_reuse_across_budgets_is_consistent() {
+        // `build_with_threads` ignores its thread count: the index is
+        // `build`'s, and it serves every budget.
         let s = small_grid_scenario(UtilityKind::Threshold, Distance::from_feet(250));
-        let index = InvertedIndex::build(&s);
+        let index = InvertedIndex::build_with_threads(&s, 4);
         for k in 0..6 {
             let (p, _) = InvertedGainEngine.place_with_index(&s, &index, k);
             assert_eq!(p, MarginalGreedy.place(&s, k, &mut rng()), "k={k}");
@@ -930,39 +643,6 @@ mod tests {
         assert!(p.len() <= s.candidates().len());
         let p2 = InvertedGainEngine.place(&s, 2, &mut rng());
         assert!((s.evaluate(&p2) - s.evaluate(&p)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn threaded_build_is_bitwise_identical() {
-        // The cutoff normally routes small instances to the sequential
-        // path, so exercise build_par directly to pin the bit-identity of
-        // the two-pass parallel counting sort on real scenarios.
-        for kind in UtilityKind::ALL {
-            for d in [150u64, 300] {
-                let s = small_grid_scenario(kind, Distance::from_feet(d));
-                let seq = InvertedIndex::build(&s);
-                for workers in [2usize, 3, 5] {
-                    let par = InvertedIndex::build_par(&s, s.candidates_arc(), workers);
-                    assert!(par == seq, "kind={kind} d={d} workers={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn build_with_threads_takes_the_cutoff_into_account() {
-        // Small instance: the threaded entry point must fall back to the
-        // sequential path (and still equal it, trivially).
-        let s = small_grid_scenario(UtilityKind::Linear, Distance::from_feet(300));
-        let entries: usize = s
-            .candidates()
-            .iter()
-            .map(|&n| s.value_entries_at(n).0.len())
-            .sum();
-        assert!(entries < super::PARALLEL_BUILD_CUTOFF);
-        let a = InvertedIndex::build(&s);
-        let b = InvertedIndex::build_with_threads(&s, 4);
-        assert!(a == b);
     }
 
     #[test]

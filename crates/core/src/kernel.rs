@@ -117,6 +117,16 @@ pub fn uncovered_sum(flows: &[u32], values: &[f64], covered: &[bool]) -> f64 {
     reduce(acc)
 }
 
+/// Raises a per-flow best value to `v` when `v` is larger: the one update
+/// rule of every best-value fold (`v > best`, so a tie or a NaN keeps the
+/// slot's bits).
+#[inline]
+pub(crate) fn raise(slot: &mut f64, v: f64) {
+    // A select, not a branch: which entry wins is data-dependent and a
+    // branch mispredicts on it.
+    *slot = if v > *slot { v } else { *slot };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@
 //! | [`CompositeGreedy`] | Algorithm 2 | `1 − 1/√e` (any non-increasing utility) |
 //! | [`MarginalGreedy`] | Sec. III-C naive greedy | none (ablation) |
 //! | [`LazyGreedy`] | — (CELF extension) | identical output to `MarginalGreedy`; its loop is the resumable [`CelfRun`] |
-//! | [`InvertedGainEngine`] | — (inverted-index delta propagation) | identical output to `MarginalGreedy` |
+//! | [`InvertedGainEngine`] | — (inverted-index delta propagation; benchmark only, no production path runs it) | identical output to `MarginalGreedy` |
 //! | [`MaxCardinality`], [`MaxVehicles`], [`MaxCustomers`], [`Random`] | Sec. V-B baselines | none |
 //! | [`ExhaustiveOptimal`] | — | exact (small instances) |
 //!

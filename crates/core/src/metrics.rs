@@ -1,5 +1,6 @@
 //! Placement quality metrics beyond the raw objective.
 
+use crate::kernel;
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use rap_graph::Distance;
@@ -41,9 +42,7 @@ impl PlacementReport {
             let (ids, values) = scenario.value_entries_at(rap);
             for ((&f, &v), e) in ids.iter().zip(values).zip(scenario.entries_at(rap)) {
                 let (value, detour) = &mut best[f as usize];
-                if v > *value {
-                    *value = v;
-                }
+                kernel::raise(value, v);
                 *detour = (*detour).min(e.detour);
             }
         }

@@ -328,7 +328,7 @@ impl MutableScenario {
         shops: Vec<NodeId>,
         utility: Arc<dyn UtilityFunction>,
     ) -> Result<Self, PlacementError> {
-        let (table, shop_rows) = DetourTable::build_with_rows(&graph, &flows, &shops, 1, None)?;
+        let (table, shop_rows) = DetourTable::build_with_rows(&graph, &flows, &shops, 1)?;
         Ok(Self::assemble(
             graph, &flows, shops, utility, table, shop_rows,
         ))
@@ -721,16 +721,10 @@ impl MutableScenario {
             }
             let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
             for (e, &value) in self.entries[range.clone()].iter().zip(&self.values[range]) {
-                let slot = &mut best[e.flow.index()];
-                if value > *slot {
-                    *slot = value;
-                }
+                kernel::raise(&mut best[e.flow.index()], value);
             }
             for oe in &self.overlay[v] {
-                let slot = &mut best[oe.flow as usize];
-                if oe.value > *slot {
-                    *slot = oe.value;
-                }
+                kernel::raise(&mut best[oe.flow as usize], oe.value);
             }
         }
         if self.by_stable.is_empty() {

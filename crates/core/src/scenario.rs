@@ -248,10 +248,7 @@ impl Scenario {
     pub fn commit_best_values(&self, best_value: &mut [f64], node: NodeId) {
         let (flows, values) = self.value_entries_at(node);
         for (&f, &v) in flows.iter().zip(values) {
-            let slot = &mut best_value[f as usize];
-            if v > *slot {
-                *slot = v;
-            }
+            kernel::raise(&mut best_value[f as usize], v);
         }
     }
 
@@ -333,10 +330,7 @@ impl Scenario {
             let (flows, values) = self.value_entries_at(rap);
             for (&f, &v) in flows.iter().zip(values) {
                 touched[f as usize / 64] |= 1 << (f % 64);
-                let slot = &mut best[f as usize];
-                // A select, not a branch: which entry wins is data-dependent
-                // and a branch mispredicts on it.
-                *slot = if v > *slot { v } else { *slot };
+                kernel::raise(&mut best[f as usize], v);
             }
         }
         let mut objective = 0.0;

@@ -154,10 +154,7 @@ fn apply_deltas(ms: &mut MutableScenario, ops: &[RawDelta], n: u32) {
 }
 
 /// The greedy identity contract on one scenario: CELF and the inverted
-/// engine reproduce `MarginalGreedy`'s placement and objective bits. The
-/// inverted engine runs against the sequential index build and against the
-/// parallel build at several worker counts (the test hook bypasses the size
-/// cutoff, so small instances still take the parallel path).
+/// engine reproduce `MarginalGreedy`'s placement and objective bits.
 fn assert_greedy_identity(s: &Scenario, k: usize, case: &str) -> Result<(), TestCaseError> {
     let seq = MarginalGreedy.place(s, k, &mut rng());
     let bits = s.evaluate(&seq).to_bits();
@@ -177,24 +174,6 @@ fn assert_greedy_identity(s: &Scenario, k: usize, case: &str) -> Result<(), Test
         case
     );
     prop_assert_eq!(&inv, &seq, "inverted diverged ({})", case);
-    for workers in [2usize, 3, 8] {
-        let index = InvertedIndex::build_parallel_uncut(s, workers);
-        let (inv, _) = InvertedGainEngine.place_with_index(s, &index, k);
-        prop_assert_eq!(
-            s.evaluate(&inv).to_bits(),
-            bits,
-            "inverted objective diverged on a {}-worker index ({})",
-            workers,
-            case
-        );
-        prop_assert_eq!(
-            &inv,
-            &seq,
-            "inverted diverged on a {}-worker index ({})",
-            workers,
-            case
-        );
-    }
     Ok(())
 }
 
@@ -407,9 +386,8 @@ proptest! {
         );
     }
 
-    /// CELF and the inverted engine (over sequential and parallel index
-    /// builds) reproduce the sequential marginal greedy's placement and
-    /// objective bits, for every utility kind.
+    /// CELF and the inverted engine reproduce the sequential marginal
+    /// greedy's placement and objective bits, for every utility kind.
     #[test]
     fn greedy_variants_identical(inst in arb_instance(), k in 0usize..6) {
         for kind in UtilityKind::ALL {
@@ -505,51 +483,6 @@ proptest! {
         apply_deltas(&mut ms, &ops, inst.rows * inst.cols);
         let snap = ms.snapshot();
         assert_greedy_identity(&snap, k, &format!("after deltas, k={k}"))?;
-    }
-
-    /// The parallel counting-sort index build is bitwise identical to the
-    /// sequential `InvertedIndex::build` on random grids — single- and
-    /// multi-shop — at several worker counts (the test hook bypasses the
-    /// size cutoff so small instances still take the parallel path).
-    #[test]
-    fn threaded_index_build_identical(inst in arb_instance(), shop2 in 0u32..36) {
-        for kind in UtilityKind::ALL {
-            let mut inst = inst.clone();
-            inst.utility = kind;
-            let Some(single) = build(&inst) else { return Ok(()) };
-            let n = inst.rows * inst.cols;
-            let multi = Scenario::new(
-                single.graph().clone(),
-                single.flows().clone(),
-                vec![NodeId::new(inst.shop), NodeId::new(shop2 % n)],
-                kind.instantiate(Distance::from_feet(inst.threshold)),
-            )
-            .expect("multi-shop scenario valid");
-            for s in [&single, &multi] {
-                let seq = InvertedIndex::build(s);
-                for workers in [2usize, 3, 8] {
-                    let par = InvertedIndex::build_parallel_uncut(s, workers);
-                    prop_assert!(
-                        par == seq,
-                        "parallel build diverged ({kind}, workers={workers})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The parallel index build also stays bitwise identical on snapshots
-    /// taken after an arbitrary batch of `MutableScenario` flow deltas.
-    #[test]
-    fn threaded_index_build_identical_after_deltas(inst in arb_instance(), ops in arb_deltas()) {
-        let Some(mut ms) = build_mutable(&inst) else { return Ok(()) };
-        apply_deltas(&mut ms, &ops, inst.rows * inst.cols);
-        let snap = ms.snapshot();
-        let seq = InvertedIndex::build(&snap);
-        for workers in [2usize, 5] {
-            let par = InvertedIndex::build_parallel_uncut(&snap, workers);
-            prop_assert!(par == seq, "parallel build diverged after deltas (workers={workers})");
-        }
     }
 
     /// The chunked branchless SoA gain kernel is bitwise identical to its

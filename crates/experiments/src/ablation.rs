@@ -2,9 +2,9 @@
 //!
 //! * **Greedy objective** — Algorithm 2's composite two-candidate objective
 //!   against its parts and relatives: Algorithm 1's uncovered-only objective,
-//!   the naive total-marginal greedy of Section III-C, the CELF-lazy
-//!   variant, and the inverted delta-propagation engine (the latter two
-//!   produce output identical to the marginal greedy, only cheaper).
+//!   the naive total-marginal greedy of Section III-C, and the CELF-lazy
+//!   variant (which produces output identical to the marginal greedy, only
+//!   cheaper).
 //! * **Two-stage structure** — Algorithms 3/4's fixed corner stage against a
 //!   fully adaptive grid greedy under both utilities, quantifying what the
 //!   `1 − 4/k` structural guarantee costs in practice.
@@ -13,9 +13,7 @@ use crate::figures::Settings;
 use crate::general::{run_general, GeneralRun};
 use crate::manhattan_run::{run_manhattan, ManhattanRun};
 use crate::series::Figure;
-use rap_core::{
-    CompositeGreedy, GreedyCoverage, InvertedGainEngine, LazyGreedy, MarginalGreedy, UtilityKind,
-};
+use rap_core::{CompositeGreedy, GreedyCoverage, LazyGreedy, MarginalGreedy, UtilityKind};
 use rap_graph::Distance;
 use rap_manhattan::gen::BoundaryFlowParams;
 use rap_manhattan::{GridGreedy, ModifiedTwoStage, TwoStage};
@@ -39,14 +37,13 @@ pub fn ablation(settings: &Settings) -> Figure {
         &city,
         &cfg,
         "greedy objectives: composite vs uncovered-only vs marginal vs lazy \
-         vs inverted (Dublin, linear, D = 20,000 ft)"
+         (Dublin, linear, D = 20,000 ft)"
             .into(),
         &[
             &CompositeGreedy,
             &GreedyCoverage,
             &MarginalGreedy,
             &LazyGreedy,
-            &InvertedGainEngine,
         ],
     ));
 
@@ -65,7 +62,6 @@ pub fn ablation(settings: &Settings) -> Figure {
             &GreedyCoverage,
             &MarginalGreedy,
             &LazyGreedy,
-            &InvertedGainEngine,
         ],
     ));
 
@@ -113,23 +109,12 @@ mod tests {
         };
         let f = ablation(&settings);
         assert_eq!(f.panels.len(), 4);
-        // CELF and the inverted delta-propagation engine must agree with
-        // the plain marginal greedy on every point.
+        // CELF must agree with the plain marginal greedy on every point.
         for panel in &f.panels[..2] {
             let marginal = panel.series_named("marginal greedy").unwrap();
             let lazy = panel.series_named("lazy greedy (CELF)").unwrap();
-            let inverted = panel
-                .series_named("inverted delta-propagation greedy")
-                .unwrap();
             for (a, b) in marginal.points.iter().zip(lazy.points.iter()) {
                 assert!((a.customers - b.customers).abs() < 1e-9);
-            }
-            for (a, b) in marginal.points.iter().zip(inverted.points.iter()) {
-                assert!(
-                    (a.customers - b.customers).abs() < 1e-9,
-                    "inverted diverged from marginal at k = {}",
-                    a.k
-                );
             }
         }
     }

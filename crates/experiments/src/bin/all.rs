@@ -1,19 +1,11 @@
-//! Regenerates every figure and the ablations in one run.
+//! Runs every experiment in `rap_experiments::EXPERIMENTS`.
 
 fn main() {
     let settings = rap_experiments::Settings::default();
-    let figures = [
-        rap_experiments::fig10(&settings),
-        rap_experiments::fig11(&settings),
-        rap_experiments::fig12(&settings),
-        rap_experiments::fig13(&settings),
-        rap_experiments::ablation(&settings),
-        rap_experiments::robustness(&settings),
-        rap_experiments::drift(&settings),
-    ];
-    for figure in &figures {
+    for (_, run) in rap_experiments::EXPERIMENTS {
+        let figure = run(&settings);
         print!("{figure}");
-        match rap_experiments::save_results(figure) {
+        match rap_experiments::save_results(&figure) {
             Ok(path) => println!("json written to {}", path.display()),
             Err(e) => eprintln!("could not write results: {e}"),
         }

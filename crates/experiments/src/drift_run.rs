@@ -43,7 +43,6 @@ pub fn drift(settings: &crate::figures::Settings) -> Figure {
         MaintainerConfig {
             k: K,
             check_interval: CHECK_INTERVAL,
-            threads: 4,
             seed: settings.seed,
             ..MaintainerConfig::default()
         },

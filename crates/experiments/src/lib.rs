@@ -14,7 +14,11 @@
 //! | `sensitivity` | robustness sweeps: alpha, demand, gps noise, flexibility |
 //! | `robustness` | failure-model validation and correlated outages |
 //! | `drift` | online maintenance vs oracle re-greedy under streamed traffic drift |
+//! | `complexity` | empirical running times against the paper's complexity terms |
 //! | `all` | everything above, writing JSON into `results/` |
+//!
+//! [`EXPERIMENTS`] is that table in code: the `all` binary and `rap figures
+//! --which NAME|all` both run from it.
 //!
 //! Trials default to 200 per data point (the paper uses 1,000); set
 //! `RAP_TRIALS` to change, e.g. `RAP_TRIALS=1000 cargo run --release -p
@@ -39,3 +43,20 @@ pub use manhattan_run::{run_manhattan, ManhattanRun};
 pub use robustness_run::robustness;
 pub use sensitivity::sensitivity;
 pub use series::{Figure, Panel, Series, SeriesPoint};
+
+/// Runs one experiment.
+pub type Experiment = fn(&Settings) -> Figure;
+
+/// Every experiment, in run order, by the name of its binary and of the
+/// `results/<name>.json` it writes.
+pub const EXPERIMENTS: [(&str, Experiment); 9] = [
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("ablation", ablation),
+    ("sensitivity", sensitivity),
+    ("robustness", robustness),
+    ("drift", drift),
+    ("complexity", complexity),
+];

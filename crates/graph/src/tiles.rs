@@ -8,20 +8,11 @@
 //! from opposite ends of the city share nothing.
 //!
 //! [`TileGrid`] partitions the bounding box into square cells sized for a
-//! target node count and assigns every intersection to its cell. Consumers
-//! use it two ways:
-//!
-//! * **Tile-batched routing** — flow origin groups are processed in tile
-//!   order, so consecutive shortest-path trees start in the same shard and
-//!   reuse warm adjacency. Processing order does not affect results (each
-//!   origin's tree is independent), so tiled routing stays bit-identical.
-//! * **Tile-walking table builds** — when node ids are *tile-clustered*
-//!   (each tile's nodes form one contiguous id range, as the metro
-//!   generator emits), [`TileGrid::shard_ranges`] cuts the id space into
-//!   tile-aligned contiguous ranges balanced by a caller-supplied mass.
-//!   Range-sharded fills then run shard-parallel with bounded resident
-//!   memory per worker and concatenate back in id order — bit-identical to
-//!   the sequential single pass.
+//! target node count and assigns every intersection to its cell. Routing
+//! uses it to order its work: flow origin groups are processed in tile
+//! order, so consecutive shortest-path trees start in the same cell and
+//! reuse warm adjacency. Processing order does not affect results (each
+//! origin's tree is independent), so tiled routing stays bit-identical.
 //!
 //! The partition is geometric only; it never changes edge weights or ids,
 //! so every invariant of the shortest-path engine is untouched.
@@ -42,9 +33,6 @@ pub struct TileGrid {
     /// `nodes[offsets[t] as usize .. offsets[t + 1] as usize]`, ascending.
     offsets: Vec<u32>,
     nodes: Vec<NodeId>,
-    /// True when every tile's members form one contiguous ascending id
-    /// range (tiles may then be walked as id ranges).
-    contiguous: bool,
 }
 
 impl TileGrid {
@@ -92,11 +80,9 @@ impl TileGrid {
     ///
     /// Generators that lay out their graph on a known pitch (the metro
     /// generator numbers nodes block-major over `block × block` node
-    /// super-blocks) use this to get tiles that coincide with their blocks —
-    /// which makes node ids tile-clustered ([`TileGrid::id_contiguous`]) and
-    /// unlocks tile-aligned range sharding. [`TileGrid::build`]'s
-    /// density-derived cell would land *near* the natural pitch but not on
-    /// it, splitting blocks across tiles.
+    /// super-blocks) use this to get tiles that coincide with their blocks.
+    /// [`TileGrid::build`]'s density-derived cell would land *near* the
+    /// natural pitch but not on it, splitting blocks across tiles.
     ///
     /// Unlike [`TileGrid::build`] there is no tile-count clamp: the caller
     /// vouches that `cell` is sane for the geometry.
@@ -129,7 +115,6 @@ impl TileGrid {
             tile_of: Vec::new(),
             offsets: vec![0],
             nodes: Vec::new(),
-            contiguous: true,
         }
     }
 
@@ -166,20 +151,6 @@ impl TileGrid {
             nodes[cursor[t as usize] as usize] = NodeId::new(v as u32);
             cursor[t as usize] += 1;
         }
-        // Contiguity: walking ids, a tile may only ever be entered once.
-        let mut seen = vec![false; tiles];
-        let mut contiguous = true;
-        let mut prev = u32::MAX;
-        for &t in &tile_of {
-            if t != prev {
-                if seen[t as usize] {
-                    contiguous = false;
-                    break;
-                }
-                seen[t as usize] = true;
-                prev = t;
-            }
-        }
         TileGrid {
             tile_cols,
             tile_rows,
@@ -187,7 +158,6 @@ impl TileGrid {
             tile_of,
             offsets,
             nodes,
-            contiguous,
         }
     }
 
@@ -229,79 +199,6 @@ impl TileGrid {
         }
         &self.nodes[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
-
-    /// True when every tile's members form one contiguous ascending node-id
-    /// range — the layout the metro generator emits, and the precondition
-    /// for walking tiles as id ranges ([`TileGrid::shard_ranges`]).
-    pub fn id_contiguous(&self) -> bool {
-        self.contiguous
-    }
-
-    /// Fraction of directed edges whose endpoints share a tile — a locality
-    /// score for tests and benchmark reports (1.0 when every street stays
-    /// inside its cell; 0.0 for an edgeless graph).
-    pub fn locality(&self, graph: &RoadGraph) -> f64 {
-        let mut local = 0usize;
-        let mut total = 0usize;
-        for e in graph.edges() {
-            total += 1;
-            if self.tile_of[e.src.index()] == self.tile_of[e.dst.index()] {
-                local += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            local as f64 / total as f64
-        }
-    }
-
-    /// Cuts the node-id space `0..n` into at most `shards` contiguous,
-    /// **tile-aligned** ranges balanced by `mass_of` (per-node work, e.g.
-    /// flow visits). Returns `None` unless ids are tile-clustered
-    /// ([`TileGrid::id_contiguous`]); ranges are returned in id order,
-    /// cover the space exactly, and never split a tile, so a range-sharded
-    /// fill walks whole tiles with bounded resident memory.
-    pub fn shard_ranges(
-        &self,
-        shards: usize,
-        mass_of: impl Fn(usize) -> usize,
-    ) -> Option<Vec<(u32, u32)>> {
-        if !self.contiguous {
-            return None;
-        }
-        let n = self.tile_of.len() as u32;
-        if n == 0 {
-            return Some(Vec::new());
-        }
-        // Tile boundaries in id order: a new tile starts wherever tile_of
-        // changes (contiguity makes each tile one run).
-        let mut bounds: Vec<u32> = vec![0];
-        for v in 1..n {
-            if self.tile_of[v as usize] != self.tile_of[(v - 1) as usize] {
-                bounds.push(v);
-            }
-        }
-        bounds.push(n);
-        let total: usize = (0..n as usize).map(&mass_of).sum();
-        let quota = total.div_ceil(shards.max(1)).max(1);
-        let mut ranges = Vec::new();
-        let mut start = bounds[0];
-        let mut acc = 0usize;
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            acc += (lo..hi).map(|v| mass_of(v as usize)).sum::<usize>();
-            if acc >= quota {
-                ranges.push((start, hi));
-                start = hi;
-                acc = 0;
-            }
-        }
-        if start < n {
-            ranges.push((start, n));
-        }
-        Some(ranges)
-    }
 }
 
 #[cfg(test)]
@@ -330,67 +227,18 @@ mod tests {
     }
 
     #[test]
-    fn row_major_grid_is_not_id_contiguous_but_bands_are() {
-        // A row-major grid crosses tile columns within each node row, so
-        // square cells cannot be id-contiguous…
-        let grid = GridGraph::new(12, 12, Distance::from_feet(100));
-        let tiles = TileGrid::build(grid.graph(), 16);
-        let (cols, _) = tiles.dims();
-        if cols > 1 {
-            assert!(!tiles.id_contiguous());
-            assert!(tiles.shard_ranges(4, |_| 1).is_none());
-        }
-    }
-
-    #[test]
-    fn single_tile_grid_is_contiguous() {
+    fn a_target_above_the_node_count_gives_one_tile() {
         let grid = GridGraph::new(4, 4, Distance::from_feet(50));
         let tiles = TileGrid::build(grid.graph(), 1_000);
         assert_eq!(tiles.tile_count(), 1);
-        assert!(tiles.id_contiguous());
-        let ranges = tiles.shard_ranges(3, |_| 1).unwrap();
-        assert_eq!(ranges, vec![(0, 16)]);
-    }
-
-    #[test]
-    fn shard_ranges_cover_ids_exactly_and_respect_tiles() {
-        // Block-major ids: nodes laid out one 2x2 block of columns at a
-        // time, so tiles of that width are id-contiguous.
-        let mut b = GraphBuilder::new();
-        for block in 0..6 {
-            for c in 0..2 {
-                for r in 0..4 {
-                    // Flat strip: x is nondecreasing in id order, so tile
-                    // columns never revisit and the layout is id-contiguous.
-                    b.add_node(Point::new((block * 2 + c) as f64 * 100.0, r as f64 * 10.0));
-                }
-            }
-        }
-        let g = b.build();
-        let tiles = TileGrid::build(&g, 8);
-        assert!(tiles.id_contiguous());
-        let ranges = tiles.shard_ranges(4, |_| 1).unwrap();
-        let mut cursor = 0u32;
-        for &(lo, hi) in &ranges {
-            assert_eq!(lo, cursor);
-            assert!(hi > lo);
-            cursor = hi;
-            // No tile straddles a range boundary.
-            if hi < g.node_count() as u32 {
-                assert_ne!(
-                    tiles.tile_of(NodeId::new(hi - 1)),
-                    tiles.tile_of(NodeId::new(hi))
-                );
-            }
-        }
-        assert_eq!(cursor, g.node_count() as u32);
-        assert!(ranges.len() <= 4 + tiles.tile_count());
+        let all: Vec<NodeId> = (0..16).map(NodeId::new).collect();
+        assert_eq!(tiles.nodes_in_tile(0), &all[..]);
     }
 
     #[test]
     fn with_cell_coincides_with_generator_blocks() {
-        // Same block-major strip as above; an exact 200 ft cell puts each
-        // 2-column block in its own tile, so ids stay tile-clustered.
+        // Block-major ids: nodes laid out one block of two columns at a
+        // time. An exact 200 ft cell puts each block in its own tile.
         let mut b = GraphBuilder::new();
         for block in 0..6 {
             for c in 0..2 {
@@ -401,7 +249,6 @@ mod tests {
         }
         let g = b.build();
         let tiles = TileGrid::with_cell(&g, 200.0);
-        assert!(tiles.id_contiguous());
         assert_eq!(tiles.dims().1, 1);
         for block in 0..6u32 {
             for i in 0..8 {
@@ -424,12 +271,8 @@ mod tests {
         let g = GraphBuilder::new().build();
         let tiles = TileGrid::build(&g, 10);
         assert_eq!(tiles.tile_count(), 0);
-        assert!(tiles.id_contiguous());
-        assert_eq!(
-            tiles.shard_ranges(2, |_| 1).unwrap(),
-            Vec::<(u32, u32)>::new()
-        );
-        assert_eq!(tiles.locality(&g), 0.0);
+        assert_eq!(tiles.node_count(), 0);
+        assert!(tiles.nodes_in_tile(0).is_empty());
     }
 
     #[test]
@@ -442,16 +285,5 @@ mod tests {
         let tiles = TileGrid::build(&g, 2);
         assert_eq!(tiles.tile_count(), 1);
         assert_eq!(tiles.nodes_in_tile(0).len(), 5);
-    }
-
-    #[test]
-    fn locality_counts_intra_tile_edges() {
-        let grid = GridGraph::new(8, 8, Distance::from_feet(100));
-        let g = grid.graph();
-        let coarse = TileGrid::build(g, 64);
-        let fine = TileGrid::build(g, 4);
-        assert_eq!(coarse.locality(g), 1.0); // one tile holds everything
-        assert!(fine.locality(g) < 1.0);
-        assert!(fine.locality(g) > 0.0);
     }
 }

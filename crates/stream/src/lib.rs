@@ -19,8 +19,8 @@
 //!    — applies deltas to a [`rap_core::MutableScenario`], watches a
 //!    staleness metric (certified fraction of the cheap singleton upper
 //!    bound from `rap_core::bounds`), repairs the placement with swap local
-//!    search when it drifts past a threshold, and escalates to a full
-//!    inverted-index re-greedy when swaps stall. Events out
+//!    search when it drifts past a threshold, and escalates to a full CELF
+//!    re-greedy when swaps stall. Events out
 //!    ([`events`]) are NDJSON too, so the daemon's output is scriptable.
 //! 4. **Durability** ([`persist`]) — a write-ahead log for every source
 //!    item plus periodic checksummed snapshots (`rap_core::snapshot`),

@@ -22,12 +22,9 @@
 //! 1. **Repair** — swap local search (`rap_core::SwapSearch`) from the
 //!    current placement: cheap, usually recovers a few drifted RAPs.
 //! 2. **Resolve** — if the repaired placement is *still* stale, escalate to
-//!    a full re-greedy on the inverted-index delta-propagation engine
-//!    (`rap_core::InvertedGainEngine`), run on the caller's thread, and
-//!    adopt its placement when it is at least as good as the repair. The
-//!    flow→candidate index is built for that escalation's snapshot with
-//!    [`MaintainerConfig::threads`] workers; every applied delta moves the
-//!    snapshot on, so there is no index worth keeping between escalations.
+//!    a full re-greedy, a fresh CELF run (`rap_core::LazyGreedy`) on the
+//!    escalation's snapshot and the caller's thread, and adopt its
+//!    placement when it is at least as good as the repair.
 //!
 //! Initial solves and escalations reset the baseline to the fraction the
 //! greedy actually achieved (the attainable level); clean checks and repairs
@@ -43,8 +40,7 @@
 
 use crate::delta::StreamError;
 use rap_core::{
-    singleton_upper_bound, InvertedGainEngine, InvertedIndex, MutableScenario, Placement, Scenario,
-    SwapSearch,
+    singleton_upper_bound, LazyGreedy, MutableScenario, Placement, Scenario, SwapSearch,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -60,9 +56,8 @@ pub struct MaintainerConfig {
     pub staleness_threshold: f64,
     /// Applied deltas between staleness checks.
     pub check_interval: u64,
-    /// Worker threads for the inverted-index build behind the initial solve
-    /// and each escalation; the greedy itself runs on the caller's thread.
-    /// Placements are identical at every value.
+    /// Not read: the initial solve and every escalation run on the caller's
+    /// thread, so the maintenance trajectory is the same at every value.
     pub threads: usize,
     /// Swap-repair parameters.
     pub swap: SwapSearch,
@@ -171,7 +166,7 @@ impl Maintainer {
     /// leaves room for fallible solves).
     pub fn new(cfg: MaintainerConfig, scenario: &mut MutableScenario) -> Result<Self, StreamError> {
         let snap = scenario.snapshot();
-        let placement = solve(&snap, cfg.k, cfg.threads);
+        let placement = solve(&snap, cfg.k);
         let objective = snap.evaluate(&placement);
         let baseline_certified = certified(objective, singleton_upper_bound(&snap, cfg.k));
         Ok(Maintainer {
@@ -256,8 +251,8 @@ impl Maintainer {
             };
         }
 
-        // Resolve: swaps stalled — full re-greedy on the inverted engine.
-        let resolved = solve(&snap, self.cfg.k, self.cfg.threads);
+        // Resolve: swaps stalled — full re-greedy.
+        let resolved = solve(&snap, self.cfg.k);
         let resolved_value = snap.evaluate(&resolved);
         let latency_us = start.elapsed().as_micros() as u64;
         // Keep whichever is better; re-greedy can only tie-or-beat swaps in
@@ -324,12 +319,10 @@ impl Maintainer {
     }
 }
 
-/// The greedy behind the initial solve and every escalation: the inverted
-/// engine over an index built for `snap` with `threads` workers. Its
-/// placement is `MarginalGreedy`'s, bit for bit.
-fn solve(snap: &Scenario, k: usize, threads: usize) -> Placement {
-    let index = InvertedIndex::build_with_threads(snap, threads.max(1));
-    InvertedGainEngine.place_with_index(snap, &index, k).0
+/// The greedy behind the initial solve and every escalation: a fresh CELF
+/// run on `snap`. Its placement is `MarginalGreedy`'s, bit for bit.
+fn solve(snap: &Scenario, k: usize) -> Placement {
+    LazyGreedy.place_with_stats(snap, k).0
 }
 
 fn certified(value: f64, upper_bound: f64) -> f64 {
@@ -372,7 +365,6 @@ mod tests {
         MaintainerConfig {
             k: 2,
             check_interval: interval,
-            threads: 2,
             ..MaintainerConfig::default()
         }
     }

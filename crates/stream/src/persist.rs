@@ -526,7 +526,6 @@ mod tests {
             maintainer: MaintainerConfig {
                 k: 2,
                 check_interval: 8,
-                threads: 2,
                 ..MaintainerConfig::default()
             },
             metrics_interval: 50,

@@ -12,12 +12,11 @@
 //! Two properties are deliberate:
 //!
 //! * **Block-major node numbering.** Nodes are emitted one `block × block`
-//!   super-block at a time, so node ids are contiguous per block. A
+//!   super-block at a time, so node ids are contiguous per block, and a
 //!   [`TileGrid`](rap_graph::tiles::TileGrid) built with the matching cell
-//!   ([`MetroModel::tile_cell`]) is then id-contiguous, which unlocks
-//!   tile-aligned detour-table sharding. Plain row-major numbering (what
-//!   [`rap_graph::grid::GridGraph`] emits) crosses every tile column once
-//!   per node row and can never be tile-clustered.
+//!   ([`MetroModel::tile_cell`]) holds each block in one tile. Plain
+//!   row-major numbering (what [`rap_graph::grid::GridGraph`] emits) crosses
+//!   every tile column once per node row.
 //! * **Distance-banded demand.** Real urban trips are overwhelmingly local:
 //!   each flow picks a trip class — local / district / cross-town, with
 //!   class shares and Chebyshev radii from [`MetroParams`] — and a
@@ -135,8 +134,7 @@ impl MetroModel {
 
     /// The natural tile cell size in feet: `block × spacing`. A
     /// [`TileGrid::with_cell`](rap_graph::tiles::TileGrid::with_cell) built
-    /// with this cell coincides with the numbering super-blocks, making node
-    /// ids tile-clustered.
+    /// with this cell coincides with the numbering super-blocks.
     pub fn tile_cell(&self) -> f64 {
         self.tile_cell
     }
@@ -330,11 +328,16 @@ mod tests {
     fn block_major_ids_are_tile_clustered() {
         let m = metro(tiny(), 1);
         let tiles = TileGrid::with_cell(m.graph(), m.tile_cell());
-        assert!(tiles.id_contiguous(), "block-major numbering must tile");
         assert!(tiles.tile_count() > 1);
-        // Every street stays within a block or crosses to an adjacent tile;
-        // most are intra-tile.
-        assert!(tiles.locality(m.graph()) > 0.7);
+        // Each tile holds one block: one run of consecutive node ids.
+        for t in 0..tiles.tile_count() as u32 {
+            let members = tiles.nodes_in_tile(t);
+            assert!(!members.is_empty(), "tile {t} is empty");
+            assert!(
+                members.windows(2).all(|w| w[1].raw() == w[0].raw() + 1),
+                "tile {t} is not one id range"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Thread-count policy for every parallel stage in the workspace.
 //!
-//! Flow routing, the detour-table fill and the parallel inverted-index
-//! build all size and split their work here, so worker counts are clamped
+//! Flow routing, the per-shop searches and the detour-table fill all size
+//! and split their work here, so worker counts are clamped
 //! identically everywhere: requests are clamped to the number of
 //! independent work units (extra workers would idle), never below one, and
 //! the "use all cores" default comes from `available_parallelism()`, with a

@@ -67,8 +67,8 @@ pub struct RoutePlan {
     pub threads: usize,
     /// Build landmark tables and route with goal-directed (ALT) searches.
     pub use_alt: bool,
-    /// Build a [`TileGrid`](rap_graph::tiles::TileGrid) and batch flows /
-    /// shard table fills by tile.
+    /// Build a [`TileGrid`](rap_graph::tiles::TileGrid) and route flow
+    /// origin groups in tile order.
     pub use_tiles: bool,
     /// Landmark count when `use_alt` ([`LANDMARK_COUNT`] under auto).
     pub landmark_count: usize,
