@@ -66,62 +66,85 @@ pub fn run_general(
     );
     let k_max = *cfg.ks.iter().max().expect("ks non-empty");
 
-    // sums[alg][k_idx] accumulated across trials.
+    let labels: Vec<&str> = algorithms.iter().map(|alg| alg.name()).collect();
+    average_trials(title, &labels, &cfg.ks, cfg.trials, |trial| {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(trial as u64));
+        let shop = shops[rng.random_range(0..shops.len())];
+        let scenario = build_scenario(city, cfg, shop);
+        algorithms
+            .iter()
+            .map(|alg| {
+                let placement = alg.place(&scenario, k_max, &mut rng);
+                cfg.ks
+                    .iter()
+                    .map(|&k| {
+                        let take = k.min(placement.len());
+                        scenario.evaluate(&Placement::new(placement.raps()[..take].to_vec()))
+                    })
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// Runs `trial` for every trial index and averages the `[algorithm][k]`
+/// values it returns into a panel with one series per label.
+///
+/// Trials run on up to `available_parallelism()` threads in contiguous
+/// chunks, but their values are added in trial order, from `0.0`, so the
+/// panel has the same bits at every core count.
+pub(crate) fn average_trials<F>(
+    title: String,
+    labels: &[&str],
+    ks: &[usize],
+    trials: usize,
+    trial: F,
+) -> Panel
+where
+    F: Fn(usize) -> Vec<Vec<f64>> + Sync,
+{
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .min(cfg.trials);
-    let chunk = cfg.trials.div_ceil(threads);
-    let partials: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in 0..threads {
-            let shops = &shops;
-            let ks = &cfg.ks;
-            let lo = worker * chunk;
-            let hi = ((worker + 1) * chunk).min(cfg.trials);
-            handles.push(scope.spawn(move || {
-                let mut sums = vec![vec![0.0f64; ks.len()]; algorithms.len()];
-                for trial in lo..hi {
-                    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(trial as u64));
-                    let shop = shops[rng.random_range(0..shops.len())];
-                    let scenario = build_scenario(city, cfg, shop);
-                    for (a, alg) in algorithms.iter().enumerate() {
-                        let placement = alg.place(&scenario, k_max, &mut rng);
-                        for (i, &k) in ks.iter().enumerate() {
-                            let take = k.min(placement.len());
-                            let prefix = Placement::new(placement.raps()[..take].to_vec());
-                            sums[a][i] += scenario.evaluate(&prefix);
-                        }
-                    }
-                }
-                sums
-            }));
-        }
+        .min(trials);
+    let chunk = trials.div_ceil(threads);
+    let per_trial: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
+        let trial = &trial;
+        let handles: Vec<_> = (0..threads)
+            .map(|worker| {
+                let range = worker * chunk..((worker + 1) * chunk).min(trials);
+                scope.spawn(move || range.map(trial).collect::<Vec<_>>())
+            })
+            .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("trial worker panicked"))
+            .flat_map(|h| h.join().expect("trial worker panicked"))
             .collect()
     });
 
-    let mut series = Vec::with_capacity(algorithms.len());
-    for (a, alg) in algorithms.iter().enumerate() {
-        let points = cfg
-            .ks
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let total: f64 = partials.iter().map(|p| p[a][i]).sum();
-                SeriesPoint {
-                    k,
-                    customers: total / cfg.trials as f64,
-                }
-            })
-            .collect();
-        series.push(Series {
-            label: alg.name().to_string(),
-            points,
-        });
+    let mut sums = vec![vec![0.0f64; ks.len()]; labels.len()];
+    for values in &per_trial {
+        for (sum, row) in sums.iter_mut().zip(values) {
+            for (s, v) in sum.iter_mut().zip(row) {
+                *s += v;
+            }
+        }
     }
+    let series = labels
+        .iter()
+        .zip(sums)
+        .map(|(label, sum)| Series {
+            label: label.to_string(),
+            points: ks
+                .iter()
+                .zip(sum)
+                .map(|(&k, total)| SeriesPoint {
+                    k,
+                    customers: total / trials as f64,
+                })
+                .collect(),
+        })
+        .collect();
     Panel { title, series }
 }
 

@@ -5,7 +5,8 @@
 //! seed, then runs every algorithm and evaluates placement prefixes, exactly
 //! like the general runner.
 
-use crate::series::{Panel, Series, SeriesPoint};
+use crate::general::average_trials;
+use crate::series::Panel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rap_core::{Placement, UtilityKind};
@@ -90,71 +91,34 @@ pub fn run_manhattan(
     assert!(!cfg.ks.is_empty(), "at least one k required");
     let k_max = *cfg.ks.iter().max().expect("ks non-empty");
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cfg.trials);
-    let chunk = cfg.trials.div_ceil(threads);
-    let partials: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in 0..threads {
-            let ks = &cfg.ks;
-            let lo = worker * chunk;
-            let hi = ((worker + 1) * chunk).min(cfg.trials);
-            handles.push(scope.spawn(move || {
-                let mut sums = vec![vec![0.0f64; ks.len()]; algorithms.len()];
-                for trial in lo..hi {
-                    let scenario = cfg.scenario(trial);
-                    let mut rng =
-                        StdRng::seed_from_u64(cfg.seed.wrapping_add(1_000_003 * trial as u64));
-                    for (a, alg) in algorithms.iter().enumerate() {
-                        if alg.incremental() {
-                            // One k_max run; prefixes are the smaller-k runs.
-                            let placement = alg.place(&scenario, k_max, &mut rng);
-                            for (i, &k) in ks.iter().enumerate() {
-                                let take = k.min(placement.len());
-                                let prefix = Placement::new(placement.raps()[..take].to_vec());
-                                sums[a][i] += scenario.evaluate(&prefix);
-                            }
-                        } else {
-                            // Two-stage algorithms change strategy with k:
-                            // run each budget separately.
-                            for (i, &k) in ks.iter().enumerate() {
-                                let placement = alg.place(&scenario, k, &mut rng);
-                                sums[a][i] += scenario.evaluate(&placement);
-                            }
-                        }
-                    }
-                }
-                sums
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("trial worker panicked"))
-            .collect()
-    });
-
-    let mut series = Vec::with_capacity(algorithms.len());
-    for (a, alg) in algorithms.iter().enumerate() {
-        let points = cfg
-            .ks
+    let labels: Vec<&str> = algorithms.iter().map(|alg| alg.name()).collect();
+    average_trials(title, &labels, &cfg.ks, cfg.trials, |trial| {
+        let scenario = cfg.scenario(trial);
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1_000_003 * trial as u64));
+        algorithms
             .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let total: f64 = partials.iter().map(|p| p[a][i]).sum();
-                SeriesPoint {
-                    k,
-                    customers: total / cfg.trials as f64,
+            .map(|alg| {
+                if alg.incremental() {
+                    // One k_max run; prefixes are the smaller-k runs.
+                    let placement = alg.place(&scenario, k_max, &mut rng);
+                    cfg.ks
+                        .iter()
+                        .map(|&k| {
+                            let take = k.min(placement.len());
+                            scenario.evaluate(&Placement::new(placement.raps()[..take].to_vec()))
+                        })
+                        .collect()
+                } else {
+                    // Two-stage algorithms change strategy with k: run each
+                    // budget separately.
+                    cfg.ks
+                        .iter()
+                        .map(|&k| scenario.evaluate(&alg.place(&scenario, k, &mut rng)))
+                        .collect()
                 }
             })
-            .collect();
-        series.push(Series {
-            label: alg.name().to_string(),
-            points,
-        });
-    }
-    Panel { title, series }
+            .collect()
+    })
 }
 
 #[cfg(test)]

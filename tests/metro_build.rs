@@ -12,7 +12,8 @@ use rap_vcps::graph::sssp::SsspWorkspace;
 use rap_vcps::graph::tiles::TileGrid;
 use rap_vcps::graph::{Direction, Distance, NodeId};
 use rap_vcps::placement::{
-    build_scenario, BuildMode, BuildOptions, MarginalGreedy, PlacementAlgorithm, UtilityKind,
+    build_scenario, BuildMode, BuildOptions, CompositeGreedy, GreedyCoverage, MarginalGreedy,
+    PlacementAlgorithm, UtilityKind,
 };
 use rap_vcps::trace::{metro, MetroParams};
 use rap_vcps::traffic::plan::LANDMARK_COUNT;
@@ -127,4 +128,50 @@ fn metro_landmark_picks_are_pinned() {
         .map(|v| v.raw())
         .collect();
     assert_eq!(picks, [0, 14399, 3279, 11160, 7179, 12779, 1621, 8839]);
+}
+
+/// Algorithms 1 and 2 at plan-cold's budget on the plain build, pinned to
+/// the RAPs and objective bits of the eager scan over every candidate: the
+/// lazy queues must reproduce that scan exactly, and no identity check
+/// between two builds of the same code can see a divergence from it.
+#[test]
+fn metro_greedy_placements_are_pinned() {
+    let (graph, specs, shops) = metro(MetroParams::smoke(), 2015).into_parts();
+    let utility = UtilityKind::Linear.instantiate(Distance::from_feet(2_500));
+    let options = BuildOptions {
+        threads: None,
+        mode: BuildMode::Plain,
+        tile_cell: None,
+    };
+    let (plain, _) = build_scenario(graph, specs, shops, utility, &options).unwrap();
+    let pins: [(&dyn PlacementAlgorithm, [u32; 20], u64); 2] = [
+        (
+            &CompositeGreedy,
+            [
+                1230, 2861, 5589, 5670, 2779, 1310, 5677, 2824, 790, 1236, 5432, 3059, 1191, 1109,
+                2740, 5635, 2767, 1170, 5550, 5629,
+            ],
+            0x401c_2d6b_d319_b2b8,
+        ),
+        (
+            &GreedyCoverage,
+            [
+                1230, 2861, 5589, 5670, 2779, 1310, 5677, 2824, 790, 1236, 5432, 3059, 1191, 1109,
+                2740, 5635, 2767, 1170, 5550, 5750,
+            ],
+            0x401c_1e2b_ceb8_7a20,
+        ),
+    ];
+    for (alg, raps, objective) in pins {
+        let p = alg.place(&plain, 20, &mut StdRng::seed_from_u64(0));
+        let got: Vec<u32> = p.raps().iter().map(|v| v.raw()).collect();
+        assert_eq!(got, raps, "{}", alg.name());
+        assert_eq!(
+            plain.evaluate(&p).to_bits(),
+            objective,
+            "{}: objective {}",
+            alg.name(),
+            plain.evaluate(&p)
+        );
+    }
 }
