@@ -14,11 +14,65 @@
 //! `1 − 1/√e` to the optimum for any non-increasing utility; with the
 //! threshold utility candidate ii's gain is always zero, so Algorithm 2
 //! reduces to Algorithm 1.
+//!
+//! ## Lazy evaluation
+//!
+//! Each step's pick is the eager scan's: candidate i is the first maximum
+//! of the uncovered gain over the unplaced candidates in ascending node id,
+//! candidate ii the first maximum of the improvement gain
+//! ([`Scenario::improvement_gain_value`]), each `None` when no gain is
+//! positive, and candidate ii wins only when its gain strictly beats
+//! candidate i's. Neither is found by rescanning every candidate.
+//!
+//! **Candidate i** comes from Algorithm 1's queue of stale uncovered gains,
+//! `UncoveredQueue`; [`crate::greedy`] proves that a stale uncovered gain
+//! bounds the fresh one.
+//!
+//! **Candidate ii** has no such bound in its own stale value: the
+//! improvement gain rises when another RAP newly covers a flow. Its queue is
+//! keyed by the candidate's last *marginal* gain
+//! ([`Scenario::marginal_gain_value`]) instead, computed at some earlier or
+//! the current round `s`. With `best_t` the best values of round `t ≥ s`,
+//! term by term
+//!
+//! ```text
+//! covered[f] ? max(0, v − best_t[f]) : +0.0   ≤   max(0, v − best_s[f])
+//! ```
+//!
+//! because best values only rise ([`kernel::raise`](crate::kernel)),
+//! IEEE-754 subtraction is monotone in its subtrahend and `max(0, ·)` is
+//! monotone and non-negative. Both kernels
+//! ([`kernel::gain_covered`](crate::kernel::gain_covered) and
+//! [`kernel::gain`](crate::kernel::gain)) put entry `i` in lane
+//! `i % LANES` and reduce through one tree, and IEEE addition is monotone,
+//! so the key bounds the improvement gain of every later round.
+//!
+//! A step pops candidate-ii entries, in the heap's order (key descending,
+//! then node ascending), only while the key could still change the pick:
+//! it must exceed candidate i's gain (or 0 when there is no candidate i),
+//! and beat the best improvement gain popped so far under the scan's tie
+//! rule (higher gain, or equal gain at a lower node). Every entry left
+//! behind ranks no higher than the one that failed, so no unpopped
+//! candidate can be the scan's candidate ii. Each popped entry costs two
+//! evaluations, its improvement gain and its marginal gain, and goes back
+//! after the step keyed by that marginal gain (pushed back at once, it would
+//! be popped again in the same step). Placed nodes are dropped when popped.
+//!
+//! Both queues are seeded from one pass over the candidates: with nothing
+//! covered and every best value at `+0.0`, a term of the marginal gain is
+//! `max(0, v − 0) = v`, the uncovered gain's term, and a zero term of either
+//! sign leaves an accumulator that started at `+0.0` unchanged, so the two
+//! sums have the same bits. The eager scan lives on only as the oracle of
+//! the property tests.
 
 use crate::algorithms::{argmax_node, PlacementAlgorithm};
+use crate::greedy::{cover, initial_gains, UncoveredQueue};
+use crate::lazy::HeapEntry;
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
+use rap_graph::NodeId;
+use std::collections::BinaryHeap;
 
 /// Algorithm 2: composite greedy placement with the `1 − 1/√e` guarantee.
 #[derive(Clone, Copy, Debug, Default)]
@@ -30,47 +84,68 @@ impl PlacementAlgorithm for CompositeGreedy {
     }
 
     fn place(&self, scenario: &Scenario, k: usize, _rng: &mut StdRng) -> Placement {
-        let candidates = scenario.candidates();
+        self.place_counting(scenario, k).0
+    }
+}
+
+impl CompositeGreedy {
+    /// The placement and the number of gain-kernel calls it made.
+    pub(crate) fn place_counting(&self, scenario: &Scenario, k: usize) -> (Placement, u64) {
         let flow_count = scenario.flows().len();
         let mut covered = vec![false; flow_count];
         let mut best_value = vec![0.0f64; flow_count];
         let mut placement = Placement::empty();
+        let mut evals = 0;
+        let seeds = initial_gains(scenario, &mut evals);
+        let mut queue_i = UncoveredQueue::new(scenario.candidates(), &seeds);
+        let mut queue_ii: BinaryHeap<HeapEntry> = scenario
+            .candidates()
+            .iter()
+            .zip(&seeds)
+            .map(|(&v, &g)| HeapEntry::new(g, v, 0))
+            .collect();
+        let mut popped = Vec::new();
 
-        for _ in 0..k {
+        while placement.len() < k {
+            let round = placement.len();
             // Candidate i: attract from uncovered flows.
-            let cand_i = argmax_node(candidates, &placement, 0.0, |v| {
-                scenario.uncovered_gain(&covered, v)
-            });
-            // Candidate ii: improve covered flows with smaller detours.
-            let cand_ii = argmax_node(candidates, &placement, 0.0, |v| {
-                scenario.improvement_gain_value(&covered, &best_value, v)
-            });
-            // Pick the better; ties favor candidate i (the paper compares
-            // "the one that can attract more drivers").
-            let chosen = match (cand_i, cand_ii) {
-                (Some((vi, gi)), Some((vii, gii))) => {
-                    if gii > gi {
-                        vii
-                    } else {
-                        vi
-                    }
+            let cand_i = queue_i.best(scenario, &covered, &placement, &mut evals);
+            // Candidate ii: improve covered flows with smaller detours. It is
+            // taken only if its gain strictly beats candidate i's (the paper
+            // compares "the one that can attract more drivers"), so only
+            // gains above `floor` matter.
+            let floor = cand_i.map_or(0.0, |(_, g)| g);
+            let beats = |gain: f64, node: NodeId, best: Option<(NodeId, f64)>| {
+                gain > floor && best.is_none_or(|(u, g)| gain > g || (gain == g && node < u))
+            };
+            let mut cand_ii = None;
+            while let Some(top) = queue_ii.peek() {
+                let node = top.node;
+                if placement.contains(node) {
+                    queue_ii.pop();
+                    continue;
                 }
-                (Some((vi, _)), None) => vi,
-                (None, Some((vii, _))) => vii,
-                (None, None) => break, // nothing attracts anyone anymore
+                if !beats(top.gain, node, cand_ii) {
+                    break;
+                }
+                queue_ii.pop();
+                evals += 2;
+                let gain = scenario.improvement_gain_value(&covered, &best_value, node);
+                if beats(gain, node, cand_ii) {
+                    cand_ii = Some((node, gain));
+                }
+                let bound = scenario.marginal_gain_value(&best_value, node);
+                popped.push(HeapEntry::new(bound, node, round));
+            }
+            let Some((chosen, _)) = cand_ii.or(cand_i) else {
+                break; // nothing attracts anyone anymore
             };
             placement.push(chosen);
-            let (flows, values) = scenario.value_entries_at(chosen);
-            for (&f, &v) in flows.iter().zip(values) {
-                // A flow counts as covered once some RAP attracts a positive
-                // expected number of its drivers (precomputed entry value).
-                if v > 0.0 {
-                    covered[f as usize] = true;
-                }
-            }
+            cover(scenario, &mut covered, chosen);
             scenario.commit_best_values(&mut best_value, chosen);
+            queue_ii.extend(popped.drain(..).filter(|e| e.node != chosen));
         }
-        placement
+        (placement, evals)
     }
 }
 
@@ -193,6 +268,46 @@ mod tests {
                 assert_eq!(set.len(), p.len());
             }
         }
+    }
+
+    /// The lazy queues' gain-kernel calls on stream-durable's instance
+    /// shape (a 20×20 grid of 500 ft blocks, 400 uniform flows, the linear
+    /// utility at 5,000 ft) at k = 10, against the eager scan's two calls
+    /// per candidate per RAP.
+    #[test]
+    fn lazy_queues_evaluate_a_fraction_of_the_eager_scan() {
+        use rap_graph::GridGraph;
+        use rap_traffic::demand::{uniform_demand, DemandParams};
+        use rap_traffic::FlowSet;
+        let grid = GridGraph::new(20, 20, Distance::from_feet(500));
+        let params = DemandParams {
+            flows: 400,
+            min_volume: 100.0,
+            max_volume: 1_000.0,
+            attractiveness: 0.001,
+        };
+        let specs = uniform_demand(grid.graph(), params, 1).unwrap();
+        let flows = FlowSet::route(grid.graph(), specs).unwrap();
+        let s = Scenario::single_shop(
+            grid.graph().clone(),
+            flows,
+            grid.center(),
+            UtilityKind::Linear.instantiate(Distance::from_feet(5_000)),
+        )
+        .unwrap();
+        let k = 10;
+        let candidates = s.candidates().len() as u64;
+        assert_eq!(candidates, 399);
+        let (p, evals) = CompositeGreedy.place_counting(&s, k);
+        assert_eq!(p.len(), k);
+        assert_eq!(evals, 749);
+        assert!(evals < 2 * k as u64 * candidates);
+        // Algorithm 1's queue alone, against its eager scan's one call per
+        // candidate per RAP.
+        let (p, evals) = GreedyCoverage.place_counting(&s, k);
+        assert_eq!(p.len(), k);
+        assert_eq!(evals, 509);
+        assert!(evals < k as u64 * candidates);
     }
 
     #[test]

@@ -6,11 +6,43 @@
 //! maximum coverage and this greedy achieves the classical `1 − 1/e`
 //! approximation ratio; the geographic density of RAPs is controlled because
 //! covered flows stop contributing to later gains.
+//!
+//! ## Lazy evaluation
+//!
+//! The step's pick is the first maximum of the uncovered gain
+//! ([`Scenario::uncovered_gain`]) over the unplaced candidates in ascending
+//! node id. Rather than rescan every candidate per RAP, `UncoveredQueue`
+//! keeps each candidate's last computed gain in a max-heap of
+//! `HeapEntry`s and re-evaluates only the top entry until it is fresh for
+//! the current round, as [`crate::lazy::CelfRun::step`] does for the
+//! marginal gain. The RAPs and objective bits are the eager scan's, because
+//! a stale uncovered gain is never below the fresh one:
+//!
+//! * a flow only ever becomes covered;
+//! * every entry value is finite and non-negative: the
+//!   [`UtilityFunction`](crate::UtilityFunction) contract puts
+//!   `probability` in `[0, α]` and flow volumes are positive and finite
+//!   (the precondition `Scenario` debug-asserts where it computes the
+//!   values), so each term of [`kernel::uncovered_sum`](crate::kernel::uncovered_sum)
+//!   can only fall, from its value to `+0.0`;
+//! * each term keeps its lane slot and the lanes reduce through one fixed
+//!   tree whatever is covered, and IEEE-754 addition is monotone in each
+//!   operand, so the rounded sum can only fall too.
+//!
+//! When the top entry `(g, v)` is fresh, every other candidate's fresh gain
+//! is at most its key, which ranks no higher than `(g, v)` in the heap's
+//! order (gain descending, then node ascending); so `v` is the eager scan's
+//! first maximum. A top key `≤ 0` bounds every gain by 0 and ends the
+//! placement, as the eager scan's floor does. The eager scan itself lives
+//! on only as the oracle of the property tests.
 
-use crate::algorithms::{argmax_node, PlacementAlgorithm};
+use crate::algorithms::PlacementAlgorithm;
+use crate::lazy::HeapEntry;
 use crate::placement::Placement;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
+use rap_graph::NodeId;
+use std::collections::BinaryHeap;
 
 /// Algorithm 1: greedy weighted max-coverage placement.
 ///
@@ -46,26 +78,99 @@ impl PlacementAlgorithm for GreedyCoverage {
     }
 
     fn place(&self, scenario: &Scenario, k: usize, _rng: &mut StdRng) -> Placement {
-        let candidates = scenario.candidates();
+        self.place_counting(scenario, k).0
+    }
+}
+
+impl GreedyCoverage {
+    /// The placement and the number of gain-kernel calls it made.
+    pub(crate) fn place_counting(&self, scenario: &Scenario, k: usize) -> (Placement, u64) {
+        let mut evals = 0;
+        let seeds = initial_gains(scenario, &mut evals);
+        let mut queue = UncoveredQueue::new(scenario.candidates(), &seeds);
         let mut covered = vec![false; scenario.flows().len()];
         let mut placement = Placement::empty();
-        for _ in 0..k {
-            let Some((node, _gain)) = argmax_node(candidates, &placement, 0.0, |v| {
-                scenario.uncovered_gain(&covered, v)
-            }) else {
+        while placement.len() < k {
+            let Some((node, _gain)) = queue.best(scenario, &covered, &placement, &mut evals) else {
                 break; // every remaining intersection attracts nobody new
             };
             placement.push(node);
-            let (flows, values) = scenario.value_entries_at(node);
-            for (&f, &v) in flows.iter().zip(values) {
-                // Positive precomputed value == the RAP attracts a positive
-                // expected number of this flow's drivers.
-                if v > 0.0 {
-                    covered[f as usize] = true;
-                }
+            cover(scenario, &mut covered, node);
+        }
+        (placement, evals)
+    }
+}
+
+/// Each candidate's uncovered gain with nothing covered, parallel to
+/// [`Scenario::candidates`]: one gain evaluation per candidate.
+pub(crate) fn initial_gains(scenario: &Scenario, evals: &mut u64) -> Vec<f64> {
+    let covered = vec![false; scenario.flows().len()];
+    *evals += scenario.candidates().len() as u64;
+    scenario
+        .candidates()
+        .iter()
+        .map(|&v| scenario.uncovered_gain(&covered, v))
+        .collect()
+}
+
+/// Marks the flows a RAP at `node` covers: those it attracts a positive
+/// expected number of drivers from (a positive precomputed entry value).
+pub(crate) fn cover(scenario: &Scenario, covered: &mut [bool], node: NodeId) {
+    let (flows, values) = scenario.value_entries_at(node);
+    for (&f, &v) in flows.iter().zip(values) {
+        if v > 0.0 {
+            covered[f as usize] = true;
+        }
+    }
+}
+
+/// The lazy queue of uncovered gains behind Algorithm 1 and Algorithm 2's
+/// candidate i (see the module docs for why a stale gain bounds the fresh
+/// one). An entry's `round` is the placement size its gain was computed at.
+pub(crate) struct UncoveredQueue {
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl UncoveredQueue {
+    /// A queue over `candidates` keyed by their [`initial_gains`].
+    pub(crate) fn new(candidates: &[NodeId], gains: &[f64]) -> Self {
+        let heap = candidates
+            .iter()
+            .zip(gains)
+            .map(|(&v, &g)| HeapEntry::new(g, v, 0))
+            .collect();
+        UncoveredQueue { heap }
+    }
+
+    /// The eager scan's pick among the candidates not in `placement`: the
+    /// first maximum of the uncovered gain against `covered`, with its
+    /// gain, or `None` when no gain is positive. Stale entries on top are
+    /// re-evaluated (one count each in `evals`) and placed nodes dropped;
+    /// the pick stays queued, and is dropped once placed.
+    pub(crate) fn best(
+        &mut self,
+        scenario: &Scenario,
+        covered: &[bool],
+        placement: &Placement,
+        evals: &mut u64,
+    ) -> Option<(NodeId, f64)> {
+        let round = placement.len();
+        loop {
+            let top = self.heap.peek()?;
+            let node = top.node;
+            if placement.contains(node) {
+                self.heap.pop();
+            } else if top.gain <= 0.0 {
+                return None;
+            } else if top.round == round {
+                return Some((node, top.gain));
+            } else {
+                self.heap.pop();
+                *evals += 1;
+                let gain = scenario.uncovered_gain(covered, node);
+                self.heap.push(HeapEntry::new(gain, node, round));
             }
         }
-        placement
     }
 }
 

@@ -113,6 +113,12 @@ impl Scenario {
     /// — the exact expression [`Scenario::new`] uses — so snapshots
     /// materialized by [`crate::mutable::MutableScenario`] evaluate
     /// bit-identically to a from-scratch rebuild.
+    ///
+    /// Every value is finite and non-negative: the [`UtilityFunction`]
+    /// contract puts `probability` in `[0, α]`, and flow volumes are
+    /// positive and finite. The lazy Algorithms 1 and 2 rely on it (a stale
+    /// uncovered gain then bounds the fresh one, see [`crate::greedy`]), so
+    /// debug builds check it here.
     pub(crate) fn from_parts(
         graph: RoadGraph,
         flows: FlowSet,
@@ -128,7 +134,13 @@ impl Scenario {
         for e in detours.entries() {
             let flow = flows.flow(e.flow);
             entry_flow.push(e.flow.index() as u32);
-            entry_value.push(utility.probability(e.detour, flow.attractiveness()) * flow.volume());
+            let value = utility.probability(e.detour, flow.attractiveness()) * flow.volume();
+            debug_assert!(
+                value.is_finite() && value >= 0.0,
+                "entry value {value} of flow {} is not finite and non-negative",
+                e.flow.index()
+            );
+            entry_value.push(value);
         }
         let candidates: Arc<[NodeId]> = detours.candidate_nodes().into();
         Scenario {

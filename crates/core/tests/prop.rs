@@ -279,6 +279,111 @@ fn assert_resumable_identity(s: &Scenario, ks: &[usize], case: &str) -> Result<(
     Ok(())
 }
 
+/// The first maximum of `score` over the candidates not in `placement`,
+/// in ascending node id, or `None` when no score is positive: one eager
+/// scan of Algorithms 1 and 2.
+fn eager_pick(
+    s: &Scenario,
+    placement: &Placement,
+    score: impl Fn(NodeId) -> f64,
+) -> Option<(NodeId, f64)> {
+    let mut best: Option<(NodeId, f64)> = None;
+    for &v in s.candidates() {
+        if placement.contains(v) {
+            continue;
+        }
+        let gain = score(v);
+        if gain > 0.0 && best.is_none_or(|(_, b)| gain > b) {
+            best = Some((v, gain));
+        }
+    }
+    best
+}
+
+/// Marks the flows a RAP at `node` attracts a positive expected number of
+/// drivers from as covered.
+fn mark_covered(s: &Scenario, covered: &mut [bool], node: NodeId) {
+    let (flows, values) = s.value_entries_at(node);
+    for (&f, &v) in flows.iter().zip(values) {
+        if v > 0.0 {
+            covered[f as usize] = true;
+        }
+    }
+}
+
+/// Algorithm 1 as the paper states it, the oracle of [`GreedyCoverage`]:
+/// every step rescans every candidate's uncovered gain.
+fn eager_coverage(s: &Scenario, k: usize) -> Placement {
+    let mut covered = vec![false; s.flows().len()];
+    let mut placement = Placement::empty();
+    while placement.len() < k {
+        let Some((node, _)) = eager_pick(s, &placement, |v| s.uncovered_gain(&covered, v)) else {
+            break;
+        };
+        placement.push(node);
+        mark_covered(s, &mut covered, node);
+    }
+    placement
+}
+
+/// Algorithm 2 as the paper states it, the oracle of [`CompositeGreedy`]:
+/// every step rescans every candidate's uncovered gain and improvement
+/// gain, and takes candidate ii only when its gain is strictly larger.
+fn eager_composite(s: &Scenario, k: usize) -> Placement {
+    let mut covered = vec![false; s.flows().len()];
+    let mut best_value = vec![0.0f64; s.flows().len()];
+    let mut placement = Placement::empty();
+    while placement.len() < k {
+        let cand_i = eager_pick(s, &placement, |v| s.uncovered_gain(&covered, v));
+        let cand_ii = eager_pick(s, &placement, |v| {
+            s.improvement_gain_value(&covered, &best_value, v)
+        });
+        let chosen = match (cand_i, cand_ii) {
+            (Some((vi, gi)), Some((vii, gii))) => {
+                if gii > gi {
+                    vii
+                } else {
+                    vi
+                }
+            }
+            (Some((vi, _)), None) => vi,
+            (None, Some((vii, _))) => vii,
+            (None, None) => break,
+        };
+        placement.push(chosen);
+        mark_covered(s, &mut covered, chosen);
+        s.commit_best_values(&mut best_value, chosen);
+    }
+    placement
+}
+
+/// Algorithms 1 and 2 return their eager oracles' RAPs and objective bits
+/// at every k from 0 to two past the candidate count. An eager run to k is
+/// the first k RAPs of one to a larger budget, so each oracle runs once.
+fn assert_lazy_matches_eager(s: &Scenario, case: &str) -> Result<(), TestCaseError> {
+    let k_max = s.candidates().len() + 2;
+    let algorithms: [(&dyn PlacementAlgorithm, Placement); 2] = [
+        (&GreedyCoverage, eager_coverage(s, k_max)),
+        (&CompositeGreedy, eager_composite(s, k_max)),
+    ];
+    for (alg, oracle) in algorithms {
+        for k in 0..=k_max {
+            let expected = Placement::new(oracle.raps()[..k.min(oracle.len())].to_vec());
+            let got = alg.place(s, k, &mut rng());
+            prop_assert_eq!(&got, &expected, "{} at k={} ({})", alg.name(), k, case);
+            prop_assert_eq!(
+                s.evaluate(&got).to_bits(),
+                s.evaluate(&expected).to_bits(),
+                "{} objective at k={} ({})",
+                alg.name(),
+                k,
+                case
+            );
+        }
+    }
+    Ok(())
+}
+
 /// A k sequence for a scenario with `candidates` candidates: the random
 /// `picks` (up to two past the candidate count) sorted ascending,
 /// descending or left as drawn, then a repeat of the first, 0, the
@@ -596,6 +701,40 @@ proptest! {
                 "gain mismatch at {}",
                 v
             );
+        }
+    }
+
+    /// The lazy Algorithms 1 and 2 reproduce the eager scan on every
+    /// utility kind, with one and two shops, and on tie-heavy grids where
+    /// every flow, plus up to 15 more, carries the same volume.
+    #[test]
+    fn lazy_algorithms_match_the_eager_scan(
+        inst in arb_instance(),
+        shop2 in 0u32..36,
+        extra in proptest::collection::vec((0u32..36, 0u32..36), 0..16),
+    ) {
+        let n = inst.rows * inst.cols;
+        for kind in UtilityKind::ALL {
+            let mut inst = inst.clone();
+            inst.utility = kind;
+            let Some(single) = build(&inst) else { return Ok(()) };
+            assert_lazy_matches_eager(&single, &format!("{kind}"))?;
+            let two = Scenario::new(
+                single.graph().clone(),
+                single.flows().clone(),
+                vec![NodeId::new(inst.shop), NodeId::new(shop2 % n)],
+                kind.instantiate(Distance::from_feet(inst.threshold)),
+            )
+            .expect("multi-shop scenario valid");
+            assert_lazy_matches_eager(&two, &format!("two shops, {kind}"))?;
+
+            let mut ties = inst.clone();
+            ties.flows.extend(extra.iter().map(|&(o, d)| (o % n, d % n, 50)));
+            for flow in &mut ties.flows {
+                flow.2 = 50;
+            }
+            let tied = build(&ties).expect("the instance's own flows still route");
+            assert_lazy_matches_eager(&tied, &format!("tie-heavy, {kind}"))?;
         }
     }
 
