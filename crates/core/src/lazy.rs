@@ -13,7 +13,15 @@
 //! every k it has reached. [`LazyGreedy::place_with_stats`] is a fresh run
 //! advanced to k; the server keeps one run per serving epoch.
 //!
+//! The same heap entry keys the queues of the paper's Algorithms 1 and 2:
+//! stale uncovered gains for [`GreedyCoverage`] and Algorithm 2's
+//! candidate i, and each candidate's last marginal gain for
+//! [`CompositeGreedy`]'s candidate ii. Why each key bounds the gain it
+//! stands for is proved in [`crate::greedy`] and [`crate::composite`].
+//!
 //! [`MarginalGreedy`]: crate::composite::MarginalGreedy
+//! [`GreedyCoverage`]: crate::greedy::GreedyCoverage
+//! [`CompositeGreedy`]: crate::composite::CompositeGreedy
 
 use crate::algorithms::PlacementAlgorithm;
 use crate::placement::Placement;
@@ -25,7 +33,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A heap entry: a candidate node with a (possibly stale) upper bound on its
-/// marginal gain.
+/// gain — the marginal gain here, the uncovered or improvement gain in
+/// Algorithms 1 and 2.
 pub(crate) struct HeapEntry {
     pub(crate) gain: f64,
     pub(crate) node: NodeId,

@@ -17,8 +17,8 @@
 //!
 //! | Type | Paper | Guarantee |
 //! |---|---|---|
-//! | [`GreedyCoverage`] | Algorithm 1 | `1 − 1/e` (threshold utility) |
-//! | [`CompositeGreedy`] | Algorithm 2 | `1 − 1/√e` (any non-increasing utility) |
+//! | [`GreedyCoverage`] | Algorithm 1 | `1 − 1/e` (threshold utility); a lazy queue of stale uncovered gains, the eager scan's bits |
+//! | [`CompositeGreedy`] | Algorithm 2 | `1 − 1/√e` (any non-increasing utility); two lazy queues, the eager scan's bits |
 //! | [`MarginalGreedy`] | Sec. III-C naive greedy | none (ablation) |
 //! | [`LazyGreedy`] | — (CELF extension) | identical output to `MarginalGreedy`; its loop is the resumable [`CelfRun`] |
 //! | [`InvertedGainEngine`] | — (inverted-index delta propagation; benchmark only, no production path runs it) | identical output to `MarginalGreedy` |
